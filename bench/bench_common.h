@@ -8,12 +8,12 @@
 #include <string>
 #include <vector>
 
-#include "cluster/trace.h"
 #include "common/ascii_chart.h"
 #include "common/csv.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "eval/experiment.h"
+#include "fleet/trace.h"
 #include "mining/symptom_clusters.h"
 
 namespace aer::bench {

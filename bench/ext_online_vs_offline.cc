@@ -11,6 +11,7 @@
 
 #include "bench_common.h"
 #include "core/policy_generator.h"
+#include "fleet/fleet_sim.h"
 #include "rl/online_policy.h"
 
 namespace aer::bench {
@@ -53,18 +54,21 @@ void Run() {
   next.sim.seed = config.sim.seed + 31337;
   const FaultCatalog catalog = MakeDefaultCatalog(next.catalog);
 
-  ClusterSimulator sim_user(next.sim, catalog);
+  // The serial engine: the online learner updates its Q-table from
+  // OnActionOutcome, so it needs deterministic, single-threaded callbacks.
+  const fleet::FleetSimConfig sim_config{.sim = next.sim};
   UserDefinedPolicy user_arm(next.escalation);
-  const SimulationResult under_user = sim_user.Run(user_arm);
+  const SimulationResult under_user =
+      fleet::FleetSimulator(sim_config, catalog).RunSeedCompat(user_arm);
 
-  ClusterSimulator sim_hybrid(next.sim, catalog);
   UserDefinedPolicy fallback(next.escalation);
   HybridPolicy hybrid(trained, fallback);
-  const SimulationResult under_hybrid = sim_hybrid.Run(hybrid);
+  const SimulationResult under_hybrid =
+      fleet::FleetSimulator(sim_config, catalog).RunSeedCompat(hybrid);
 
-  ClusterSimulator sim_online(next.sim, catalog);
   OnlineQLearningPolicy online;
-  const SimulationResult under_online = sim_online.Run(online);
+  const SimulationResult under_online =
+      fleet::FleetSimulator(sim_config, catalog).RunSeedCompat(online);
 
   const auto user_m = MonthlyMeans(under_user, next.sim.duration);
   const auto hybrid_m = MonthlyMeans(under_hybrid, next.sim.duration);

@@ -219,7 +219,7 @@ void BM_ObsRegistryExportText(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsRegistryExportText);
 
-void BM_ClusterSimulation(benchmark::State& state) {
+void BM_GenerateTrace(benchmark::State& state) {
   TraceConfig config = TraceConfigForScale("small");
   config.sim.num_machines = 100;
   config.sim.duration = 30 * kDay;
@@ -227,7 +227,7 @@ void BM_ClusterSimulation(benchmark::State& state) {
     benchmark::DoNotOptimize(GenerateTrace(config));
   }
 }
-BENCHMARK(BM_ClusterSimulation);
+BENCHMARK(BM_GenerateTrace);
 
 // Console output as usual, plus every benchmark's per-iteration real time
 // recorded as a "<name>_ns" metric in BENCH_micro_benchmarks.json so

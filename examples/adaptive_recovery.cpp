@@ -11,8 +11,9 @@
 #include <cstdio>
 #include <string>
 
-#include "cluster/trace.h"
 #include "core/policy_generator.h"
+#include "fleet/fleet_sim.h"
+#include "fleet/trace.h"
 #include "rl/policy.h"
 
 namespace {
@@ -72,10 +73,10 @@ int main() {
   aer::ClusterSimConfig period2 = config.sim;
   period2.seed = config.sim.seed + 77;
   {
-    aer::ClusterSimulator sim(period2, changed);
+    aer::fleet::FleetSimulator sim({.sim = period2}, changed);
     aer::UserDefinedPolicy fallback(config.escalation);
     aer::HybridPolicy stale(p1, fallback);
-    const aer::SimulationResult result = sim.Run(stale);
+    const aer::SimulationResult result = sim.RunSeedCompat(stale);
     std::printf("\nPeriod 2 under the stale policy:\n");
     std::printf("  mean downtime of the changed fault: %.0f s "
                 "(the stale REBOOT-first rule retries in vain)\n",
@@ -90,16 +91,18 @@ int main() {
     // ---- Period 3 under the refreshed policy -------------------------------
     aer::ClusterSimConfig period3 = config.sim;
     period3.seed = config.sim.seed + 154;
-    aer::ClusterSimulator sim3(period3, changed);
+    aer::fleet::FleetSimulator sim3({.sim = period3}, changed);
     aer::UserDefinedPolicy fallback3(config.escalation);
     aer::HybridPolicy refreshed(p2, fallback3);
-    const aer::SimulationResult result3 = sim3.Run(refreshed);
+    const aer::SimulationResult result3 = sim3.RunSeedCompat(refreshed);
 
     // Baseline for period 3: the stale policy on identical conditions.
-    aer::ClusterSimulator sim3_stale(period3, changed);
+    aer::fleet::FleetSimulator sim3_stale({.sim = period3},
+                                          changed);
     aer::UserDefinedPolicy fallback3s(config.escalation);
     aer::HybridPolicy stale3(p1, fallback3s);
-    const aer::SimulationResult result3_stale = sim3_stale.Run(stale3);
+    const aer::SimulationResult result3_stale =
+        sim3_stale.RunSeedCompat(stale3);
 
     const double fresh = MeanDowntimeOfFault(result3, 0);
     const double old = MeanDowntimeOfFault(result3_stale, 0);

@@ -21,12 +21,13 @@
 #include <optional>
 #include <string>
 
-#include "cluster/trace.h"
 #include "cluster/user_policy.h"
 #include "core/guarded_policy.h"
 #include "core/policy_generator.h"
 #include "ctrl/harness.h"
 #include "eval/experiment.h"
+#include "fleet/fleet_sim.h"
+#include "fleet/trace.h"
 #include "inject/harness.h"
 #include "log/log_report.h"
 #include "mining/symptom_clusters.h"
@@ -503,14 +504,15 @@ int Simulate(const Flags& flags) {
       flags.GetInt("seed", static_cast<long long>(config.sim.seed) + 1));
   const FaultCatalog catalog = MakeDefaultCatalog(config.catalog);
 
-  ClusterSimulator sim_a(config.sim, catalog);
+  const fleet::FleetSimConfig sim_config{.sim = config.sim};
   UserDefinedPolicy user_a(config.escalation);
-  const SimulationResult arm_a = sim_a.Run(user_a);
+  const SimulationResult arm_a =
+      fleet::FleetSimulator(sim_config, catalog).RunSeedCompat(user_a);
 
-  ClusterSimulator sim_b(config.sim, catalog);
   UserDefinedPolicy user_b(config.escalation);
   HybridPolicy hybrid(policy, user_b);
-  const SimulationResult arm_b = sim_b.Run(hybrid);
+  const SimulationResult arm_b =
+      fleet::FleetSimulator(sim_config, catalog).RunSeedCompat(hybrid);
 
   const double mean_a = static_cast<double>(arm_a.total_downtime) /
                         static_cast<double>(arm_a.processes_completed);

@@ -4,7 +4,7 @@
 // workload the paper's introduction motivates (thousands of servers, faults
 // cured by rebooting/reimaging without ever finding root causes).
 //
-// Demonstrates: ClusterSimulator as a production stand-in, PolicyGenerator,
+// Demonstrates: FleetSimulator as a production stand-in, PolicyGenerator,
 // HybridPolicy deployment, and honest online measurement (mean downtime per
 // incident, not replay estimates).
 #include <algorithm>
@@ -12,8 +12,9 @@
 #include <map>
 #include <string>
 
-#include "cluster/trace.h"
 #include "core/policy_generator.h"
+#include "fleet/fleet_sim.h"
+#include "fleet/trace.h"
 #include "rl/policy.h"
 
 namespace {
@@ -80,16 +81,16 @@ int main() {
   std::printf("\nPeriod 2 (same fleet, fresh incidents), arm A: "
               "user-defined policy\n");
   const aer::FaultCatalog catalog = aer::MakeDefaultCatalog(period2.catalog);
-  aer::ClusterSimulator sim_a(period2.sim, catalog);
+  aer::fleet::FleetSimulator sim_a({.sim = period2.sim}, catalog);
   aer::UserDefinedPolicy user_a(period2.escalation);
-  const aer::SimulationResult arm_a = sim_a.Run(user_a);
+  const aer::SimulationResult arm_a = sim_a.RunSeedCompat(user_a);
   const PeriodStats stats_a = Summarize(arm_a, catalog);
 
   std::printf("Period 2, arm B: hybrid (RL-trained + fallback)\n");
-  aer::ClusterSimulator sim_b(period2.sim, catalog);
+  aer::fleet::FleetSimulator sim_b({.sim = period2.sim}, catalog);
   aer::UserDefinedPolicy user_b(period2.escalation);
   aer::HybridPolicy hybrid(trained, user_b);
-  const aer::SimulationResult arm_b = sim_b.Run(hybrid);
+  const aer::SimulationResult arm_b = sim_b.RunSeedCompat(hybrid);
   const PeriodStats stats_b = Summarize(arm_b, catalog);
 
   std::printf("\n  %-12s %14s %14s\n", "", "arm A (user)", "arm B (hybrid)");

@@ -16,8 +16,9 @@
 #include <cstdio>
 #include <string>
 
-#include "cluster/trace.h"
+#include "cluster/user_policy.h"
 #include "core/policy_generator.h"
+#include "fleet/fleet_sim.h"
 #include "rl/policy.h"
 
 namespace {
@@ -116,9 +117,9 @@ int main() {
   runbook.recurring_failure_window = kHour;
 
   const FaultCatalog catalog = ServiceCatalog();
-  ClusterSimulator simulator(sim, catalog);
+  fleet::FleetSimulator simulator({.sim = sim}, catalog);
   UserDefinedPolicy runbook_policy(runbook);
-  const SimulationResult history = simulator.Run(runbook_policy);
+  const SimulationResult history = simulator.RunSeedCompat(runbook_policy);
   std::printf("two weeks of incidents under the runbook: %lld incidents, "
               "%.1f s mean time to recover\n",
               static_cast<long long>(history.processes_completed),
@@ -144,13 +145,13 @@ int main() {
   // Deploy for the next two weeks, A/B against the runbook.
   ClusterSimConfig next = sim;
   next.seed = sim.seed + 1;
-  ClusterSimulator sim_a(next, catalog);
+  fleet::FleetSimulator sim_a({.sim = next}, catalog);
   UserDefinedPolicy arm_a(runbook);
-  const SimulationResult a = sim_a.Run(arm_a);
-  ClusterSimulator sim_b(next, catalog);
+  const SimulationResult a = sim_a.RunSeedCompat(arm_a);
+  fleet::FleetSimulator sim_b({.sim = next}, catalog);
   UserDefinedPolicy fallback(runbook);
   HybridPolicy arm_b(learned, fallback);
-  const SimulationResult b = sim_b.Run(arm_b);
+  const SimulationResult b = sim_b.RunSeedCompat(arm_b);
 
   const double mean_a = static_cast<double>(a.total_downtime) /
                         static_cast<double>(a.processes_completed);

@@ -12,8 +12,8 @@
 #include <cstdio>
 #include <string>
 
-#include "cluster/trace.h"
 #include "eval/split.h"
+#include "fleet/trace.h"
 #include "mining/symptom_clusters.h"
 #include "rl/selection_tree.h"
 

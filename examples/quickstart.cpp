@@ -12,9 +12,9 @@
 #include <cstdio>
 #include <sstream>
 
-#include "cluster/trace.h"
 #include "core/policy_generator.h"
 #include "eval/experiment.h"
+#include "fleet/trace.h"
 #include "mining/symptom_clusters.h"
 
 int main() {

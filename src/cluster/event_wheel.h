@@ -1,20 +1,20 @@
 // Hierarchical timing wheel for the fleet-scale cluster simulator.
 //
-// The seed engine (cluster_sim.cc) drives the simulation off a binary heap:
-// every push and pop costs O(log n) comparisons and a cache-hostile sift.
-// At fleet scale (10^6 machines, millions of in-flight events) the scheduler
-// is the hot path, so this is the classic O(1) alternative: six wheels of 64
-// slots each, level l covering time deltas in [64^l, 64^(l+1)) ticks. An
-// event lands in the slot addressed by its timestamp's level-l digit; when
-// the clock crosses a level boundary the matching higher-level slot cascades
-// down, re-bucketing its events one level lower. Popping advances a cursor
-// tick by tick (jumping over provably empty spans), so schedule and pop are
-// amortized O(1) regardless of how many events are pending.
+// A binary-heap event queue costs O(log n) comparisons and a cache-hostile
+// sift per push and pop. At fleet scale (10^6 machines, millions of
+// in-flight events) the scheduler is the hot path, so this is the classic
+// O(1) alternative: six wheels of 64 slots each, level l covering time
+// deltas in [64^l, 64^(l+1)) ticks. An event lands in the slot addressed by
+// its timestamp's level-l digit; when the clock crosses a level boundary
+// the matching higher-level slot cascades down, re-bucketing its events one
+// level lower. Popping advances a cursor tick by tick (jumping over provably
+// empty spans), so schedule and pop are amortized O(1) regardless of how
+// many events are pending.
 //
 // Determinism contract (docs/FLEET_SIM.md): events pop in strictly
 // ascending (time, tie, id) order, where `tie` is a caller-supplied 64-bit
 // key and `id` the schedule-order sequence number. The compat engine passes
-// a global push counter as the tie — reproducing the seed heap's
+// a global push counter as the tie — reproducing the original heap engine's
 // (time, push-seq) order bit for bit — and the sharded engine packs
 // (machine, kind, per-machine seq) into it, giving the (time, machine, kind)
 // tie-break that makes shard execution independent of thread schedule.
@@ -36,8 +36,7 @@
 
 namespace aer {
 
-// The event vocabulary of the fleet simulator; mirrors the seed engine's
-// private event kinds (cluster_sim.cc) so the compat mode can replay them.
+// The event vocabulary of the fleet simulator.
 enum class FleetEventKind : std::uint8_t {
   kFaultArrival = 0,
   kSymptom = 1,

@@ -6,6 +6,10 @@ FleetState::FleetState(const Layout& layout) : layout_(layout) {
   AER_CHECK_GT(layout_.num_machines, 0);
   AER_CHECK_GT(layout_.tried_capacity, 0);
   AER_CHECK_GT(layout_.emitted_capacity, 0);
+  // tried_count_/emitted_count_ are uint16_t: a larger capacity would wrap
+  // the count and let Push* overwrite slot 0.
+  AER_CHECK_LE(layout_.tried_capacity, UINT16_MAX);
+  AER_CHECK_LE(layout_.emitted_capacity, UINT16_MAX);
   const std::size_t n = static_cast<std::size_t>(layout_.num_machines);
   healthy_.assign(n, 1);
   noisy_.assign(n, 0);
@@ -35,7 +39,7 @@ void FleetState::PoolRemove(MachineId m) {
   AER_CHECK(layout_.with_healthy_pool);
   const std::int32_t pos = pool_pos_[Idx(m)];
   AER_CHECK_GE(pos, 0);
-  // Seed-exact swap-remove: the pool's element order feeds the victim
+  // Pinned swap-remove: the pool's element order feeds the victim
   // selection draw, so the moved element must be the back, into `pos`.
   const MachineId last = pool_.back();
   pool_[static_cast<std::size_t>(pos)] = last;

@@ -1,13 +1,15 @@
-// Structure-of-arrays machine state for the fleet-scale simulator.
+// Structure-of-arrays machine state for the cluster simulator.
 //
-// The seed engine keeps a vector<MachineState> with two heap-allocated
-// vectors per machine (tried actions, emitted symptoms) — three pointer
-// chases and an allocator round-trip per process at 10^6 machines. Here
-// every field lives in its own flat array and the per-process sequences
-// live in fixed-stride flat pools (capacity is bounded by config: at most
+// A vector of per-machine structs with two heap-allocated vectors each
+// (tried actions, emitted symptoms) costs three pointer chases and an
+// allocator round-trip per process at 10^6 machines. Here every field
+// lives in its own flat array and the per-process sequences live in
+// fixed-stride flat pools (capacity is bounded by config: at most
 // max_actions_per_process actions, and at most 1 + max-secondary-symptoms
 // re-emittable symptoms per process), so a shard's event handlers touch a
-// handful of contiguous cache lines and never allocate.
+// handful of contiguous cache lines and never allocate. The per-process
+// counts are 16-bit, so the constructor bounds both capacities by
+// UINT16_MAX.
 //
 // Thread-safety: a FleetState is plain data with no internal locking. The
 // sharded engine gives each shard a disjoint machine-id range; writes to
@@ -40,7 +42,7 @@ class FleetState {
     // symptoms of the largest fault (generic/cross-fault noise is emitted
     // but never recorded for re-emission).
     int emitted_capacity = 0;
-    // Compat mode keeps the seed's healthy-machine pool for its
+    // Compat mode keeps a healthy-machine pool for its
     // rng.NextBounded(pool size) victim selection; the sharded engine does
     // not use a pool.
     bool with_healthy_pool = false;
@@ -118,9 +120,9 @@ class FleetState {
   }
 
   // --- Healthy-machine pool (compat mode only; single-threaded) ---------
-  // Mirrors the seed engine's swap-remove pool exactly: victim selection
-  // indexes the pool with rng.NextBounded(pool_size()), so the pool's
-  // element order is part of the byte-identity contract.
+  // A swap-remove pool: victim selection indexes it with
+  // rng.NextBounded(pool_size()), so the pool's element order is part of
+  // the pinned-output contract (docs/FLEET_SIM.md).
 
   bool has_pool() const { return layout_.with_healthy_pool; }
   std::size_t pool_size() const { return pool_.size(); }

@@ -13,9 +13,9 @@
 namespace aer::fleet {
 
 // Interned symptom ids and fault-sampling tables, shared by every shard.
-// Interning follows the seed engine's order exactly (per fault: primary,
-// then its secondaries; then generics) so symptom ids — and therefore log
-// bytes — match the seed engine for the same catalog.
+// Interning order (per fault: primary, then its secondaries; then generics)
+// fixes the symptom ids — and therefore the log bytes — for a catalog; it
+// is part of the pinned-output contract (docs/FLEET_SIM.md).
 struct FleetSimTables {
   std::vector<SymptomId> primary;
   std::vector<std::vector<SymptomId>> aux;
@@ -54,7 +54,7 @@ Tables BuildTables(const FaultCatalog& catalog, SymptomTable& symtab) {
   return t;
 }
 
-// Seed-exact weighted fault draw (one NextDouble).
+// Weighted fault draw (one NextDouble).
 std::size_t SampleFault(Rng& rng, const Tables& t) {
   const double u = rng.NextDouble() * t.total_rate;
   const auto it = std::lower_bound(t.cum_rate.begin(), t.cum_rate.end(), u);
@@ -64,12 +64,12 @@ std::size_t SampleFault(Rng& rng, const Tables& t) {
 }
 
 // The recovery-process state machine, shared verbatim between compat and
-// sharded modes. Draw order inside a process is the seed engine's, draw for
-// draw; the Mode supplies which RNG stream the draws come from and how
-// event ties are numbered:
+// sharded modes. Draw order inside a process is fixed (the pinned outputs
+// depend on it, draw for draw); the Mode supplies which RNG stream the
+// draws come from and how event ties are numbered:
 //
-//   CompatMode — one global Rng + a global push counter, replaying the
-//     seed's (time, push-seq) heap order.
+//   CompatMode — one global Rng + a global push counter, i.e. a
+//     (time, push-seq) heap order on the wheel.
 //   ShardMode — per-machine Rng streams + (machine, kind, seq) ties,
 //     making every machine's timeline independent of all others.
 template <typename Mode>
@@ -124,7 +124,7 @@ class EngineCore {
 
   // Fault arrival accepted on a healthy machine: open a recovery process.
   // `f` was sampled by the caller (the victim-selection draw, if any,
-  // precedes the fault draw — seed order).
+  // precedes the fault draw).
   void BeginProcess(SimTime now, MachineId m, std::size_t f, Rng& rng) {
     st_.set_healthy(m, false);
     st_.bump_process_seq(m);
@@ -327,8 +327,8 @@ class EngineCore {
   const obs::TraceCollector* traces_ = nullptr;
 };
 
-// One global RNG + global push counter: the seed engine's draw and tie
-// order, replayed on the wheel.
+// One global RNG + global push counter: the serial engine's draw and tie
+// order.
 struct CompatMode {
   explicit CompatMode(std::uint64_t seed) : rng(seed) {}
   Rng& RngFor(MachineId) { return rng; }
@@ -414,8 +414,8 @@ SimulationResult FleetSimulator::RunSeedCompat(RecoveryPolicy& policy) {
   EngineCore<CompatMode> engine(cfg, catalog_, tables, state, wheel, policy,
                                 out, mode, traces_);
 
-  // Seed draw order: per-machine speeds first (only when spread > 0), then
-  // the first arrival.
+  // Draw order: per-machine speeds first (only when spread > 0), then the
+  // first arrival.
   if (cfg.machine_speed_spread > 0.0) {
     for (MachineId m = 0; m < cfg.num_machines; ++m) {
       state.set_speed(
@@ -425,7 +425,7 @@ SimulationResult FleetSimulator::RunSeedCompat(RecoveryPolicy& policy) {
   }
 
   // Global Poisson arrivals across the fleet, diurnal modulation by
-  // thinning against the peak rate — the seed engine's scheme verbatim.
+  // thinning against the peak rate (which keeps the mean rate).
   const double fleet_rate = static_cast<double>(cfg.num_machines) /
                             (cfg.machine_mtbf_days * static_cast<double>(kDay));
   const double peak_rate = fleet_rate * (1.0 + cfg.diurnal_amplitude);
@@ -503,7 +503,7 @@ void FleetSimulator::RunShard(int shard, int shards, const FleetSimTables& t,
                                mode, traces_);
 
   // Per-machine Poisson arrivals: superposing num_machines independent
-  // rate-1/mtbf processes gives exactly the seed engine's fleet-level
+  // rate-1/mtbf processes gives exactly the serial engine's fleet-level
   // Poisson process, but with no draw shared across machines. Diurnal
   // thinning applies the same relative modulation (the fleet/machine rate
   // ratio cancels out of rate(t)/peak).
@@ -530,7 +530,7 @@ void FleetSimulator::RunShard(int shard, int shards, const FleetSimTables& t,
     return mode.RngFor(m).NextDouble() < factor;
   };
 
-  // Machine init mirrors the seed stream discipline per machine: the speed
+  // Machine init mirrors the serial stream discipline per machine: the speed
   // draw (when spread > 0) comes first, then the first arrival.
   for (MachineId m = begin; m < end; ++m) {
     if (cfg.machine_speed_spread > 0.0) {
@@ -552,7 +552,7 @@ void FleetSimulator::RunShard(int shard, int shards, const FleetSimTables& t,
         if (!accept_arrival(m, e.time)) break;  // thinned (off-peak)
         ++out.fault_arrivals;
         if (!state.healthy(m)) {
-          // The machine is mid-recovery; the fault is lost. The seed engine
+          // The machine is mid-recovery; the fault is lost. The serial engine
           // instead redirects arrivals to a random healthy machine — global
           // state the shards deliberately do not share (docs/FLEET_SIM.md).
           ++out.fault_arrivals_skipped;
@@ -624,8 +624,8 @@ void FleetSimulator::Finalize(std::vector<ShardOutput> outputs,
     traces_->MergeShards(std::move(trace_shards));
   }
   // Serial merge in shard (== machine-ID) order; the final stable sorts
-  // put entries in the seed engine's (time, machine) order with per-key
-  // insertion order preserved.
+  // put entries in (time, machine) order with per-key insertion order
+  // preserved.
   for (ShardOutput& out : outputs) {
     for (const LogEntry& entry : out.entries) result.log.Append(entry);
     for (const ProcessGroundTruth& gt : out.ground_truth) {

@@ -1,25 +1,29 @@
-// Fleet-scale discrete-event simulator: the ClusterSimulator's workload on
-// a timing-wheel scheduler, SoA machine state, and sharded execution.
+// The discrete-event cluster simulator (cluster/sim_types.h holds its
+// config and result types): a timing-wheel scheduler, SoA machine state,
+// and sharded execution.
 //
 // Two run modes, two determinism guarantees (docs/FLEET_SIM.md):
 //
-//  RunSeedCompat() — single-shard replay of the seed engine's exact draw
-//    order on the EventWheel. Output is byte-identical to
-//    ClusterSimulator::Run for the same (config, catalog, policy); the
-//    equivalence suite (tests/fleet/fleet_equivalence_test.cc) pins this.
+//  RunSeedCompat() — the serial engine. One global RNG stream and a global
+//    push counter as the wheel tie, so the draw order is the original
+//    heap engine's, draw for draw; its outputs survive only as the
+//    checksums pinned in tests/fleet/fleet_equivalence_test.cc, which this
+//    mode must keep reproducing. GenerateTrace, the figure benches, the
+//    CLI and learning policies all run here.
 //
 //  Run() — the scale path. The fleet is split into contiguous machine-ID
 //    shards; each machine owns an independent RNG stream
 //    (DeriveStream(seed, machine)) and its own Poisson arrival chain (by
 //    superposition, per-machine arrivals at rate 1/mtbf are exactly the
-//    seed's fleet-level Poisson process). Shards run on the work-stealing
-//    ThreadPool and a serial merge in machine-ID order assembles the
-//    result, so the RecoveryLog and SimulationResult are byte-identical
-//    for ANY thread count and ANY shard count. The one semantic difference
-//    from the seed engine: a fault arriving at a machine that is already
-//    down is skipped (counted in fault_arrivals_skipped) instead of being
-//    redirected to a random healthy machine — victim redirection is global
-//    state that would serialize the shards.
+//    serial engine's fleet-level Poisson process). Shards run on the
+//    work-stealing ThreadPool and a serial merge in machine-ID order
+//    assembles the result, so the RecoveryLog and SimulationResult are
+//    byte-identical for ANY thread count and ANY shard count. The one
+//    semantic difference from the serial engine: a fault arriving at a
+//    machine that is already down is skipped (counted in
+//    fault_arrivals_skipped) instead of being redirected to a random
+//    healthy machine — victim redirection is global state that would
+//    serialize the shards.
 //
 // Run() invokes the policy concurrently from shard threads, so it requires
 // ChooseAction to be pure (the documented RecoveryPolicy contract) and
@@ -31,10 +35,10 @@
 
 #include <cstdint>
 
-#include "cluster/cluster_sim.h"
 #include "cluster/fault_model.h"
 #include "cluster/fleet_state.h"
 #include "cluster/policy.h"
+#include "cluster/sim_types.h"
 #include "common/thread_pool.h"
 #include "fleet/shard_merge.h"
 #include "obs/metrics.h"
@@ -47,7 +51,7 @@ namespace aer::fleet {
 struct FleetSimTables;
 
 struct FleetSimConfig {
-  // The workload parameters, shared verbatim with the seed engine.
+  // The workload parameters, shared by both run modes.
   ClusterSimConfig sim;
   // Shard count for Run(). <= 0 derives a count from the fleet size alone
   // (deterministic in the config, never in the host's core count — shard
@@ -65,12 +69,15 @@ class FleetSimulator {
   // either way.
   SimulationResult Run(RecoveryPolicy& policy, ThreadPool* pool = nullptr);
 
-  // Seed-compatibility mode: byte-identical to ClusterSimulator::Run.
+  // Serial run with one global RNG stream, reproducing the pinned heap
+  // engine outputs. The policy is invoked in deterministic event order, so
+  // learning policies (stateful OnActionOutcome) are safe here.
   SimulationResult RunSeedCompat(RecoveryPolicy& policy);
 
-  // Optional observability sink; same contract as ClusterSimulator: the
-  // aer_fleet_* metrics are folded in after the run, instrumentation never
-  // feeds back into the simulation. The registry must outlive the runs.
+  // Optional observability sink: the aer_fleet_* metrics are folded in
+  // after the run, so instrumentation never feeds back into the simulation
+  // and instrumented runs produce identical logs. The registry must
+  // outlive the runs.
   void SetMetrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
   // Optional causal trace sink (must outlive the runs; null disables).

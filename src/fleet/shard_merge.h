@@ -19,7 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/cluster_sim.h"
+#include "cluster/sim_types.h"
 #include "common/check.h"
 #include "common/mutex.h"
 #include "common/sim_time.h"

@@ -6,10 +6,11 @@
 // an online learner burns before it catches up, if it ever does.
 //
 // The policy plugs into the same frameworks as every other RecoveryPolicy
-// (ClusterSimulator, RecoveryManager); it receives its reinforcement signal
-// through RecoveryPolicy::OnActionOutcome. Unlike the offline trainer it is
-// not restricted to actions observed in any log — it explores all four
-// repair actions on the live system, which is precisely the problem.
+// (FleetSimulator::RunSeedCompat, RecoveryManager); it receives its
+// reinforcement signal through RecoveryPolicy::OnActionOutcome. Unlike the
+// offline trainer it is not restricted to actions observed in any log — it
+// explores all four repair actions on the live system, which is precisely
+// the problem.
 #ifndef AER_RL_ONLINE_POLICY_H_
 #define AER_RL_ONLINE_POLICY_H_
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/trace.h"
+#include "fleet/trace.h"
 #include "mining/symptom_clusters.h"
 
 namespace aer {

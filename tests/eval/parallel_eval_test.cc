@@ -8,11 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/trace.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "eval/bootstrap.h"
 #include "eval/experiment.h"
+#include "fleet/trace.h"
 #include "mining/symptom_clusters.h"
 
 namespace aer {

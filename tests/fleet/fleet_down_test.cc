@@ -1,25 +1,29 @@
 // Regression coverage for whole-fleet-down handling.
 //
-// The seed engine's fleet-down branch now runs off a live O(1) down-counter
-// (cluster_sim.cc) instead of inspecting the healthy-pool container; this
-// suite pins the observable behavior — fault_arrivals_skipped — under a
-// workload that saturates the fleet: arrivals far faster than repairs, so
-// every machine spends most of its time down.
+// The serial engine's fleet-down branch skips an arrival when the healthy
+// pool is empty; this suite pins the observable behavior —
+// fault_arrivals_skipped — under a workload that saturates the fleet:
+// arrivals far faster than repairs, so every machine spends most of its
+// time down.
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
-#include "cluster/cluster_sim.h"
 #include "cluster/fault_catalog.h"
 #include "cluster/user_policy.h"
 #include "common/thread_pool.h"
 #include "fleet/fleet_sim.h"
+#include "sim_checksum.h"
 
 namespace aer::fleet {
 namespace {
 
-// Golden skip count for SaturatedConfig() under the seed engine, recorded
-// from the bit-exact run (stable across platforms: aer::Rng is xoshiro with
-// fixed integer paths).
+// Golden outputs for SaturatedConfig() under the original heap engine,
+// captured with the fleet_equivalence_test pins (same capture program, same
+// ResultChecksum). Stable across platforms: aer::Rng is xoshiro with fixed
+// integer paths.
 constexpr std::int64_t kSeedGoldenSkipped = 1538;
+constexpr std::uint64_t kSeedGoldenChecksum = 0x4ce73baac55a4336ULL;
 
 // Two machines, a fault every ~35 simulated minutes per machine, repairs
 // taking hours: the fleet is fully down for most of the run.
@@ -32,13 +36,15 @@ ClusterSimConfig SaturatedConfig() {
   return config;
 }
 
-TEST(FleetDownTest, SeedEngineSkipsArrivalsWhenFleetDown) {
+// The whole saturated run — log, ground truth, counters — not just the
+// skip count.
+TEST(FleetDownTest, CompatEngineMatchesSeedChecksum) {
   UserDefinedPolicy policy;
   const SimulationResult result =
-      ClusterSimulator(SaturatedConfig(), MakeDefaultCatalog()).Run(policy);
-  // Golden value: pins the O(1) down-counter rewrite to the original
-  // pool-empty behavior (bit-exact RNG makes this stable across platforms).
-  EXPECT_EQ(result.fault_arrivals_skipped, kSeedGoldenSkipped);
+      FleetSimulator(FleetSimConfig{.sim = SaturatedConfig()},
+                     MakeDefaultCatalog())
+          .RunSeedCompat(policy);
+  EXPECT_EQ(ResultChecksum(result), kSeedGoldenChecksum);
   EXPECT_GT(result.processes_completed, 0);
 }
 

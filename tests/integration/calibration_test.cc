@@ -5,9 +5,9 @@
 // single fixture shared across the assertions to keep suite time sane.
 #include <gtest/gtest.h>
 
-#include "cluster/trace.h"
 #include "cluster/user_policy.h"
 #include "eval/experiment.h"
+#include "fleet/trace.h"
 #include "mining/symptom_clusters.h"
 #include "sim/platform.h"
 

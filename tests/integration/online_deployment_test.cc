@@ -5,9 +5,10 @@
 // (log -> train -> deploy -> log) holds together.
 #include <gtest/gtest.h>
 
-#include "cluster/trace.h"
 #include "core/policy_generator.h"
 #include "core/recovery_manager.h"
+#include "fleet/fleet_sim.h"
+#include "fleet/trace.h"
 #include "rl/policy.h"
 
 namespace aer {
@@ -36,14 +37,16 @@ TEST(OnlineDeploymentTest, HybridPolicyReducesRealDowntime) {
   TraceConfig next = config;
   next.sim.seed = config.sim.seed + 1;
 
-  ClusterSimulator sim_user(next.sim, MakeDefaultCatalog(next.catalog));
+  fleet::FleetSimulator sim_user({.sim = next.sim},
+                                MakeDefaultCatalog(next.catalog));
   UserDefinedPolicy user1(next.escalation);
-  const SimulationResult under_user = sim_user.Run(user1);
+  const SimulationResult under_user = sim_user.RunSeedCompat(user1);
 
-  ClusterSimulator sim_hybrid(next.sim, MakeDefaultCatalog(next.catalog));
+  fleet::FleetSimulator sim_hybrid({.sim = next.sim},
+                                  MakeDefaultCatalog(next.catalog));
   UserDefinedPolicy user2(next.escalation);
   HybridPolicy hybrid(trained, user2);
-  const SimulationResult under_hybrid = sim_hybrid.Run(hybrid);
+  const SimulationResult under_hybrid = sim_hybrid.RunSeedCompat(hybrid);
 
   ASSERT_GT(under_user.processes_completed, 500);
   ASSERT_GT(under_hybrid.processes_completed, 500);
@@ -148,9 +151,9 @@ TEST(OnlineDeploymentTest, AdaptationAfterEnvironmentChange) {
       ActionIndex(RepairAction::kTryNop))] = {0.02, 900, 0.3};
   changed.faults[0].Validate();
 
-  ClusterSimulator sim(after.sim, changed);
+  fleet::FleetSimulator sim({.sim = after.sim}, changed);
   UserDefinedPolicy user(after.escalation);
-  const SimulationResult result = sim.Run(user);
+  const SimulationResult result = sim.RunSeedCompat(user);
 
   const PolicyGenerator generator(FastGenerator());
   const TrainedPolicy policy = generator.Generate(result.log);

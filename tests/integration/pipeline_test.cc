@@ -3,9 +3,9 @@
 // shape (Section 5).
 #include <gtest/gtest.h>
 
-#include "cluster/trace.h"
 #include "core/policy_generator.h"
 #include "eval/experiment.h"
+#include "fleet/trace.h"
 #include "mining/symptom_clusters.h"
 
 namespace aer {

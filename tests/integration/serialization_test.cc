@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/trace.h"
 #include "core/policy_generator.h"
+#include "fleet/trace.h"
 #include "log/log_stats.h"
 
 namespace aer {

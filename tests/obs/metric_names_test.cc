@@ -9,16 +9,15 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/cluster_sim.h"
 #include "cluster/fault_catalog.h"
-#include "cluster/trace.h"
 #include "cluster/user_policy.h"
 #include "core/guarded_policy.h"
 #include "core/recovery_manager.h"
 #include "ctrl/harness.h"
+#include "fleet/fleet_sim.h"
+#include "fleet/trace.h"
 #include "inject/harness.h"
 #include "inject/net_perturber.h"
-#include "fleet/fleet_sim.h"
 #include "mining/error_type.h"
 #include "obs/critical_path.h"
 #include "obs/metrics.h"
@@ -166,25 +165,6 @@ TEST(MetricNamesTest, SimulationPlatformRegistersFrozenSet) {
       "aer_replay_cost_seconds",
       "aer_replay_forced_manual_total",
       "aer_replay_total",
-  };
-  EXPECT_EQ(Sorted(registry.Names()), expected);
-}
-
-TEST(MetricNamesTest, ClusterSimulatorRegistersFrozenSet) {
-  ClusterSimConfig config;
-  config.num_machines = 20;
-  config.duration = 5 * kDay;
-  config.machine_mtbf_days = 5.0;
-  config.seed = 3;
-  obs::MetricsRegistry registry;
-  UserDefinedPolicy policy;
-  ClusterSimulator sim(config, MakeDefaultCatalog());
-  sim.SetMetrics(&registry);
-  sim.Run(policy);
-  const std::vector<std::string> expected = {
-      "aer_sim_downtime_seconds_total",
-      "aer_sim_faults_skipped_total",
-      "aer_sim_processes_total",
   };
   EXPECT_EQ(Sorted(registry.Names()), expected);
 }

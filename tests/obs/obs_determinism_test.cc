@@ -9,15 +9,15 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/cluster_sim.h"
 #include "cluster/fault_catalog.h"
 #include "cluster/user_policy.h"
-#include "core/guarded_policy.h"
-#include "core/recovery_manager.h"
-#include "inject/harness.h"
-#include "cluster/trace.h"
 #include "common/profiler.h"
+#include "core/guarded_policy.h"
 #include "core/policy_generator.h"
+#include "core/recovery_manager.h"
+#include "fleet/fleet_sim.h"
+#include "fleet/trace.h"
+#include "inject/harness.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -143,11 +143,11 @@ TEST(ObsDeterminismTest, ClusterSimMetricsDeterministic) {
   for (std::string& text : texts) {
     obs::MetricsRegistry metrics;
     UserDefinedPolicy policy;
-    ClusterSimulator sim(config, catalog);
+    fleet::FleetSimulator sim({.sim = config}, catalog);
     sim.SetMetrics(&metrics);
-    sim.Run(policy);
+    sim.RunSeedCompat(policy);
     text = metrics.ExportText();
-    EXPECT_GT(metrics.GetCounter("aer_sim_processes_total").value(), 0);
+    EXPECT_GT(metrics.GetCounter("aer_fleet_processes_total").value(), 0);
   }
   EXPECT_EQ(texts[0], texts[1]);
 }

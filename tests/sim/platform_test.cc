@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/trace.h"
 #include "cluster/user_policy.h"
+#include "fleet/trace.h"
 #include "mining/error_type.h"
 
 namespace aer {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/trace.h"
+#include "fleet/trace.h"
 #include "log/recovery_process.h"
 
 namespace aer {
