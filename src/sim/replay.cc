@@ -10,8 +10,11 @@ ProcessReplay::ProcessReplay(const RecoveryProcess& process, ErrorTypeId type,
     : process_(process),
       type_(type),
       estimator_(estimator),
-      capabilities_(capabilities),
-      required_(CorrectActions(process)) {
+      capabilities_(capabilities) {
+  for (RepairAction a : CorrectActions(process)) {
+    ++required_[static_cast<std::size_t>(ActionIndex(a))];
+    ++required_total_;
+  }
   for (const ActionAttempt& attempt : process.attempts()) {
     occurrence_costs_[static_cast<std::size_t>(ActionIndex(attempt.action))]
         .push_back(static_cast<double>(attempt.cost));
@@ -21,7 +24,8 @@ ProcessReplay::ProcessReplay(const RecoveryProcess& process, ErrorTypeId type,
 
 void ProcessReplay::Reset() {
   consumed_ = {};
-  executed_.clear();
+  executed_ = {};
+  steps_ = 0;
   cured_ = false;
   total_cost_ = static_cast<double>(process_.detection_delay());
 }
@@ -29,16 +33,18 @@ void ProcessReplay::Reset() {
 ProcessReplay::StepResult ProcessReplay::Step(RepairAction action) {
   AER_CHECK(!cured_) << "Step(" << ActionName(action)
                      << ") after the process was already cured";
-  executed_.push_back(action);
+  const auto idx = static_cast<std::size_t>(ActionIndex(action));
+  ++executed_[idx];
+  ++steps_;
 
   // Cure check first, so the cost estimate can be outcome-conditional.
   const bool cured =
       action == RepairAction::kRma ||
-      CoversRequirementsUnder(executed_, required_, capabilities_);
+      (steps_ >= required_total_ &&
+       capabilities_.CoversCounts(executed_, required_));
 
   // Price the step: actual logged cost when this occurrence of the action
   // exists in the process, per-type average otherwise.
-  const auto idx = static_cast<std::size_t>(ActionIndex(action));
   double cost;
   if (consumed_[idx] < occurrence_costs_[idx].size()) {
     cost = occurrence_costs_[idx][consumed_[idx]];

@@ -44,15 +44,14 @@ class ProcessReplay {
   StepResult Step(RepairAction action);
 
   bool cured() const { return cured_; }
-  int steps() const { return static_cast<int>(executed_.size()); }
+  int steps() const { return steps_; }
 
   // Detection delay + all step costs so far: the simulated downtime, on the
   // same footing as RecoveryProcess::downtime().
   double total_cost() const { return total_cost_; }
 
-  const std::vector<RepairAction>& executed() const { return executed_; }
-
-  // Restarts the replay of the same process.
+  // Restarts the replay of the same process. Neither Reset() nor Step()
+  // allocates, so one replay can price many sequences.
   void Reset();
 
  private:
@@ -60,14 +59,17 @@ class ProcessReplay {
   ErrorTypeId type_;
   const CostEstimator& estimator_;
   const CapabilityModel& capabilities_;
-  std::vector<RepairAction> required_;
+  // The correct-action multiset (hypothesis 1) as per-kind counts.
+  ActionCounts required_ = {};
+  int required_total_ = 0;
 
   // Actual costs of each action's occurrences in the logged process, in
   // order; consumed as the replay executes matching actions.
   std::array<std::vector<double>, kNumActions> occurrence_costs_;
   std::array<std::size_t, kNumActions> consumed_ = {};
 
-  std::vector<RepairAction> executed_;
+  ActionCounts executed_ = {};
+  int steps_ = 0;
   bool cured_ = false;
   double total_cost_ = 0.0;
 };
