@@ -91,7 +91,7 @@ void ApproxQLearningTrainer::TrainType(ErrorTypeId type,
   const auto& processes = by_type_[static_cast<std::size_t>(type)];
   if (processes.empty()) return;
 
-  const std::vector<RepairAction> allowed =
+  const std::vector<RepairAction>& allowed =
       platform_.estimator().ObservedActions(type);
   AER_CHECK(!allowed.empty());
 
@@ -171,7 +171,7 @@ ActionSequence ApproxQLearningTrainer::ExtractSequence(
     ErrorTypeId type, const LinearQFunction& q) const {
   const auto& processes = by_type_[static_cast<std::size_t>(type)];
   if (processes.empty()) return {};
-  const std::vector<RepairAction> allowed =
+  const std::vector<RepairAction>& allowed =
       platform_.estimator().ObservedActions(type);
 
   // Greedy rollout against the approximate Q...

@@ -102,7 +102,7 @@ void QLearningTrainer::RunSweep(ErrorTypeId type,
   ProcessReplay replay(p, type, platform_.estimator(),
                        platform_.capabilities());
 
-  const std::vector<RepairAction> allowed =
+  const std::vector<RepairAction>& allowed =
       platform_.estimator().ObservedActions(type);
   AER_CHECK(!allowed.empty());
   const double temperature = config_.temperature.At(sweep);

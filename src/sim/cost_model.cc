@@ -26,6 +26,12 @@ CostEstimator::CostEstimator(std::span<const RecoveryProcess> processes,
     }
     global_.AddProcess(p);
   }
+  observed_.resize(models_.size());
+  for (std::size_t t = 0; t < models_.size(); ++t) {
+    for (RepairAction a : kAllActions) {
+      if (models_[t].Observed(a)) observed_[t].push_back(a);
+    }
+  }
   // Priors: the catalog's documented default durations. Only reached when an
   // action appears nowhere in the log at all.
   const ActionDurationDefaults d;
@@ -77,13 +83,11 @@ bool CostEstimator::ObservedForType(ErrorTypeId type,
   return type_model(type).Observed(action);
 }
 
-std::vector<RepairAction> CostEstimator::ObservedActions(
+const std::vector<RepairAction>& CostEstimator::ObservedActions(
     ErrorTypeId type) const {
-  std::vector<RepairAction> out;
-  for (RepairAction a : kAllActions) {
-    if (ObservedForType(type, a)) out.push_back(a);
-  }
-  return out;
+  AER_CHECK_GE(type, 0);
+  AER_CHECK_LT(static_cast<std::size_t>(type), observed_.size());
+  return observed_[static_cast<std::size_t>(type)];
 }
 
 }  // namespace aer

@@ -63,8 +63,9 @@ class CostEstimator {
   // and cannot be explored.
   bool ObservedForType(ErrorTypeId type, RepairAction action) const;
 
-  // The explorable action set of a type, ascending strength.
-  std::vector<RepairAction> ObservedActions(ErrorTypeId type) const;
+  // The explorable action set of a type, ascending strength. Built once in
+  // the constructor.
+  const std::vector<RepairAction>& ObservedActions(ErrorTypeId type) const;
 
   const TypeCostModel& type_model(ErrorTypeId type) const;
   const TypeCostModel& global_model() const { return global_; }
@@ -73,6 +74,7 @@ class CostEstimator {
 
  private:
   std::vector<TypeCostModel> models_;  // indexed by ErrorTypeId
+  std::vector<std::vector<RepairAction>> observed_;  // indexed by ErrorTypeId
   TypeCostModel global_;
   std::array<double, kNumActions> priors_;
 };
