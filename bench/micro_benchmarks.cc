@@ -1,6 +1,7 @@
 // google-benchmark micro-benchmarks for the hot paths: Q-table operations,
-// Boltzmann sampling, process replay steps, trainer sweeps, log
-// segmentation, m-pattern mining and log (de)serialization throughput.
+// Boltzmann sampling, process replay steps, trainer sweeps, selection-tree
+// training, log segmentation, m-pattern mining and log (de)serialization
+// throughput.
 #include <sstream>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "rl/qlearning.h"
+#include "rl/selection_tree.h"
 
 namespace aer::bench {
 namespace {
@@ -88,6 +90,41 @@ void BM_ProcessReplayEpisode(benchmark::State& state) {
 }
 BENCHMARK(BM_ProcessReplayEpisode);
 
+// Self-replay of generated processes on reused replays: one iteration
+// replays one process's logged actions from Reset() to its cure, so the
+// time is the per-step price and cure check, not replay construction.
+void BM_ProcessReplayStep(benchmark::State& state) {
+  const BenchDataset& dataset = GetDataset();
+  const ErrorTypeCatalog types(dataset.clean, 40);
+  const CostEstimator estimator(dataset.clean, types);
+  constexpr std::size_t kReplays = 512;
+  std::vector<const RecoveryProcess*> processes;
+  std::vector<ProcessReplay> replays;
+  replays.reserve(kReplays);
+  for (const RecoveryProcess& p : dataset.clean) {
+    if (replays.size() == kReplays) break;
+    const ErrorTypeId type = types.Classify(p);
+    if (type == kInvalidErrorType) continue;
+    processes.push_back(&p);
+    replays.emplace_back(p, type, estimator);
+  }
+  std::int64_t steps = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    ProcessReplay& replay = replays[next];
+    replay.Reset();
+    for (const ActionAttempt& attempt : processes[next]->attempts()) {
+      replay.Step(attempt.action);
+      if (replay.cured()) break;
+    }
+    steps += replay.steps();
+    benchmark::DoNotOptimize(replay.total_cost());
+    next = (next + 1) % replays.size();
+  }
+  state.SetItemsProcessed(steps);
+}
+BENCHMARK(BM_ProcessReplayStep);
+
 void BM_TrainerSweeps(benchmark::State& state) {
   const BenchDataset& dataset = GetDataset();
   static const ErrorTypeCatalog types(dataset.clean, 40);
@@ -107,6 +144,33 @@ void BM_TrainerSweeps(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_TrainerSweeps)->Arg(2000)->Arg(10000);
+
+// Selection-tree training of one error type on a small trace, sweeps and
+// tree scans together, converging as in the figure benches.
+void BM_SelectionTreeTrainType(benchmark::State& state) {
+  TraceConfig config = TraceConfigForScale("small");
+  config.sim.num_machines = 200;
+  config.sim.duration = 60 * kDay;
+  static const TraceDataset trace = GenerateTrace(config);
+  static const std::vector<RecoveryProcess> processes =
+      SegmentIntoProcesses(trace.result.log).processes;
+  static const ErrorTypeCatalog types(processes, 40);
+  static const SimulationPlatform platform(processes, types,
+                                           trace.result.log.symptoms(), 20);
+  TrainerConfig trainer_config;
+  trainer_config.max_sweeps = 40000;
+  const QLearningTrainer trainer(platform, processes, trainer_config);
+  const SelectionTreeTrainer tree(trainer, SelectionTreeConfig{});
+  std::int64_t episodes = 0;
+  for (auto _ : state) {
+    const TypeTrainingResult result = tree.TrainType(0);
+    episodes += result.episodes;
+    benchmark::DoNotOptimize(result.sequence.data());
+  }
+  state.counters["episodes/iter"] = benchmark::Counter(
+      static_cast<double>(episodes), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SelectionTreeTrainType)->Unit(benchmark::kMillisecond);
 
 void BM_LogSegmentation(benchmark::State& state) {
   const BenchDataset& dataset = GetDataset();

@@ -13,8 +13,18 @@ double SequenceCostOnProcess(std::span<const RepairAction> sequence,
                              Terminalization terminalization,
                              bool* cured_by_sequence,
                              const CapabilityModel& capabilities) {
-  AER_CHECK_GE(max_actions, 1);
   ProcessReplay replay(process, type, estimator, capabilities);
+  return SequenceCostOnReplay(sequence, replay, type, estimator, max_actions,
+                              terminalization, cured_by_sequence);
+}
+
+double SequenceCostOnReplay(std::span<const RepairAction> sequence,
+                            ProcessReplay& replay, ErrorTypeId type,
+                            const CostEstimator& estimator, int max_actions,
+                            Terminalization terminalization,
+                            bool* cured_by_sequence) {
+  AER_CHECK_GE(max_actions, 1);
+  AER_CHECK_EQ(replay.steps(), 0) << "the replay must be fresh or Reset()";
   int steps = 0;
   RepairAction strongest = RepairAction::kTryNop;
   std::array<int, kNumActions> used = {};
@@ -50,25 +60,44 @@ double SequenceCostOnProcess(std::span<const RepairAction> sequence,
   return replay.total_cost();
 }
 
+std::vector<SequenceEvaluation> EvaluateSequences(
+    std::span<const ActionSequence> sequences,
+    std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
+    const CostEstimator& estimator, int max_actions,
+    Terminalization terminalization,
+    const CapabilityModel& capabilities) {
+  std::vector<SequenceEvaluation> evals(sequences.size());
+  for (const RecoveryProcess* p : processes) {
+    ProcessReplay replay(*p, type, estimator, capabilities);
+    for (std::size_t i = 0; i < sequences.size(); ++i) {
+      replay.Reset();
+      bool cured = false;
+      SequenceEvaluation& eval = evals[i];
+      eval.total_cost +=
+          SequenceCostOnReplay(sequences[i], replay, type, estimator,
+                               max_actions, terminalization, &cured);
+      (cured ? eval.cured_by_sequence : eval.terminalized) += 1;
+      ++eval.processes;
+    }
+  }
+  for (SequenceEvaluation& eval : evals) {
+    eval.mean_cost = eval.processes > 0
+                         ? eval.total_cost / static_cast<double>(eval.processes)
+                         : 0.0;
+  }
+  return evals;
+}
+
 SequenceEvaluation EvaluateSequence(
     std::span<const RepairAction> sequence,
     std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
     const CostEstimator& estimator, int max_actions,
     Terminalization terminalization,
     const CapabilityModel& capabilities) {
-  SequenceEvaluation eval;
-  for (const RecoveryProcess* p : processes) {
-    bool cured = false;
-    eval.total_cost += SequenceCostOnProcess(sequence, *p, type, estimator,
-                                             max_actions, terminalization,
-                                             &cured, capabilities);
-    (cured ? eval.cured_by_sequence : eval.terminalized) += 1;
-    ++eval.processes;
-  }
-  eval.mean_cost = eval.processes > 0
-                       ? eval.total_cost / static_cast<double>(eval.processes)
-                       : 0.0;
-  return eval;
+  const ActionSequence one(sequence.begin(), sequence.end());
+  return EvaluateSequences({&one, 1}, processes, type, estimator, max_actions,
+                           terminalization, capabilities)
+      .front();
 }
 
 namespace {

@@ -54,7 +54,27 @@ double SequenceCostOnProcess(std::span<const RepairAction> sequence,
                              const CapabilityModel& capabilities =
                                  CapabilityModel::TotalOrder());
 
-// Prices `sequence` against every process (all must be of `type`).
+// SequenceCostOnProcess on an existing replay of the process, which must be
+// fresh or Reset(); the replay's capability model applies.
+double SequenceCostOnReplay(std::span<const RepairAction> sequence,
+                            ProcessReplay& replay, ErrorTypeId type,
+                            const CostEstimator& estimator, int max_actions,
+                            Terminalization terminalization,
+                            bool* cured_by_sequence = nullptr);
+
+// Prices each of `sequences` against every process (all must be of `type`)
+// in one pass over the processes, reusing one replay per process. Element i
+// equals EvaluateSequence(sequences[i], ...) field for field: each total is
+// accumulated in process order.
+std::vector<SequenceEvaluation> EvaluateSequences(
+    std::span<const ActionSequence> sequences,
+    std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
+    const CostEstimator& estimator, int max_actions,
+    Terminalization terminalization = Terminalization::kEscalate,
+    const CapabilityModel& capabilities = CapabilityModel::TotalOrder());
+
+// Prices `sequence` against every process (all must be of `type`): the
+// one-sequence case of EvaluateSequences.
 SequenceEvaluation EvaluateSequence(
     std::span<const RepairAction> sequence,
     std::span<const RecoveryProcess* const> processes, ErrorTypeId type,

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "cluster/fault_catalog.h"
+#include "common/rng.h"
+#include "fleet/trace.h"
 
 namespace aer {
 namespace {
@@ -192,6 +194,100 @@ TEST(ExactBestSequenceTest, RespectsObservedActionRestriction) {
   for (RepairAction a : best) {
     EXPECT_TRUE(a == Y || a == B);
   }
+}
+
+void ExpectSameEvaluation(const SequenceEvaluation& got,
+                          const SequenceEvaluation& want) {
+  EXPECT_EQ(got.total_cost, want.total_cost);
+  EXPECT_EQ(got.mean_cost, want.mean_cost);
+  EXPECT_EQ(got.processes, want.processes);
+  EXPECT_EQ(got.cured_by_sequence, want.cured_by_sequence);
+  EXPECT_EQ(got.terminalized, want.terminalized);
+}
+
+// The batch pricer reuses one replay per process across the whole batch, so
+// each price must not depend on what else is in the batch or on what the
+// replay priced before its Reset(): element i equals pricing sequence i
+// alone, with a fresh replay per process, bit for bit.
+TEST(EvaluateSequencesTest, BatchEqualsSeparateCalls) {
+  TraceConfig config = TraceConfigForScale("small");
+  config.sim.num_machines = 120;
+  config.sim.duration = 30 * kDay;
+  const TraceDataset trace = GenerateTrace(config);
+  const std::vector<RecoveryProcess> storage =
+      SegmentIntoProcesses(trace.result.log).processes;
+  const ErrorTypeCatalog catalog(storage, 20);
+  const CostEstimator estimator(storage, catalog);
+  ASSERT_GE(catalog.num_types(), 3u);
+
+  Rng rng(7);
+  int priced = 0;
+  for (const CapabilityModel* model :
+       {&CapabilityModel::TotalOrder(), &CapabilityModel::IdentityOnly()}) {
+    for (ErrorTypeId type = 0; type < 3; ++type) {
+      std::vector<const RecoveryProcess*> processes;
+      for (const RecoveryProcess& p : storage) {
+        if (!p.attempts().empty() && catalog.Classify(p) == type) {
+          processes.push_back(&p);
+        }
+      }
+      const std::vector<RepairAction>& allowed =
+          estimator.ObservedActions(type);
+      ASSERT_FALSE(allowed.empty());
+
+      // Every prefix (the empty one too) of a few random sequences.
+      std::vector<ActionSequence> batch;
+      for (int n = 0; n < 6; ++n) {
+        ActionSequence seq(1 + rng.NextBounded(8));
+        for (RepairAction& a : seq) {
+          a = allowed[rng.NextBounded(allowed.size())];
+        }
+        for (std::size_t len = 0; len <= seq.size(); ++len) {
+          batch.emplace_back(seq.begin(),
+                             seq.begin() + static_cast<std::ptrdiff_t>(len));
+        }
+      }
+      const std::vector<ActionSequence> reversed(batch.rbegin(),
+                                                 batch.rend());
+
+      for (Terminalization term :
+           {Terminalization::kEscalate, Terminalization::kManualRepair}) {
+        const auto evals = EvaluateSequences(batch, processes, type,
+                                             estimator, 20, term, *model);
+        const auto evals_reversed = EvaluateSequences(
+            reversed, processes, type, estimator, 20, term, *model);
+        ASSERT_EQ(evals.size(), batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          SCOPED_TRACE(::testing::Message() << "type " << type << ", "
+                                            << "sequence " << i);
+          SequenceEvaluation alone;
+          for (const RecoveryProcess* p : processes) {
+            bool cured = false;
+            alone.total_cost +=
+                SequenceCostOnProcess(batch[i], *p, type, estimator, 20,
+                                      term, &cured, *model);
+            (cured ? alone.cured_by_sequence : alone.terminalized) += 1;
+            ++alone.processes;
+          }
+          alone.mean_cost =
+              alone.total_cost / static_cast<double>(alone.processes);
+          ExpectSameEvaluation(evals[i], alone);
+          ExpectSameEvaluation(
+              evals[i], EvaluateSequence(batch[i], processes, type, estimator,
+                                         20, term, *model));
+          ExpectSameEvaluation(evals_reversed[batch.size() - 1 - i], alone);
+          ++priced;
+        }
+      }
+    }
+  }
+  EXPECT_GT(priced, 100);
+}
+
+TEST(EvaluateSequencesTest, EmptyBatchIsEmpty) {
+  Fixture fx = StuckServiceFixture();
+  EXPECT_TRUE(
+      EvaluateSequences({}, fx.processes, fx.type, fx.estimator, 20).empty());
 }
 
 }  // namespace
