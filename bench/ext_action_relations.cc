@@ -8,8 +8,8 @@
 //                 repair) satisfies a requirement
 //
 // Under identity-only the learner cannot credit a REBOOT-first policy with
-// curing TRYNOP-cured incidents, so most of the savings disappear — which
-// is exactly how load-bearing hypothesis 2 is.
+// curing TRYNOP-cured incidents, so part of the savings disappears — which
+// is how load-bearing hypothesis 2 is.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -72,7 +72,7 @@ void Run() {
 
   std::printf("\nwithout hypothesis 2 the learner can only re-order what the "
               "log already did, so the stronger-action-first savings "
-              "largely vanish — the hypothesis carries the headline "
+              "shrink — the hypothesis carries part of the headline "
               "result.\n");
   Footer();
 }

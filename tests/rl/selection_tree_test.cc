@@ -1,5 +1,7 @@
 #include "rl/selection_tree.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace aer {
@@ -207,6 +209,68 @@ TEST(SelectionTreeTrainerTest, SeedingDisabledStillWorksOnWellSampledType) {
                        fx.platform.estimator(), 20)
           .mean_cost;
   EXPECT_NEAR(got, best, best * 0.02);
+}
+
+// The tree scan must price candidates under the platform's capability
+// model, the relation its sweeps train under. In this fixture the two
+// relations disagree on the optimum: under the total order REBOOT also
+// cures the TRYNOP-cured half, so [B] is cheapest; under identity-only it
+// cures only the REBOOT half, and [Y, B] is cheapest.
+TEST(SelectionTreeTrainerTest, ScanPricesUnderThePlatformCapabilityModel) {
+  std::vector<RecoveryProcess> processes;
+  SimTime start = 0;
+  MachineId m = 0;
+  for (int i = 0; i < 50; ++i) {
+    processes.push_back(MakeProcess({{Y, 1000}}, 0, m++, start));
+    start += 10;
+    processes.push_back(MakeProcess({{Y, 1000}, {B, 1500}}, 0, m++, start));
+    start += 10;
+  }
+  SymptomTable symptoms;
+  symptoms.Intern("relation");
+  const ErrorTypeCatalog catalog(processes, 40);
+  const SimulationPlatform platform(processes, catalog, symptoms, 20,
+                                    CapabilityModel::IdentityOnly());
+  const QLearningTrainer base(platform, processes, FastConfig());
+
+  // Each relation's optimum by brute force over the observed actions, with
+  // the scan's tie-break (cost, then self-contained cures, then shorter).
+  const auto optimum = [&](const CapabilityModel& model) {
+    ActionSequence best;
+    SequenceEvaluation best_eval;
+    best_eval.mean_cost = std::numeric_limits<double>::infinity();
+    std::vector<ActionSequence> frontier = {{}};
+    for (int length = 1; length <= 4; ++length) {
+      std::vector<ActionSequence> next;
+      for (const ActionSequence& prefix : frontier) {
+        for (RepairAction a : {Y, B}) {
+          ActionSequence seq = prefix;
+          seq.push_back(a);
+          const SequenceEvaluation eval = EvaluateSequence(
+              seq, base.processes_of(0), 0, platform.estimator(), 20,
+              Terminalization::kEscalate, model);
+          if (eval.mean_cost < best_eval.mean_cost - 1e-9 ||
+              (eval.mean_cost < best_eval.mean_cost + 1e-9 &&
+               eval.cured_by_sequence > best_eval.cured_by_sequence)) {
+            best = seq;
+            best_eval = eval;
+          }
+          next.push_back(std::move(seq));
+        }
+      }
+      frontier = std::move(next);
+    }
+    return best;
+  };
+  ASSERT_EQ(optimum(CapabilityModel::TotalOrder()), (ActionSequence{B}));
+  const ActionSequence identity_optimum =
+      optimum(CapabilityModel::IdentityOnly());
+  ASSERT_EQ(identity_optimum, (ActionSequence{Y, B}));
+
+  const SelectionTreeTrainer trainer(base, SelectionTreeConfig{});
+  const TypeTrainingResult result = trainer.TrainType(0);
+  ASSERT_TRUE(result.converged);
+  EXPECT_EQ(result.sequence, identity_optimum);
 }
 
 }  // namespace
