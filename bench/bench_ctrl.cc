@@ -64,8 +64,7 @@ ctrl::ControlHarnessResult RunOnce(int cluster_size, NetFaultScript script,
   ctrl::ControlPlaneHarness harness(policy, manager_config,
                                     FastConfig(cluster_size),
                                     std::move(script));
-  if (registry != nullptr) harness.SetObservers(nullptr, registry);
-  if (traces != nullptr) harness.SetTraceCollector(traces);
+  harness.SetObservers(traces, registry);
   return harness.Run(Incidents());
 }
 

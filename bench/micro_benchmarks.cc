@@ -2,6 +2,8 @@
 // Boltzmann sampling, process replay steps, trainer sweeps, selection-tree
 // training, log segmentation, m-pattern mining and log (de)serialization
 // throughput.
+#include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <vector>
 
@@ -12,7 +14,7 @@
 #include "common/string_util.h"
 #include "mining/error_type.h"
 #include "obs/metrics.h"
-#include "obs/tracer.h"
+#include "obs/trace_collector.h"
 #include "rl/qlearning.h"
 #include "rl/selection_tree.h"
 
@@ -253,18 +255,43 @@ void BM_ObsRegistryLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsRegistryLookup);
 
-void BM_ObsSpanLifecycle(benchmark::State& state) {
-  obs::Tracer tracer(1024);
-  SimTime now = 0;
+// One cured single-attempt recovery process's worth of causal records (the
+// shape the injection harness emits) appended per iteration to one
+// collector; items are records, so the reported rate is per record.
+void BM_TraceRecord(benchmark::State& state) {
+  struct Hop {
+    obs::TraceEventKind kind;
+    const char* detail;
+  };
+  static constexpr Hop kProcess[] = {
+      {obs::TraceEventKind::kIncident, "Watchdog"},
+      {obs::TraceEventKind::kSymptom, "Watchdog"},
+      {obs::TraceEventKind::kDispatch, ""},
+      {obs::TraceEventKind::kActionStart, ""},
+      {obs::TraceEventKind::kActionDone, "cured"},
+      {obs::TraceEventKind::kCure, ""},
+      {obs::TraceEventKind::kResultDeliver, "healthy"},
+  };
+  obs::TraceCollector traces;
+  std::uint64_t episode = 0;
   for (auto _ : state) {
-    const obs::SpanId span = tracer.StartSpan("recovery", now);
-    tracer.AddEvent(span, now + 1, "symptom:Watchdog");
-    tracer.EndSpan(span, now + 2);
-    now += 3;
+    const obs::TraceId id = obs::MakeTraceId(1, 7, ++episode);
+    SimTime now = static_cast<SimTime>(episode) * 100;
+    for (const Hop& hop : kProcess) {
+      traces.Record({.trace_id = id,
+                     .time = now++,
+                     .kind = hop.kind,
+                     .machine = 7,
+                     .attempt = 0,
+                     .action = 0,
+                     .detail = hop.detail});
+    }
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(std::size(kProcess)));
 }
-BENCHMARK(BM_ObsSpanLifecycle);
+BENCHMARK(BM_TraceRecord);
 
 void BM_ObsRegistryExportText(benchmark::State& state) {
   obs::MetricsRegistry registry;

@@ -20,6 +20,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "cluster/user_policy.h"
 #include "core/guarded_policy.h"
@@ -38,7 +39,6 @@
 #include "obs/timeseries.h"
 #include "obs/trace_collector.h"
 #include "obs/trace_dag.h"
-#include "obs/tracer.h"
 #include "rl/policy_diff.h"
 
 namespace {
@@ -300,13 +300,14 @@ int Diff(const Flags& flags) {
 }
 
 // Shared by `metrics` and `trace`: drives a guarded policy through scripted
-// incidents under fault injection with both observability sinks attached.
-// Fully deterministic for a given (seed, incidents, clean) triple — the
-// registry snapshot and the trace dump are byte-identical across runs
-// (docs/OBSERVABILITY.md), which is what makes the output diffable.
-void RunObservedPipeline(const Flags& flags, obs::Tracer& tracer,
-                         obs::MetricsRegistry& metrics,
-                         obs::TimeSeriesRecorder* recorder = nullptr) {
+// incidents under fault injection with the registry (and, for `trace`, a
+// trace collector) attached. Fully deterministic for a given (seed,
+// incidents, clean) triple — the registry snapshot and the trace dump are
+// byte-identical across runs (docs/OBSERVABILITY.md), which is what makes
+// the output diffable.
+void RunObservedPipeline(const Flags& flags, obs::MetricsRegistry& metrics,
+                         obs::TimeSeriesRecorder* recorder = nullptr,
+                         obs::TraceCollector* traces = nullptr) {
   const int count = static_cast<int>(flags.GetInt("incidents", 40));
   std::vector<HarnessIncident> incidents;
   const char* symptoms[] = {"Watchdog", "DiskError", "EventLog", "NicDown"};
@@ -322,7 +323,7 @@ void RunObservedPipeline(const Flags& flags, obs::Tracer& tracer,
   UserDefinedPolicy primary;
   UserDefinedPolicy fallback;
   GuardedPolicy guard(primary, fallback);
-  guard.SetObservers(&tracer, &metrics);
+  guard.SetObservers(traces, &metrics);
 
   RecoveryManagerConfig manager_config;
   manager_config.action_timeout = 10 * kHour;
@@ -340,7 +341,7 @@ void RunObservedPipeline(const Flags& flags, obs::Tracer& tracer,
   }
 
   InjectionHarness harness(guard, manager_config, harness_config);
-  harness.SetObservers(&tracer, &metrics);
+  harness.SetObservers(traces, &metrics);
   harness.SetTimeSeries(recorder);
   harness.Run(incidents);
 }
@@ -349,13 +350,12 @@ void RunObservedPipeline(const Flags& flags, obs::Tracer& tracer,
 // is sliced on --window (default one simulated hour), so the output shows
 // *when* the counters moved, not just their totals.
 int Timeseries(const Flags& flags) {
-  obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   obs::TimeSeriesConfig config;
   config.window_width = flags.GetInt("window", kHour);
   config.capacity = static_cast<std::size_t>(flags.GetInt("capacity", 256));
   obs::TimeSeriesRecorder recorder(metrics, config);
-  RunObservedPipeline(flags, tracer, metrics, &recorder);
+  RunObservedPipeline(flags, metrics, &recorder);
   if (flags.Has("json")) {
     std::printf("%s\n", recorder.ExportJson().ToString().c_str());
   } else {
@@ -374,10 +374,9 @@ int Profile(const Flags& flags) {
   std::printf("profiling disabled (built with -DAER_PROFILING=OFF)\n");
   return 0;
 #else
-  obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   ProfileRegistry::Global().Reset();
-  RunObservedPipeline(flags, tracer, metrics);
+  RunObservedPipeline(flags, metrics);
   const std::vector<ProfileEntry> entries =
       ProfileRegistry::Global().Snapshot();
   const ProfileRegistry::FormatOptions options{.include_wall =
@@ -396,9 +395,8 @@ int Profile(const Flags& flags) {
 }
 
 int Metrics(const Flags& flags) {
-  obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  RunObservedPipeline(flags, tracer, metrics);
+  RunObservedPipeline(flags, metrics);
   obs::MetricsRegistry::ExportOptions options;
   options.include_volatile = false;
   if (flags.Has("json")) {
@@ -439,7 +437,7 @@ void RunTracedControlPipeline(const Flags& flags,
 
   UserDefinedPolicy policy;
   ctrl::ControlPlaneHarness harness(policy, manager_config, config, script);
-  harness.SetTraceCollector(&traces);
+  harness.SetObservers(&traces, nullptr);
   harness.Run({
       {50, 7, "NoHeartbeat", 3},
       {150, 2, "Watchdog", 1},
@@ -468,24 +466,24 @@ int Trace(const Flags& flags) {
     }
     return 0;
   }
-  obs::Tracer tracer;
+  obs::TraceCollector traces;
   obs::MetricsRegistry metrics;
-  RunObservedPipeline(flags, tracer, metrics);
-  std::vector<obs::Span> spans = tracer.Snapshot();
+  RunObservedPipeline(flags, metrics, nullptr, &traces);
+  obs::TraceDag dag = obs::BuildTraceDag(traces.Snapshot());
   if (flags.Has("type")) {
-    spans = obs::Tracer::FilterByLabel(spans, flags.Get("type", ""));
+    dag = obs::FilterByIncident(std::move(dag), flags.Get("type", ""));
   }
   if (flags.Has("top")) {
-    spans = obs::Tracer::TopSlowest(
-        spans, static_cast<std::size_t>(flags.GetInt("top", 10)), "recovery");
+    dag = obs::LongestProcesses(
+        std::move(dag), static_cast<std::size_t>(flags.GetInt("top", 10)));
   }
   if (flags.Has("json")) {
-    std::printf("%s\n", obs::Tracer::SpansToJson(spans).ToString().c_str());
+    std::printf("%s\n", obs::TraceDagToJson(dag).ToString().c_str());
   } else {
-    std::printf("%s", obs::Tracer::FormatSpans(spans).c_str());
-    std::printf("%lld spans (%lld dropped by ring)\n",
-                static_cast<long long>(spans.size()),
-                static_cast<long long>(tracer.dropped_count()));
+    std::printf("%s", obs::FormatTraceDag(dag).c_str());
+    std::printf("%lld traces (%lld records dropped by ring)\n",
+                static_cast<long long>(dag.processes.size()),
+                static_cast<long long>(traces.dropped_count()));
   }
   return 0;
 }

@@ -32,9 +32,9 @@ namespace aer {
 // Last-gasp hook: called with the fully formatted failure message after it
 // is printed to stderr and just before the failed AER_CHECK aborts. The
 // flight recorder (obs/flight_recorder.h) installs itself here to dump
-// recent spans and metrics next to the crash. The hook must be reentrancy-
-// safe (a CHECK failing inside the hook must not recurse) and must return;
-// the abort always happens. Pass nullptr to uninstall.
+// recent trace records and metrics next to the crash. The hook must be
+// reentrancy-safe (a CHECK failing inside the hook must not recurse) and
+// must return; the abort always happens. Pass nullptr to uninstall.
 using CheckFailureHook = void (*)(const char* message);
 
 inline std::atomic<CheckFailureHook>& CheckFailureHookSlot() {

@@ -1,6 +1,8 @@
 #include "core/guarded_policy.h"
 
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "common/check.h"
 
@@ -18,10 +20,10 @@ GuardedPolicy::GuardedPolicy(RecoveryPolicy& primary,
   baseline_mean_ = config_.baseline_mean_downtime;
 }
 
-void GuardedPolicy::SetObservers(obs::Tracer* tracer,
+void GuardedPolicy::SetObservers(obs::TraceCollector* traces,
                                  obs::MetricsRegistry* metrics) {
   MutexLock lock(mu_);
-  tracer_ = tracer;
+  traces_ = traces;
   if (metrics == nullptr) {
     obs_ = ObsMetrics{};
     return;
@@ -80,21 +82,14 @@ RepairAction GuardedPolicy::ChooseAction(const RecoveryContext& context) {
     if (faulted) {
       ++stats_.faults_absorbed;
       if (obs_.faults_absorbed) obs_.faults_absorbed->Inc();
-      if (tracer_) {
-        tracer_->Instant("guard:fault_absorbed", context.now,
-                         context.initial_symptom_name, obs::kNoSpan,
-                         context.machine);
-      }
     } else if (invalid) {
       ++stats_.invalid_actions;
       if (obs_.invalid_actions) obs_.invalid_actions->Inc();
-      if (tracer_) {
-        tracer_->Instant("guard:invalid_action", context.now,
-                         context.initial_symptom_name, obs::kNoSpan,
-                         context.machine);
-      }
     }
     if (faulted || invalid) {
+      RecordLocked(obs::TraceEventKind::kGuardFallback, context.now,
+                   context.machine,
+                   faulted ? "fault_absorbed" : "invalid_action");
       ++stats_.fallback_decisions;
       if (obs_.fallback_decisions) obs_.fallback_decisions->Inc();
     } else {
@@ -104,6 +99,17 @@ RepairAction GuardedPolicy::ChooseAction(const RecoveryContext& context) {
   }
   if (faulted || invalid) return fallback_.ChooseAction(context);
   return action;
+}
+
+void GuardedPolicy::RecordLocked(obs::TraceEventKind kind, SimTime now,
+                                 MachineId machine, std::string_view detail) {
+  if (traces_ == nullptr) return;
+  obs::TraceRecord record;
+  record.time = now;
+  record.kind = kind;
+  record.machine = machine;
+  record.detail = std::string(detail);
+  traces_->Record(std::move(record));
 }
 
 void GuardedPolicy::RecordPrimaryCompletionLocked(double downtime,
@@ -127,7 +133,7 @@ void GuardedPolicy::RecordPrimaryCompletionLocked(double downtime,
     window_.clear();
     if (obs_.breaker_trips) obs_.breaker_trips->Inc();
     if (obs_.breaker_open) obs_.breaker_open->Set(1.0);
-    if (tracer_) tracer_->Instant("breaker:trip", now);
+    RecordLocked(obs::TraceEventKind::kBreakerTrip, now);
   }
 }
 
@@ -163,7 +169,7 @@ void GuardedPolicy::OnActionOutcome(const RecoveryContext& context,
       // Half-open: probation served; the primary gets a fresh window.
       window_.clear();
       if (obs_.breaker_open) obs_.breaker_open->Set(0.0);
-      if (tracer_) tracer_->Instant("breaker:half_open", context.now);
+      RecordLocked(obs::TraceEventKind::kBreakerHalfOpen, context.now);
     }
     return;
   }

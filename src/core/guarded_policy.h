@@ -37,13 +37,14 @@
 
 #include <cstdint>
 #include <deque>
+#include <string_view>
 #include <unordered_map>
 
 #include "cluster/policy.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
-#include "obs/tracer.h"
+#include "obs/trace_collector.h"
 
 namespace aer {
 
@@ -69,9 +70,11 @@ class GuardedPolicy final : public RecoveryPolicy {
 
   // Attaches observability sinks (either may be null; both must outlive the
   // guard). Mirrors the Stats counters into aer_guard_* metrics, keeps the
-  // aer_guard_breaker_open gauge current, and emits instant spans for
-  // fault absorption and breaker trip / half-open transitions.
-  void SetObservers(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
+  // aer_guard_breaker_open gauge current, and records each absorbed fault
+  // (kGuardFallback) and breaker trip / half-open transition as a global
+  // trace record.
+  void SetObservers(obs::TraceCollector* traces,
+                    obs::MetricsRegistry* metrics);
 
   RepairAction ChooseAction(const RecoveryContext& context) override;
 
@@ -113,13 +116,18 @@ class GuardedPolicy final : public RecoveryPolicy {
   void RecordPrimaryCompletionLocked(double downtime, SimTime now)
       AER_REQUIRES(mu_);
 
+  // Appends one global trace record (no-op without a collector).
+  void RecordLocked(obs::TraceEventKind kind, SimTime now,
+                    MachineId machine = -1, std::string_view detail = {})
+      AER_REQUIRES(mu_);
+
   RecoveryPolicy& primary_;
   RecoveryPolicy& fallback_;
   GuardedPolicyConfig config_;
 
   // Guards the breaker state below. Never held across a delegate call
   // (primary_/fallback_ may be arbitrarily slow or reentrant); the sinks
-  // behind tracer_/obs_ take only their own locks, so the one-way
+  // behind traces_/obs_ take only their own locks, so the one-way
   // guard -> sink ordering cannot deadlock.
   mutable Mutex mu_;
 
@@ -137,7 +145,7 @@ class GuardedPolicy final : public RecoveryPolicy {
   int fallback_remaining_ AER_GUARDED_BY(mu_) = 0;
   Stats stats_ AER_GUARDED_BY(mu_);
 
-  obs::Tracer* tracer_ AER_GUARDED_BY(mu_) = nullptr;
+  obs::TraceCollector* traces_ AER_GUARDED_BY(mu_) = nullptr;
   // Cached metric handles (see RecoveryManager::SetObservers); all null
   // when no registry is attached.
   struct ObsMetrics {

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/profiler.h"
-#include "common/string_util.h"
 #include "log/action.h"
 
 namespace aer {
@@ -21,9 +20,9 @@ RecoveryManager::RecoveryManager(RecoveryPolicy& policy,
   AER_CHECK_GT(config_.history_retention, 0);
 }
 
-void RecoveryManager::SetObservers(obs::Tracer* tracer,
+void RecoveryManager::SetObservers(obs::TraceCollector* traces,
                                    obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
+  traces_ = traces;
   if (metrics == nullptr) {
     obs_ = ObsMetrics{};
     return;
@@ -101,7 +100,6 @@ void RecoveryManager::OnSymptom(SimTime time, MachineId machine,
     // traced symptom after adoption of an untraced snapshot) still binds.
     if (process.trace == obs::kNoTrace && trace.active()) {
       process.trace = trace.trace_id;
-      if (tracer_) tracer_->SetTraceId(process.span, process.trace);
     }
     const SimTime seen = ClampTime(process, time);
     // A monitoring retransmission: same symptom at the same (clamped)
@@ -114,10 +112,6 @@ void RecoveryManager::OnSymptom(SimTime time, MachineId machine,
     process.last_symptom = id;
     process.last_symptom_time = seen;
     log_.Append(LogEntry::Symptom(seen, machine, id));
-    if (tracer_) {
-      tracer_->AddEvent(process.span, seen,
-                        StrFormat("symptom:%s", std::string(symptom).c_str()));
-    }
     return;
   }
 
@@ -144,17 +138,6 @@ void RecoveryManager::OnSymptom(SimTime time, MachineId machine,
   }
 
   if (obs_.processes) obs_.processes->Inc();
-  if (tracer_) {
-    process.span = tracer_->StartSpan("recovery", time);
-    tracer_->SetLabel(process.span, symptom);
-    tracer_->SetMachine(process.span, machine);
-    if (process.trace != obs::kNoTrace) {
-      tracer_->SetTraceId(process.span, process.trace);
-    }
-    if (process.quarantined) {
-      tracer_->AddEvent(process.span, time, "flap_quarantine");
-    }
-  }
 
   log_.Append(LogEntry::Symptom(time, machine, id));
   open_.emplace(machine, std::move(process));
@@ -187,13 +170,11 @@ std::optional<RepairAction> RecoveryManager::OnRecoveryNeeded(
     // Flapping machines have demonstrated that their health reports cannot
     // be trusted; stop burning repair attempts and hand them to a human.
     action = RepairAction::kRma;
-    if (tracer_) tracer_->AddEvent(process.span, now, "quarantine:rma");
   } else if (static_cast<int>(process.tried.size()) >=
              config_.max_actions_per_process - 1) {
     action = RepairAction::kRma;
     ++stats_.manual_repairs_forced;
     if (obs_.manual_forced) obs_.manual_forced->Inc();
-    if (tracer_) tracer_->AddEvent(process.span, now, "ncap:manual_repair");
   } else {
     RecoveryContext ctx;
     ctx.machine = machine;
@@ -212,15 +193,6 @@ std::optional<RepairAction> RecoveryManager::OnRecoveryNeeded(
   log_.Append(LogEntry::Action(now, machine, action));
   ++stats_.actions_taken;
   if (obs_.actions) obs_.actions->Inc();
-  if (tracer_) {
-    process.action_span = tracer_->StartSpan(
-        StrFormat("action:%s", std::string(ActionName(action)).c_str()), now,
-        process.span);
-    tracer_->SetMachine(process.action_span, machine);
-    if (process.trace != obs::kNoTrace) {
-      tracer_->SetTraceId(process.action_span, process.trace);
-    }
-  }
   return action;
 }
 
@@ -242,12 +214,6 @@ void RecoveryManager::OnActionResult(SimTime time, MachineId machine,
     // Result monitoring: feed the outcome back to the policy.
     ReportOutcome(machine, process, now, healthy);
     process.action_in_flight = false;
-    if (tracer_) {
-      tracer_->AddEvent(process.action_span, now,
-                        healthy ? "result:cured" : "result:failed");
-      tracer_->EndSpan(process.action_span, now);
-      process.action_span = obs::kNoSpan;
-    }
   } else if (!healthy) {
     // Failure report with nothing pending (late arrival after a timeout, or
     // a duplicate): the process state already reflects a failure.
@@ -270,7 +236,6 @@ void RecoveryManager::OnActionResult(SimTime time, MachineId machine,
     obs_.actions_per_process->Observe(
         static_cast<double>(process.tried.size()));
   }
-  if (tracer_) tracer_->EndSpan(process.span, now);
   history_[machine].last_recovery_end = now;
   open_.erase(it);
   if (++closes_since_sweep_ >= 64) MaybeEvictHistory(now);
@@ -312,13 +277,6 @@ void RecoveryManager::ExpireInFlightAction(MachineId machine,
   ++process.timeouts;
   ++stats_.actions_timed_out;
   if (obs_.timeouts) obs_.timeouts->Inc();
-  if (tracer_) {
-    tracer_->AddEvent(process.action_span, deadline, "timeout");
-    tracer_->EndSpan(process.action_span, deadline);
-    process.action_span = obs::kNoSpan;
-    tracer_->AddEvent(process.span, deadline,
-                      StrFormat("timeout:backoff=%d", process.timeouts));
-  }
 }
 
 void RecoveryManager::MaybeEvictHistory(SimTime now) {
@@ -404,15 +362,6 @@ bool RecoveryManager::AdoptProcess(SimTime now,
   process.last_recovery_end = history_[snapshot.machine].last_recovery_end;
   ++stats_.processes_adopted;
   if (obs_.adopted) obs_.adopted->Inc();
-  if (tracer_) {
-    process.span = tracer_->StartSpan("recovery", snapshot.start);
-    tracer_->SetLabel(process.span, snapshot.symptom);
-    tracer_->SetMachine(process.span, snapshot.machine);
-    if (process.trace != obs::kNoTrace) {
-      tracer_->SetTraceId(process.span, process.trace);
-    }
-    tracer_->AddEvent(process.span, now, "adopted");
-  }
   open_.emplace(snapshot.machine, std::move(process));
   return true;
 }

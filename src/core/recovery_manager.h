@@ -36,7 +36,6 @@
 #include "obs/metrics.h"
 #include "obs/trace_collector.h"
 #include "obs/trace_context.h"
-#include "obs/tracer.h"
 
 namespace aer {
 
@@ -91,23 +90,18 @@ class RecoveryManager {
   RecoveryManager(RecoveryPolicy& policy, RecoveryManagerConfig config = {});
 
   // Attaches observability sinks (either may be null; both must outlive the
-  // manager). With a tracer set, each recovery process gets a "recovery"
-  // span labeled with its initiating symptom, each action attempt a child
-  // "action:<name>" span, and timeout/backoff/quarantine/N-cap transitions
-  // become span events. With a registry set, the Stats counters are mirrored
-  // into the aer_recovery_* metrics (docs/OBSERVABILITY.md).
-  void SetObservers(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
-
-  // Attaches the causal trace sink (may be null; must outlive the manager).
-  // With a collector set, action timeouts emit trace records and adopted /
-  // opened processes keep their distributed trace id.
-  void SetTraceCollector(obs::TraceCollector* traces) { traces_ = traces; }
+  // manager). With a collector set, the timeout of a traced process's
+  // in-flight action becomes a kTimeout record. With a registry set, the
+  // Stats counters are mirrored into the aer_recovery_* metrics
+  // (docs/OBSERVABILITY.md).
+  void SetObservers(obs::TraceCollector* traces,
+                    obs::MetricsRegistry* metrics);
 
   // Event monitoring: a symptom was observed on a machine. Opens a recovery
   // process if none is active; records the symptom either way. Tolerates
   // out-of-order and duplicate reports (see Stats). `trace` is the symptom's
-  // causal context: it binds the opened process (and its spans) to the
-  // distributed trace; an inactive context leaves the process untraced.
+  // causal context: it binds the opened process to the distributed trace;
+  // an inactive context leaves the process untraced.
   void OnSymptom(SimTime time, MachineId machine, std::string_view symptom,
                  obs::TraceContext trace = {});
 
@@ -183,6 +177,8 @@ class RecoveryManager {
     std::int64_t flap_quarantines = 0;  // processes opened under quarantine
     std::int64_t history_evictions = 0;
     std::int64_t processes_adopted = 0;  // takeover resumes (AdoptProcess)
+
+    friend bool operator==(const Stats&, const Stats&) = default;
   };
   const Stats& stats() const { return stats_; }
 
@@ -199,9 +195,7 @@ class RecoveryManager {
     bool action_in_flight = false;
     int timeouts = 0;  // timeouts hit so far (drives backoff)
     bool quarantined = false;
-    obs::SpanId span = obs::kNoSpan;         // the process's "recovery" span
-    obs::SpanId action_span = obs::kNoSpan;  // the in-flight action's span
-    obs::TraceId trace = obs::kNoTrace;      // distributed trace id
+    obs::TraceId trace = obs::kNoTrace;  // distributed trace id
   };
 
   struct MachineHistory {
@@ -224,8 +218,8 @@ class RecoveryManager {
   // Drops history entries older than config.history_retention.
   void MaybeEvictHistory(SimTime now);
 
-  // Declares the in-flight action timed out: closes its span, reports the
-  // failure to the policy, and advances the backoff/N-cap state.
+  // Declares the in-flight action timed out: reports the failure to the
+  // policy, records it, and advances the backoff/N-cap state.
   void ExpireInFlightAction(MachineId machine, OpenProcess& process);
 
   RecoveryPolicy& policy_;
@@ -236,7 +230,6 @@ class RecoveryManager {
   int closes_since_sweep_ = 0;
   Stats stats_;
 
-  obs::Tracer* tracer_ = nullptr;
   obs::TraceCollector* traces_ = nullptr;
   // Cached metric handles (resolved once in SetObservers) so the hot path
   // never takes the registry lock; all null when no registry is attached.

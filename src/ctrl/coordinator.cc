@@ -1,6 +1,6 @@
 #include "ctrl/coordinator.h"
 
-#include <string>
+#include <utility>
 
 #include "common/check.h"
 
@@ -19,10 +19,10 @@ Coordinator::Coordinator(NodeId self, int cluster_size,
   AER_CHECK_GT(config_.election_retry, 0);
 }
 
-void Coordinator::SetObservers(obs::Tracer* tracer,
+void Coordinator::SetObservers(obs::TraceCollector* traces,
                                obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  service_.SetObservers(tracer, metrics);
+  traces_ = traces;
+  service_.SetObservers(traces, metrics);
   if (metrics == nullptr) {
     obs_ = ObsMetrics{};
     return;
@@ -41,11 +41,6 @@ void Coordinator::SetObservers(obs::Tracer* tracer,
   obs_.suspected = &metrics->GetCounter("aer_ctrl_members_suspected_total");
   obs_.evicted = &metrics->GetCounter("aer_ctrl_members_evicted_total");
   obs_.current_epoch = &metrics->GetGauge("aer_ctrl_current_epoch");
-}
-
-void Coordinator::SetTraceCollector(obs::TraceCollector* traces) {
-  traces_ = traces;
-  service_.SetTraceCollector(traces);
 }
 
 void Coordinator::DriveLocked(SimTime now, MachineId machine,
@@ -72,10 +67,6 @@ void Coordinator::CheckBecameLeaderLocked(SimTime now,
   leader_ = true;
   ++stats_.leases_acquired;
   if (obs_.leases_acquired) obs_.leases_acquired->Inc();
-  if (tracer_) {
-    tracer_->Instant("ctrl:leader", now,
-                     "epoch=" + std::to_string(lease_.holding_epoch()));
-  }
   if (traces_) {
     obs::TraceRecord record;
     record.time = now;
@@ -91,9 +82,6 @@ void Coordinator::CheckBecameLeaderLocked(SimTime now,
     if (obs_.takeovers) obs_.takeovers->Inc();
     if (obs_.adopted) {
       obs_.adopted->Inc(static_cast<std::int64_t>(adopted.size()));
-    }
-    if (tracer_) {
-      tracer_->Instant("ctrl:takeover", now, std::to_string(adopted.size()));
     }
     if (traces_) {
       for (const MachineId machine : adopted) {
@@ -121,7 +109,6 @@ void Coordinator::CheckSteppedDownLocked(SimTime now) {
   lease_.ClearGrants();
   ++stats_.stepdowns;
   if (obs_.stepdowns) obs_.stepdowns->Inc();
-  if (tracer_) tracer_->Instant("ctrl:stepdown", now);
   if (traces_) {
     obs::TraceRecord record;
     record.time = now;
@@ -215,10 +202,6 @@ CoordinatorOutput Coordinator::Tick(SimTime now) {
       last_bid_at_ = now;
       ++stats_.elections_started;
       if (obs_.elections) obs_.elections->Inc();
-      if (tracer_) {
-        tracer_->Instant("ctrl:election", now,
-                         "epoch=" + std::to_string(epoch));
-      }
       for (NodeId peer = 0; peer < cluster_size_; ++peer) {
         Message req;
         req.kind = MessageKind::kVoteRequest;

@@ -38,7 +38,6 @@
 #include "obs/metrics.h"
 #include "obs/trace_collector.h"
 #include "obs/trace_context.h"
-#include "obs/tracer.h"
 
 namespace aer::ctrl {
 
@@ -77,14 +76,12 @@ class Coordinator {
               RecoveryPolicy& policy, RecoveryManagerConfig manager_config,
               VoterRecord durable = {});
 
-  // Attaches sinks (either may be null; both must outlive the coordinator)
-  // and registers the aer_ctrl_* metrics (docs/OBSERVABILITY.md).
-  void SetObservers(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
-
-  // Attaches the causal trace sink (may be null; must outlive the
-  // coordinator). Leadership transitions and takeover adoptions become
-  // trace records; the sink also forwards to the wrapped manager.
-  void SetTraceCollector(obs::TraceCollector* traces);
+  // Attaches sinks (either may be null; both must outlive the coordinator),
+  // forwards them to the wrapped service, and registers the aer_ctrl_*
+  // metrics (docs/OBSERVABILITY.md). Leadership transitions and takeover
+  // adoptions become trace records.
+  void SetObservers(obs::TraceCollector* traces,
+                    obs::MetricsRegistry* metrics);
 
   // Periodic maintenance; call at a fixed cadence per node.
   CoordinatorOutput Tick(SimTime now);
@@ -157,7 +154,6 @@ class Coordinator {
   std::int64_t suspicions_seen_ AER_GUARDED_BY(mu_) = 0;
   std::int64_t evictions_seen_ AER_GUARDED_BY(mu_) = 0;
 
-  obs::Tracer* tracer_ = nullptr;
   obs::TraceCollector* traces_ = nullptr;
   struct ObsMetrics {
     obs::Counter* heartbeats = nullptr;

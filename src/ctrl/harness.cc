@@ -79,25 +79,18 @@ ControlPlaneHarness::ControlPlaneHarness(RecoveryPolicy& policy,
   }
 }
 
-void ControlPlaneHarness::SetObservers(obs::Tracer* tracer,
+void ControlPlaneHarness::SetObservers(obs::TraceCollector* traces,
                                        obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
+  traces_ = traces;
   metrics_ = metrics;
-  net_.SetObservers(tracer, metrics);
+  net_.SetMetrics(metrics);
   for (auto& coordinator : coordinators_) {
-    if (coordinator) coordinator->SetObservers(tracer, metrics);
+    if (coordinator) coordinator->SetObservers(traces, metrics);
   }
   stale_rejected_metric_ =
       metrics == nullptr
           ? nullptr
           : &metrics->GetCounter("aer_ctrl_stale_actions_rejected_total");
-}
-
-void ControlPlaneHarness::SetTraceCollector(obs::TraceCollector* traces) {
-  traces_ = traces;
-  for (auto& coordinator : coordinators_) {
-    if (coordinator) coordinator->SetTraceCollector(traces);
-  }
 }
 
 void ControlPlaneHarness::ApplyTransitions(SimTime now) {
@@ -127,8 +120,7 @@ void ControlPlaneHarness::ApplyTransitions(SimTime now) {
           transition.node, config_.cluster_size, config_.coordinator,
           policy_, manager_config_,
           durable_[static_cast<std::size_t>(transition.node)]);
-      coordinator->SetObservers(tracer_, metrics_);
-      coordinator->SetTraceCollector(traces_);
+      coordinator->SetObservers(traces_, metrics_);
       if (traces_) {
         obs::TraceRecord record;
         record.time = transition.at;
@@ -361,10 +353,6 @@ ControlHarnessResult ControlPlaneHarness::Run(
           trace.detail = event.symptom;
           traces_->Record(std::move(trace));
         }
-        if (tracer_) {
-          tracer_->Instant("inject:incident", event.time, event.symptom,
-                           obs::kNoSpan, event.machine);
-        }
         Event reemit;
         reemit.kind = Event::Kind::kReemit;
         reemit.time = event.time;
@@ -480,10 +468,6 @@ ControlHarnessResult ControlPlaneHarness::Run(
                                    dispatch.epoch);
           ++result.stale_rejected;
           if (stale_rejected_metric_) stale_rejected_metric_->Inc();
-          if (tracer_) {
-            tracer_->Instant("fence:reject", event.time, "", obs::kNoSpan,
-                             dispatch.machine);
-          }
           trace_hop(obs::TraceEventKind::kFenceReject, "stale_epoch");
           break;
         }

@@ -143,18 +143,16 @@ class ControlPlaneHarness {
                       ControlHarnessConfig config, NetFaultScript script);
 
   // Attaches sinks (either may be null; both must outlive the harness) to
-  // the perturber and every coordinator (including ones recreated after a
-  // scripted restart).
-  void SetObservers(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
-
-  // Attaches the causal trace sink (may be null; must outlive the harness).
-  // Each fresh incident mints a deterministic trace id from
+  // the harness, the perturber (metrics only) and every coordinator
+  // (including ones recreated after a scripted restart). With a collector,
+  // each fresh incident mints a deterministic trace id from
   // (config.net.seed, machine, per-machine episode ordinal); every hop of
   // the recovery process — symptom admission, dispatch, fencing, execution,
   // result, timeout, adoption — lands in the collector as one causal DAG
-  // (docs/OBSERVABILITY.md "Distributed tracing"). Null disables tracing
-  // with zero behavioral difference.
-  void SetTraceCollector(obs::TraceCollector* traces);
+  // (docs/OBSERVABILITY.md "Distributed tracing"). A null collector
+  // disables tracing with zero behavioral difference.
+  void SetObservers(obs::TraceCollector* traces,
+                    obs::MetricsRegistry* metrics);
 
   // Runs all incidents to quiescence (or the event budget). Callable once.
   ControlHarnessResult Run(const std::vector<ControlIncident>& incidents);
@@ -205,10 +203,9 @@ class ControlPlaneHarness {
   Coordinator::Stats retired_stats_;
   std::int64_t retired_gated_ = 0;
 
-  obs::Tracer* tracer_ = nullptr;
+  obs::TraceCollector* traces_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* stale_rejected_metric_ = nullptr;
-  obs::TraceCollector* traces_ = nullptr;
 };
 
 }  // namespace aer::ctrl

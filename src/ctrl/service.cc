@@ -9,10 +9,9 @@ CoordinatedRecoveryService::CoordinatedRecoveryService(
     const LeaseTable& lease)
     : manager_(policy, manager_config), lease_(lease) {}
 
-void CoordinatedRecoveryService::SetObservers(obs::Tracer* tracer,
+void CoordinatedRecoveryService::SetObservers(obs::TraceCollector* traces,
                                               obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  manager_.SetObservers(tracer, metrics);
+  manager_.SetObservers(traces, metrics);
   if (metrics == nullptr) {
     obs_ = ObsMetrics{};
     return;

@@ -28,7 +28,6 @@
 #include "obs/metrics.h"
 #include "obs/trace_collector.h"
 #include "obs/trace_context.h"
-#include "obs/tracer.h"
 
 namespace aer::ctrl {
 
@@ -42,12 +41,8 @@ class CoordinatedRecoveryService {
 
   // Forwards sinks to the wrapped manager and registers the aer_ctrl_*
   // gating/replication metrics (docs/OBSERVABILITY.md).
-  void SetObservers(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
-
-  // Forwards the causal trace sink to the wrapped manager.
-  void SetTraceCollector(obs::TraceCollector* traces) {
-    manager_.SetTraceCollector(traces);
-  }
+  void SetObservers(obs::TraceCollector* traces,
+                    obs::MetricsRegistry* metrics);
 
   // ---- Lease-gated manager surface -------------------------------------
   // Each returns whether the call was admitted; a gated call leaves the
@@ -94,7 +89,6 @@ class CoordinatedRecoveryService {
   std::vector<OpenProcessSnapshot> replica_ AER_GUARDED_BY(mu_);
   std::int64_t actions_gated_ AER_GUARDED_BY(mu_) = 0;
 
-  obs::Tracer* tracer_ = nullptr;
   struct ObsMetrics {
     obs::Counter* gated = nullptr;
     obs::Counter* snapshots_installed = nullptr;

@@ -26,10 +26,16 @@ struct Event {
   // kIncident payload.
   std::string symptom;
   int cure_strength = 0;
+  // kDeliver payload: the second copy of a duplicated report.
+  bool duplicate = false;
   // kActionDone payload.
   bool report_healthy = false;
   bool actually_cured = false;
   int epoch = 0;
+  // The executed attempt's trace identity, stamped on its result records.
+  obs::TraceId trace = obs::kNoTrace;
+  int attempt = -1;
+  int action = -1;
   // kDeliver payload for delayed deliveries: events_processed at scheduling
   // time, so arrival can compute how many events overtook this one (-1 for
   // on-time deliveries).
@@ -70,10 +76,10 @@ void InjectionHarness::SetTimeSeries(obs::TimeSeriesRecorder* recorder) {
   timeseries_ = recorder;
 }
 
-void InjectionHarness::SetObservers(obs::Tracer* tracer,
+void InjectionHarness::SetObservers(obs::TraceCollector* traces,
                                     obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  manager_.SetObservers(tracer, metrics);
+  traces_ = traces;
+  manager_.SetObservers(traces, metrics);
   if (metrics == nullptr) {
     obs_ = ObsMetrics{};
     return;
@@ -121,11 +127,14 @@ HarnessResult InjectionHarness::Run(
 
   // Emits one symptom report through the injection layer.
   const auto emit_symptom = [&](SimTime now, MachineId machine) {
-    const std::string& symptom = machines_[machine].symptom;
     if (rng.NextBool(config_.drop_event)) {
       ++result.events_dropped;
       if (obs_.dropped) obs_.dropped->Inc();
-      if (tracer_) tracer_->Instant("inject:drop", now, symptom, obs::kNoSpan, machine);
+      Trace({.trace_id = machines_[machine].trace,
+             .time = now,
+             .kind = obs::TraceEventKind::kMessageDrop,
+             .machine = machine,
+             .detail = "dropped"});
       return;
     }
     Event e;
@@ -138,14 +147,13 @@ HarnessResult InjectionHarness::Run(
           static_cast<std::int64_t>(result.events_processed);
       ++result.events_delayed;
       if (obs_.delayed) obs_.delayed->Inc();
-      if (tracer_) tracer_->Instant("inject:delay", now, symptom, obs::kNoSpan, machine);
     }
     push(e);
     if (rng.NextBool(config_.duplicate_event)) {
+      e.duplicate = true;
       push(e);
       ++result.events_duplicated;
       if (obs_.duplicated) obs_.duplicated->Inc();
-      if (tracer_) tracer_->Instant("inject:duplicate", now, symptom, obs::kNoSpan, machine);
     }
   };
 
@@ -158,13 +166,22 @@ HarnessResult InjectionHarness::Run(
     const bool cures =
         !state.sick || action == RepairAction::kRma ||
         ActionStrength(action) >= state.cure_strength;
+    obs::TraceRecord hop{.trace_id = manager_.TraceOf(machine),
+                         .time = now,
+                         .kind = obs::TraceEventKind::kDispatch,
+                         .machine = machine,
+                         .attempt = manager_.ActionsTried(machine) - 1,
+                         .action = ActionIndex(action),
+                         .detail = {}};
+    Trace(hop);
+    hop.kind = obs::TraceEventKind::kActionStart;
+    Trace(hop);
     if (action != RepairAction::kRma && rng.NextBool(config_.hang_action)) {
       ++result.hangs_injected;
       if (obs_.hangs) obs_.hangs->Inc();
-      if (tracer_) {
-        tracer_->Instant("inject:hang", now, state.symptom, obs::kNoSpan,
-                         machine);
-      }
+      hop.kind = obs::TraceEventKind::kResultLost;
+      hop.detail = "hang";
+      Trace(std::move(hop));
       return;  // no result event: only PollTimeouts can unstick this
     }
     Event e;
@@ -175,15 +192,14 @@ HarnessResult InjectionHarness::Run(
     e.epoch = state.epoch;
     e.actually_cured = cures;
     e.report_healthy = cures;
+    e.trace = hop.trace_id;
+    e.attempt = hop.attempt;
+    e.action = hop.action;
     if (!cures && action != RepairAction::kRma &&
         rng.NextBool(config_.false_success)) {
       e.report_healthy = true;  // lies: machine is still sick
       ++result.false_successes_injected;
       if (obs_.false_successes) obs_.false_successes->Inc();
-      if (tracer_) {
-        tracer_->Instant("inject:false_success", e.time, state.symptom,
-                         obs::kNoSpan, machine);
-      }
     }
     push(e);
   };
@@ -224,13 +240,24 @@ HarnessResult InjectionHarness::Run(
     switch (event.kind) {
       case EventKind::kIncident: {
         MachineState& state = machines_[event.machine];
+        const bool fresh = !state.sick;
+        if (fresh) {
+          // A fresh incident opens a new recovery episode; overlapping
+          // incidents join the open one.
+          ++state.episodes;
+          state.trace = obs::MakeTraceId(
+              config_.seed, event.machine,
+              static_cast<std::uint64_t>(state.episodes));
+        }
         state.sick = true;
         state.symptom = event.symptom;
         if (obs_.incidents) obs_.incidents->Inc();
-        if (tracer_) {
-          tracer_->Instant("inject:incident", event.time, event.symptom,
-                           obs::kNoSpan, event.machine);
-        }
+        Trace({.trace_id = state.trace,
+               .time = event.time,
+               .kind = obs::TraceEventKind::kIncident,
+               .machine = event.machine,
+               .duplicate = !fresh,
+               .detail = event.symptom});
         // Overlapping incidents on one machine: the harder fault wins.
         state.cure_strength =
             std::max(state.cure_strength, event.cure_strength);
@@ -264,7 +291,15 @@ HarnessResult InjectionHarness::Run(
             obs_.reorder_depth->Observe(static_cast<double>(depth));
           }
         }
-        manager_.OnSymptom(event.time, event.machine, state.symptom);
+        Trace({.trace_id = state.trace,
+               .time = event.time,
+               .kind = obs::TraceEventKind::kSymptom,
+               .machine = event.machine,
+               .duplicate = event.duplicate,
+               .detail = event.scheduled_after >= 0 ? "delayed"
+                                                    : state.symptom});
+        manager_.OnSymptom(event.time, event.machine, state.symptom,
+                           obs::TraceContext{state.trace});
         drive(event.time, event.machine);
         schedule_poll(event.time);
         break;
@@ -273,12 +308,29 @@ HarnessResult InjectionHarness::Run(
         MachineState& state = machines_[event.machine];
         if (event.epoch != state.epoch) break;  // superseded after a timeout
         state.awaiting_result = false;
+        obs::TraceRecord hop{
+            .trace_id = event.trace,
+            .time = event.time,
+            .kind = obs::TraceEventKind::kActionDone,
+            .machine = event.machine,
+            .attempt = event.attempt,
+            .action = event.action,
+            .detail = event.actually_cured   ? "cured"
+                      : event.report_healthy ? "false_success"
+                                             : "sick"};
+        Trace(hop);
         if (event.actually_cured && state.sick) {
           state.sick = false;
           state.cure_strength = 0;
           ++result.cures;
           if (obs_.cures) obs_.cures->Inc();
+          hop.kind = obs::TraceEventKind::kCure;
+          hop.detail.clear();
+          Trace(hop);
         }
+        hop.kind = obs::TraceEventKind::kResultDeliver;
+        hop.detail = event.report_healthy ? "healthy" : "sick";
+        Trace(std::move(hop));
         manager_.OnActionResult(event.time, event.machine,
                                 event.report_healthy);
         if (!event.report_healthy) drive(event.time, event.machine);

@@ -18,6 +18,7 @@
 #include <array>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/recovery_manager.h"
@@ -91,6 +92,9 @@ struct HarnessResult {
   SimTime end_time = 0;
   std::size_t events_processed = 0;
   RecoveryManager::Stats manager;
+
+  friend bool operator==(const HarnessResult&,
+                         const HarnessResult&) = default;
 };
 
 class InjectionHarness {
@@ -103,10 +107,19 @@ class InjectionHarness {
                    HarnessConfig config);
 
   // Attaches observability sinks (either may be null; both must outlive the
-  // harness) and forwards them to the wrapped RecoveryManager, so traces
-  // show the injected fault (instant "inject:*" spans) alongside the
-  // recovery spans it perturbs. Injection counts mirror into aer_inject_*.
-  void SetObservers(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
+  // harness) and forwards them to the wrapped RecoveryManager. Injection
+  // counts mirror into aer_inject_*. With a collector attached, each
+  // recovery episode becomes one causal trace in the control plane's
+  // vocabulary (incident, symptom, dispatch, action_start, action_done,
+  // cure, result_deliver), and every injected fault is visible in it:
+  // a dropped report is a message_drop orphan, a delayed one a symptom with
+  // detail "delayed", a duplicated one a symptom flagged duplicate, a hung
+  // action a result_lost orphan with detail "hang", and a false success an
+  // action_done with detail "false_success" (docs/OBSERVABILITY.md).
+  // Trace ids are minted as ControlPlaneHarness mints them, by a pure hash
+  // that draws no RNG, so attaching a collector changes no result.
+  void SetObservers(obs::TraceCollector* traces,
+                    obs::MetricsRegistry* metrics);
 
   // Attaches a time-series recorder (may be null; must outlive the
   // harness). Run() advances it to each event's sim time before processing
@@ -130,13 +143,22 @@ class InjectionHarness {
     // misattributed to the action currently in flight (real executors
     // correlate results to requests the same way).
     int epoch = 0;
+    // Recovery episodes seen on this machine (fresh incidents while
+    // healthy) and the trace id of the most recent one.
+    std::int64_t episodes = 0;
+    obs::TraceId trace = obs::kNoTrace;
   };
+
+  // Appends one causal record when a collector is attached.
+  void Trace(obs::TraceRecord record) const {
+    if (traces_ != nullptr) traces_->Record(std::move(record));
+  }
 
   HarnessConfig config_;
   RecoveryManager manager_;
   std::unordered_map<MachineId, MachineState> machines_;
 
-  obs::Tracer* tracer_ = nullptr;
+  obs::TraceCollector* traces_ = nullptr;
   obs::TimeSeriesRecorder* timeseries_ = nullptr;
   // Cached metric handles (see RecoveryManager::SetObservers); all null
   // when no registry is attached.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/string_util.h"
 
 namespace aer {
 namespace {
@@ -67,9 +66,7 @@ NetPerturber::NetPerturber(NetPerturbConfig config, NetFaultScript script)
                    });
 }
 
-void NetPerturber::SetObservers(obs::Tracer* tracer,
-                                obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
+void NetPerturber::SetMetrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     obs_ = ObsMetrics{};
     return;
@@ -97,19 +94,11 @@ void NetPerturber::Apply(const NetTransition& transition) {
       }
       ++stats_.crashes;
       if (obs_.crashes) obs_.crashes->Inc();
-      if (tracer_) {
-        tracer_->Instant("inject:crash", transition.at,
-                         StrFormat("node=%d", transition.node));
-      }
       break;
     case NetTransition::Kind::kRestart:
       std::erase(down_nodes_, transition.node);
       ++stats_.restarts;
       if (obs_.restarts) obs_.restarts->Inc();
-      if (tracer_) {
-        tracer_->Instant("inject:restart", transition.at,
-                         StrFormat("node=%d", transition.node));
-      }
       break;
     case NetTransition::Kind::kPartitionStart:
       if (!Contains(active_partitions_, transition.partition)) {
@@ -117,20 +106,11 @@ void NetPerturber::Apply(const NetTransition& transition) {
       }
       ++stats_.partitions_started;
       if (obs_.partitions_started) obs_.partitions_started->Inc();
-      if (tracer_) {
-        tracer_->Instant(
-            "inject:partition", transition.at,
-            script_.partitions[static_cast<std::size_t>(transition.partition)]
-                    .asymmetric
-                ? "asymmetric"
-                : "symmetric");
-      }
       break;
     case NetTransition::Kind::kPartitionHeal:
       std::erase(active_partitions_, transition.partition);
       ++stats_.partitions_healed;
       if (obs_.partitions_healed) obs_.partitions_healed->Inc();
-      if (tracer_) tracer_->Instant("inject:heal", transition.at);
       break;
   }
 }
@@ -183,14 +163,12 @@ NetPerturber::Routing NetPerturber::Route(SimTime now, int from, int to,
     routing.deliver = false;
     ++stats_.random_drops;
     if (obs_.random_drops) obs_.random_drops->Inc();
-    if (tracer_) tracer_->Instant("inject:net_drop", now);
     return routing;
   }
   if (config_.delay_message > 0.0 && rng_.NextBool(config_.delay_message)) {
     routing.at += rng_.NextInt(1, config_.max_delay);
     ++stats_.delays;
     if (obs_.delays) obs_.delays->Inc();
-    if (tracer_) tracer_->Instant("inject:net_delay", now);
   }
   if (config_.duplicate_message > 0.0 &&
       rng_.NextBool(config_.duplicate_message)) {
@@ -199,7 +177,6 @@ NetPerturber::Routing NetPerturber::Route(SimTime now, int from, int to,
         routing.at + rng_.NextInt(1, config_.max_delay);
     ++stats_.duplicates;
     if (obs_.duplicates) obs_.duplicates->Inc();
-    if (tracer_) tracer_->Instant("inject:net_duplicate", now);
   }
   return routing;
 }
@@ -216,21 +193,18 @@ NetPerturber::Routing NetPerturber::RouteMachineHop(SimTime now,
       rng_.NextBool(config_.drop_machine_hop)) {
     routing.deliver = false;
     ++stats_.machine_drops;
-    if (tracer_) tracer_->Instant("inject:machine_drop", now);
     return routing;
   }
   if (config_.delay_machine_hop > 0.0 &&
       rng_.NextBool(config_.delay_machine_hop)) {
     routing.at += rng_.NextInt(1, config_.max_delay);
     ++stats_.machine_delays;
-    if (tracer_) tracer_->Instant("inject:machine_delay", now);
   }
   if (config_.duplicate_machine_hop > 0.0 &&
       rng_.NextBool(config_.duplicate_machine_hop)) {
     routing.duplicated = true;
     routing.duplicate_at = routing.at + rng_.NextInt(1, config_.max_delay);
     ++stats_.machine_duplicates;
-    if (tracer_) tracer_->Instant("inject:machine_duplicate", now);
   }
   return routing;
 }

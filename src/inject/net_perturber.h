@@ -26,7 +26,6 @@
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "obs/metrics.h"
-#include "obs/tracer.h"
 
 namespace aer {
 
@@ -91,11 +90,11 @@ class NetPerturber {
  public:
   NetPerturber(NetPerturbConfig config, NetFaultScript script);
 
-  // Attaches observability sinks (either may be null; both must outlive the
+  // Attaches the metrics registry (may be null; must outlive the
   // perturber). Injection counts mirror into aer_inject_net_* /
-  // aer_inject_partitions_* / aer_inject_coordinator_* metrics and each
-  // transition or probabilistic hit emits an instant "inject:*" span.
-  void SetObservers(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
+  // aer_inject_partitions_* / aer_inject_coordinator_* metrics; the control
+  // plane harness records crashes and restarts as trace records.
+  void SetMetrics(obs::MetricsRegistry* metrics);
 
   // Applies every scripted transition with time <= now (in time order,
   // crashes before partitions at equal times) and returns them, so the
@@ -159,7 +158,6 @@ class NetPerturber {
   std::vector<int> active_partitions_;      // indices into script_.partitions
   Stats stats_;
 
-  obs::Tracer* tracer_ = nullptr;
   struct ObsMetrics {
     obs::Counter* partition_drops = nullptr;
     obs::Counter* random_drops = nullptr;

@@ -302,6 +302,7 @@ std::vector<CriticalPath> AnalyzeCriticalPaths(
     Walker walker(overlay);
     walker.path.trace_id = trace_id;
     walker.path.machine = list.front()->machine;
+    walker.path.truncated = list.front()->kind != TraceEventKind::kIncident;
     walker.path.start = list.front()->time;
     walker.path.end = list.front()->time;
     walker.cursor = list.front()->time;
@@ -321,7 +322,7 @@ void PublishCriticalPathMetrics(MetricsRegistry& registry,
         &registry.GetHistogram(TraceStageMetricName(static_cast<TraceStage>(s)));
   }
   for (const CriticalPath& path : paths) {
-    if (!path.cured) continue;
+    if (!path.cured || path.truncated) continue;
     end_to_end.Observe(static_cast<double>(path.end - path.start));
     std::array<bool, kNumTraceStages> present{};
     for (const StageSegment& segment : path.segments) {
@@ -340,13 +341,13 @@ std::string FormatCriticalPaths(const std::vector<CriticalPath>& paths) {
   for (const CriticalPath& path : paths) {
     out += StrFormat(
         "critical-path trace=%016llx machine=%lld start=%lld end=%lld "
-        "total=%lld attempts=%d cured=%d\n",
+        "total=%lld attempts=%d cured=%d%s\n",
         static_cast<unsigned long long>(path.trace_id),
         static_cast<long long>(path.machine),
         static_cast<long long>(path.start),
         static_cast<long long>(path.end),
         static_cast<long long>(path.total_seconds()), path.attempts,
-        path.cured ? 1 : 0);
+        path.cured ? 1 : 0, path.truncated ? " truncated" : "");
     out += "  stages:";
     for (int s = 0; s < kNumTraceStages; ++s) {
       out += StrFormat(

@@ -72,6 +72,9 @@ struct CriticalPath {
   SimTime start = 0;
   SimTime end = 0;
   bool cured = false;
+  // The ring evicted the trace's kIncident root, so start is a later record
+  // and the latency would be understated; never published as a metric.
+  bool truncated = false;
   int attempts = 0;  // dispatches on the critical path
   // Per-stage totals; for cured processes these sum to exactly end - start.
   std::array<SimTime, kNumTraceStages> stage_seconds{};
@@ -93,7 +96,8 @@ std::vector<CriticalPath> AnalyzeCriticalPaths(
     const std::vector<TraceRecord>& records);
 
 // Publishes aer_trace_end_to_end_seconds plus one observation per stage
-// that appears on each cured path into the per-stage histograms.
+// that appears on each cured, untruncated path into the per-stage
+// histograms.
 void PublishCriticalPathMetrics(MetricsRegistry& registry,
                                 const std::vector<CriticalPath>& paths);
 

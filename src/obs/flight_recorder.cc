@@ -37,7 +37,6 @@ const char* SignalName(int signo) {
 
 struct Installed {
   FlightRecorderConfig config;
-  const Tracer* tracer = nullptr;
   const MetricsRegistry* metrics = nullptr;
   const TimeSeriesRecorder* timeseries = nullptr;
   const TraceCollector* traces = nullptr;
@@ -72,23 +71,6 @@ bool WriteDump(const Installed& state, std::string_view reason,
   root.Set("reason", JsonValue::String(reason));
   root.Set("detail", JsonValue::String(detail));
 
-  JsonValue spans_section = JsonValue::Object();
-  if (state.tracer != nullptr) {
-    std::vector<Span> spans = state.tracer->Snapshot();
-    if (spans.size() > state.config.max_spans) {
-      spans.erase(spans.begin(),
-                  spans.end() - static_cast<std::ptrdiff_t>(
-                                    state.config.max_spans));
-    }
-    spans_section.Set("dropped",
-                      JsonValue::Int(state.tracer->dropped_count()));
-    spans_section.Set(
-        "open", JsonValue::Int(
-                    static_cast<std::int64_t>(state.tracer->open_count())));
-    spans_section.Set("spans", Tracer::SpansToJson(spans));
-  }
-  root.Set("spans", std::move(spans_section));
-
   if (state.metrics != nullptr) {
     root.Set("metrics", state.metrics->ExportJson());
   }
@@ -117,8 +99,7 @@ bool WriteDump(const Installed& state, std::string_view reason,
   root.Set("timeseries", std::move(ts_section));
 
   if (state.traces != nullptr) {
-    // The stitched DAG of the most recent recovery processes; spans above
-    // carry matching trace ids, so the dump is filterable by trace.
+    // The stitched DAG of the most recent recovery processes.
     std::vector<TraceRecord> records = state.traces->Snapshot();
     if (records.size() > state.config.max_trace_records) {
       records.erase(records.begin(),
@@ -160,7 +141,7 @@ void SignalHandler(int signo) {
 
 }  // namespace
 
-void FlightRecorder::Install(FlightRecorderConfig config, const Tracer* tracer,
+void FlightRecorder::Install(FlightRecorderConfig config,
                              const MetricsRegistry* metrics,
                              const TimeSeriesRecorder* timeseries,
                              const TraceCollector* traces) {
@@ -172,7 +153,6 @@ void FlightRecorder::Install(FlightRecorderConfig config, const Tracer* tracer,
   // (kept reachable) rather than deleting it.
   if (first) state = new Installed();
   state->config = std::move(config);
-  state->tracer = tracer;
   state->metrics = metrics;
   state->timeseries = timeseries;
   state->traces = traces;

@@ -2,14 +2,14 @@
 //
 // Once installed, a fatal event — an AER_CHECK failure (via the
 // CheckFailureHook in common/check.h) or a fatal signal (SIGSEGV, SIGBUS,
-// SIGFPE, SIGILL, SIGABRT) — writes one JSON file containing the most
-// recent completed trace spans, a full metrics snapshot, the most recent
-// time-series window, and the merged wall-clock profile, then lets the
+// SIGFPE, SIGILL, SIGABRT) — writes one JSON file containing the stitched
+// DAG of the most recent trace records, a full metrics snapshot, the most
+// recent time-series window, and the merged wall-clock profile, then lets the
 // process die as it would have. The dump answers "what was the system doing
 // right before it fell over" without a debugger or a re-run.
 //
 // Honesty about signal safety: the dump path allocates and takes the
-// tracer/registry mutexes, which is not async-signal-safe. That is the
+// collector/registry mutexes, which is not async-signal-safe. That is the
 // standard flight-recorder trade-off — a crash *inside* those locks may
 // hang or re-fault instead of dumping, and the reentrancy guard plus the
 // re-raised signal make sure the process still terminates. Dumps are
@@ -28,7 +28,6 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace_collector.h"
-#include "obs/tracer.h"
 
 namespace aer::obs {
 
@@ -36,8 +35,6 @@ struct FlightRecorderConfig {
   // Dump file path. The file is created (truncated) only when a dump
   // actually fires.
   std::string path;
-  // Most recent completed spans included in the dump.
-  std::size_t max_spans = 64;
   // Most recent causal trace records stitched into the dump's trace DAG.
   std::size_t max_trace_records = 512;
 };
@@ -53,7 +50,7 @@ class FlightRecorder {
   // hook and the fatal-signal handlers. A second Install replaces the
   // sources; previously chained signal handlers are not restored until
   // Uninstall.
-  static void Install(FlightRecorderConfig config, const Tracer* tracer,
+  static void Install(FlightRecorderConfig config,
                       const MetricsRegistry* metrics,
                       const TimeSeriesRecorder* timeseries,
                       const TraceCollector* traces = nullptr);

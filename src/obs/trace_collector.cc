@@ -28,6 +28,9 @@ std::string_view TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kLeaderLost: return "leader_lost";
     case TraceEventKind::kNodeCrash: return "node_crash";
     case TraceEventKind::kNodeRestart: return "node_restart";
+    case TraceEventKind::kBreakerTrip: return "breaker_trip";
+    case TraceEventKind::kBreakerHalfOpen: return "breaker_half_open";
+    case TraceEventKind::kGuardFallback: return "guard_fallback";
   }
   return "unknown";
 }

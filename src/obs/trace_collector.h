@@ -1,7 +1,8 @@
 // TraceCollector: the shared sink for causal trace records.
 //
-// Every tracing-aware component (control-plane harness, coordinators, the
-// machine-side RecoveryManager, fleet shards) appends TraceRecords here; the
+// Every tracing-aware component (control-plane and injection harnesses,
+// coordinators, the machine-side RecoveryManager, the guarded policy, fleet
+// shards) appends TraceRecords here — it is the only trace store; the
 // collector owns sampling, bounding, and the byte-identical merge of
 // per-shard record streams (same discipline as the fleet ShardMerger: shards
 // concatenated in shard order, then a stable sort by time — so the merged
@@ -58,18 +59,22 @@ enum class TraceEventKind : int {
   kLeaderLost = 15,     // global: leaseholder stepped down
   kNodeCrash = 16,      // global: coordinator crashed
   kNodeRestart = 17,    // global: coordinator restarted
+  kBreakerTrip = 18,      // global: guarded policy demoted its primary
+  kBreakerHalfOpen = 19,  // global: probation served, primary retried
+  kGuardFallback = 20,    // global: one decision fell back (detail = why)
 };
 
 std::string_view TraceEventKindName(TraceEventKind kind);
 
 // One causal event. Records with trace_id == kNoTrace are global control
-// events (leadership, node lifecycle) that the critical-path analyzer
-// overlays onto every trace; all others belong to exactly one trace.
+// events (leadership, node lifecycle, guarded-policy transitions); the
+// critical-path analyzer overlays the leadership ones onto every trace. All
+// others belong to exactly one trace.
 struct TraceRecord {
   TraceId trace_id = kNoTrace;
   SimTime time = 0;
   TraceEventKind kind = TraceEventKind::kIncident;
-  std::int64_t machine = -1;  // afflicted machine, -1 for global events
+  std::int64_t machine = -1;  // afflicted machine, -1 if not machine-scoped
   int node = -1;              // coordinator involved, -1 if none
   int attempt = -1;           // 0-based action attempt index, -1 if n/a
   int action = -1;            // RepairAction index, -1 if n/a

@@ -1,5 +1,6 @@
 #include "obs/trace_dag.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -95,6 +96,7 @@ TraceDag BuildTraceDag(const std::vector<TraceRecord>& records) {
       process.trace_id = record.trace_id;
       process.machine = record.machine;
       process.start = record.time;
+      process.truncated = record.kind != TraceEventKind::kIncident;
       dag.processes.push_back(std::move(process));
     }
     TraceProcess& process = dag.processes[it->second];
@@ -145,12 +147,13 @@ std::string FormatTraceDag(const TraceDag& dag) {
   for (const TraceProcess& process : dag.processes) {
     out += StrFormat(
         "trace %016llx machine=%lld nodes=%llu cured=%d start=%lld "
-        "end=%lld\n",
+        "end=%lld%s\n",
         static_cast<unsigned long long>(process.trace_id),
         static_cast<long long>(process.machine),
         static_cast<unsigned long long>(process.nodes.size()),
         process.cured ? 1 : 0, static_cast<long long>(process.start),
-        static_cast<long long>(process.end));
+        static_cast<long long>(process.end),
+        process.truncated ? " truncated" : "");
     for (std::size_t i = 0; i < process.nodes.size(); ++i) {
       out += FormatNode(static_cast<int>(i), process.nodes[i]);
     }
@@ -161,6 +164,9 @@ std::string FormatTraceDag(const TraceDag& dag) {
       std::string line = StrFormat(
           "  t=%lld %s", static_cast<long long>(r.time),
           std::string(TraceEventKindName(r.kind)).c_str());
+      if (r.machine >= 0) {
+        line += StrFormat(" machine=%lld", static_cast<long long>(r.machine));
+      }
       if (r.node >= 0) line += StrFormat(" node=%d", r.node);
       if (r.epoch != 0) {
         line += StrFormat(" epoch=%llu",
@@ -205,6 +211,7 @@ JsonValue TraceDagToJson(const TraceDag& dag) {
     p.Set("start", JsonValue::Int(process.start));
     p.Set("end", JsonValue::Int(process.end));
     p.Set("cured", JsonValue::Bool(process.cured));
+    if (process.truncated) p.Set("truncated", JsonValue::Bool(true));
     JsonValue nodes = JsonValue::Array();
     for (const TraceDagNode& node : process.nodes) {
       JsonValue n = RecordToJson(node.record);
@@ -222,6 +229,25 @@ JsonValue TraceDagToJson(const TraceDag& dag) {
   }
   root.Set("global_events", std::move(globals));
   return root;
+}
+
+TraceDag FilterByIncident(TraceDag dag, std::string_view symptom) {
+  std::erase_if(dag.processes, [symptom](const TraceProcess& process) {
+    const TraceRecord& root = process.nodes.front().record;
+    return root.kind != TraceEventKind::kIncident || root.detail != symptom;
+  });
+  return dag;
+}
+
+TraceDag LongestProcesses(TraceDag dag, std::size_t n) {
+  // Processes are in first-appearance order, so a stable sort hands ties
+  // to the earlier one.
+  std::stable_sort(dag.processes.begin(), dag.processes.end(),
+                   [](const TraceProcess& a, const TraceProcess& b) {
+                     return a.end - a.start > b.end - b.start;
+                   });
+  if (dag.processes.size() > n) dag.processes.resize(n);
+  return dag;
 }
 
 }  // namespace aer::obs

@@ -9,14 +9,16 @@
 // results, dropped messages) are marked `orphan`: the causal chain ends
 // there and the next progress hangs off an earlier node.
 //
-// Records with trace_id == kNoTrace (leadership and node-lifecycle events)
-// are kept aside as `global_events`; the critical-path analyzer overlays
-// them onto every process.
+// Records with trace_id == kNoTrace (leadership, node-lifecycle and
+// guarded-policy events) are kept aside as `global_events`; the
+// critical-path analyzer overlays the leadership ones onto every process.
 #ifndef AER_OBS_TRACE_DAG_H_
 #define AER_OBS_TRACE_DAG_H_
 
 #include <cstdint>
+#include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json_writer.h"
@@ -43,6 +45,9 @@ struct TraceProcess {
   SimTime start = 0;  // first record's time
   SimTime end = 0;    // cure time if cured, else last record's time
   bool cured = false;
+  // The ring evicted this trace's kIncident root: nodes[0] is whatever
+  // record survived, so start/end understate the process's real span.
+  bool truncated = false;
   std::vector<TraceDagNode> nodes;
 };
 
@@ -61,6 +66,13 @@ std::string FormatTraceDag(const TraceDag& dag);
 
 // Deterministic JSON rendering: {processes: [...], global_events: [...]}.
 JsonValue TraceDagToJson(const TraceDag& dag);
+
+// Views for `aerctl trace`; both leave global_events untouched.
+// Keeps the processes whose kIncident root carries `symptom` as its detail.
+TraceDag FilterByIncident(TraceDag dag, std::string_view symptom);
+// Keeps the n longest processes by end - start, longest first; ties go to
+// the earlier first appearance.
+TraceDag LongestProcesses(TraceDag dag, std::size_t n);
 
 }  // namespace aer::obs
 

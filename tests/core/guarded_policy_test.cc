@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
+
+#include "obs/trace_collector.h"
 
 namespace aer {
 namespace {
@@ -133,6 +136,44 @@ TEST(GuardedPolicyTest, BreakerTripsOnRegressionAndServesProbation) {
   const int primary_before = primary.decisions;
   CompleteProcess(guard, 6, 100);
   EXPECT_GT(primary.decisions, primary_before);
+}
+
+// Fallbacks and breaker transitions land in the trace collector as global
+// records, the only trace store the guard reports to.
+TEST(GuardedPolicyTest, TransitionsBecomeGlobalTraceRecords) {
+  ThrowingPolicy throwing;
+  FixedPolicy fallback(Y);
+  GuardedPolicy faulty(throwing, fallback);
+  obs::TraceCollector traces;
+  faulty.SetObservers(&traces, nullptr);
+  faulty.ChooseAction(MakeContext(4, 0, 30));
+
+  OutOfRangePolicy out_of_range;
+  GuardedPolicyConfig config;
+  config.window = 1;
+  config.baseline_mean_downtime = 100.0;
+  config.probation = 1;
+  GuardedPolicy guard(out_of_range, fallback, config);
+  guard.SetObservers(&traces, nullptr);
+  CompleteProcess(guard, 5, 1000);  // invalid action, then trips
+  CompleteProcess(guard, 6, 1100);  // probation served: half-open
+
+  const std::vector<obs::TraceRecord> records = traces.Snapshot();
+  ASSERT_EQ(records.size(), 4u);
+  for (const obs::TraceRecord& r : records) {
+    EXPECT_EQ(r.trace_id, obs::kNoTrace);
+  }
+  EXPECT_EQ(records[0].kind, obs::TraceEventKind::kGuardFallback);
+  EXPECT_EQ(records[0].machine, 4);
+  EXPECT_EQ(records[0].time, 30);
+  EXPECT_EQ(records[0].detail, "fault_absorbed");
+  EXPECT_EQ(records[1].kind, obs::TraceEventKind::kGuardFallback);
+  EXPECT_EQ(records[1].machine, 5);
+  EXPECT_EQ(records[1].detail, "invalid_action");
+  EXPECT_EQ(records[2].kind, obs::TraceEventKind::kBreakerTrip);
+  EXPECT_EQ(records[2].time, 1000);
+  EXPECT_EQ(records[3].kind, obs::TraceEventKind::kBreakerHalfOpen);
+  EXPECT_EQ(records[3].time, 1100);
 }
 
 TEST(GuardedPolicyTest, ProcessKeepsItsPolicyAcrossATrip) {

@@ -11,7 +11,7 @@
 
 #include "cluster/user_policy.h"
 #include "obs/metrics.h"
-#include "obs/tracer.h"
+#include "obs/trace_collector.h"
 
 namespace aer::ctrl {
 namespace {
@@ -52,8 +52,8 @@ TEST(ControlHarnessTest, CleanRunCuresEverythingUnderOneLeader) {
   ControlPlaneHarness harness(policy, ManagerConfig(), FastConfig(3),
                               NetFaultScript{});
   obs::MetricsRegistry metrics;
-  obs::Tracer tracer;
-  harness.SetObservers(&tracer, &metrics);
+  obs::TraceCollector traces;
+  harness.SetObservers(&traces, &metrics);
 
   const ControlHarnessResult result = harness.Run({
       {20, 1, "Watchdog", 0},

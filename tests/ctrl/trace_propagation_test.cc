@@ -58,7 +58,7 @@ TracedRun RunTraced(ControlHarnessConfig config, NetFaultScript script) {
   obs::TraceCollector traces;
   ControlPlaneHarness harness(policy, manager_config, std::move(config),
                               std::move(script));
-  harness.SetTraceCollector(&traces);
+  harness.SetObservers(&traces, nullptr);
   TracedRun run;
   run.result = harness.Run(Incidents());
   run.records = traces.Snapshot();

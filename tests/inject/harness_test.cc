@@ -6,8 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "cluster/user_policy.h"
+#include "core/guarded_policy.h"
 #include "obs/metrics.h"
+#include "obs/trace_collector.h"
+#include "obs/trace_dag.h"
 
 namespace aer {
 namespace {
@@ -195,6 +203,132 @@ TEST(InjectionHarnessTest, PerArmInjectionCountsMirrorIntoMetrics) {
   EXPECT_EQ(counter("aer_inject_hangs_total"), result.hangs_injected);
   EXPECT_EQ(counter("aer_inject_false_successes_total"),
             result.false_successes_injected);
+}
+
+HarnessConfig AllArms(std::uint64_t seed) {
+  HarnessConfig config;
+  config.seed = seed;
+  config.drop_event = 0.2;
+  config.duplicate_event = 0.2;
+  config.delay_event = 0.2;
+  config.hang_action = 0.2;
+  config.false_success = 0.2;
+  return config;
+}
+
+// Minting trace ids is a pure hash and recording only appends: the run, the
+// manager's stats and the deterministic metrics are identical with a
+// collector attached (to the harness and the guarded policy) and without.
+TEST(InjectTraceTest, CollectorIsPassive) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    HarnessResult results[2];
+    RecoveryManager::Stats stats[2];
+    std::string metrics_text[2];
+    for (int traced = 0; traced < 2; ++traced) {
+      UserDefinedPolicy primary;
+      UserDefinedPolicy fallback;
+      GuardedPolicy guard(primary, fallback);
+      obs::TraceCollector traces;
+      obs::MetricsRegistry metrics;
+      obs::TraceCollector* sink = traced ? &traces : nullptr;
+      guard.SetObservers(sink, &metrics);
+      InjectionHarness harness(guard, HardenedConfig(), AllArms(seed));
+      harness.SetObservers(sink, &metrics);
+      results[traced] = harness.Run(MakeIncidents(30));
+      stats[traced] = harness.manager().stats();
+      obs::MetricsRegistry::ExportOptions options;
+      options.include_volatile = false;
+      metrics_text[traced] = metrics.ExportText(options);
+      EXPECT_EQ(traces.recorded_count() > 0, traced == 1) << "seed " << seed;
+    }
+    EXPECT_TRUE(results[0] == results[1]) << "seed " << seed;
+    EXPECT_TRUE(stats[0] == stats[1]) << "seed " << seed;
+    EXPECT_EQ(metrics_text[0], metrics_text[1]) << "seed " << seed;
+  }
+}
+
+// The records form one causal DAG per recovery episode in the control
+// plane's vocabulary, and every injected fault is visible in it.
+TEST(InjectTraceTest, RecordsChainAttemptsAndShowEveryFault) {
+  const std::vector<HarnessIncident> incidents = MakeIncidents(40);
+  std::map<std::pair<SimTime, MachineId>, std::string> symptom_of;
+  for (const HarnessIncident& incident : incidents) {
+    symptom_of[{incident.time, incident.machine}] = incident.symptom;
+  }
+  UserDefinedPolicy policy;
+  InjectionHarness harness(policy, HardenedConfig(), AllArms(7));
+  obs::TraceCollector traces;
+  harness.SetObservers(&traces, nullptr);
+  const HarnessResult result = harness.Run(incidents);
+  ASSERT_TRUE(result.all_completed);
+  ASSERT_GT(result.hangs_injected, 0);
+  ASSERT_GT(result.false_successes_injected, 0);
+
+  const obs::TraceDag dag = obs::BuildTraceDag(traces.Snapshot());
+  EXPECT_TRUE(dag.global_events.empty());
+  std::map<std::int64_t, std::uint64_t> episodes;
+  std::int64_t cures = 0, drops = 0, duplicates = 0, delays = 0, hangs = 0,
+               false_successes = 0;
+  for (const obs::TraceProcess& process : dag.processes) {
+    const obs::TraceRecord& root = process.nodes[0].record;
+    ASSERT_EQ(root.kind, obs::TraceEventKind::kIncident);
+    EXPECT_FALSE(process.truncated);
+    // Ids are minted as the control plane mints them: per machine, one per
+    // recovery episode, in episode order.
+    EXPECT_EQ(process.trace_id,
+              obs::MakeTraceId(7, root.machine, ++episodes[root.machine]));
+    EXPECT_EQ(root.detail, (symptom_of[{root.time, root.machine}]));
+    for (const obs::TraceDagNode& node : process.nodes) {
+      const obs::TraceRecord& r = node.record;
+      const auto parent = [&]() -> const obs::TraceRecord& {
+        return process.nodes[static_cast<std::size_t>(node.parent)].record;
+      };
+      switch (r.kind) {
+        case obs::TraceEventKind::kActionStart:
+          EXPECT_EQ(parent().kind, obs::TraceEventKind::kDispatch);
+          EXPECT_EQ(parent().attempt, r.attempt);
+          EXPECT_EQ(parent().action, r.action);
+          break;
+        case obs::TraceEventKind::kActionDone:
+          EXPECT_EQ(parent().kind, obs::TraceEventKind::kActionStart);
+          EXPECT_EQ(parent().attempt, r.attempt);
+          if (r.detail == "false_success") ++false_successes;
+          break;
+        case obs::TraceEventKind::kCure:
+          // The harness's cure: the curing action's completion instant,
+          // which is where the process ends.
+          ++cures;
+          EXPECT_EQ(parent().kind, obs::TraceEventKind::kActionDone);
+          EXPECT_EQ(parent().detail, "cured");
+          EXPECT_EQ(parent().time, r.time);
+          EXPECT_TRUE(process.cured);
+          EXPECT_EQ(process.end, r.time);
+          break;
+        case obs::TraceEventKind::kMessageDrop:
+          EXPECT_TRUE(node.orphan);
+          EXPECT_EQ(r.detail, "dropped");
+          ++drops;
+          break;
+        case obs::TraceEventKind::kResultLost:
+          EXPECT_TRUE(node.orphan);
+          EXPECT_EQ(r.detail, "hang");
+          ++hangs;
+          break;
+        case obs::TraceEventKind::kSymptom:
+          if (r.duplicate) ++duplicates;
+          if (r.detail == "delayed" && !r.duplicate) ++delays;
+          break;
+        default:
+          break;
+      }
+    }
+  }
+  EXPECT_EQ(cures, result.cures);
+  EXPECT_EQ(drops, result.events_dropped);
+  EXPECT_EQ(duplicates, result.events_duplicated);
+  EXPECT_EQ(delays, result.events_delayed);
+  EXPECT_EQ(hangs, result.hangs_injected);
+  EXPECT_EQ(false_successes, result.false_successes_injected);
 }
 
 TEST(InjectionHarnessTest, EventBudgetTurnsLivelockIntoAFailureReport) {

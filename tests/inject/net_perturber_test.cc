@@ -91,7 +91,7 @@ TEST(NetPerturberTest, ProbabilisticArmsFireAndAreCounted) {
   config.max_delay = 5;
   NetPerturber perturber(config, NetFaultScript{});
   obs::MetricsRegistry metrics;
-  perturber.SetObservers(nullptr, &metrics);
+  perturber.SetMetrics(&metrics);
 
   int delivered = 0;
   for (int i = 0; i < 1000; ++i) {
@@ -154,7 +154,7 @@ TEST(NetPerturberTest, TransitionsCountIntoCoordinatorMetrics) {
   script.partitions.push_back(partition);
   NetPerturber perturber(NetPerturbConfig{}, script);
   obs::MetricsRegistry metrics;
-  perturber.SetObservers(nullptr, &metrics);
+  perturber.SetMetrics(&metrics);
 
   perturber.AdvanceTo(50);
   EXPECT_EQ(

@@ -1,7 +1,8 @@
 // Critical-path attribution units: the exact-sum contract (stage durations
 // partition [start, end) with no gaps and no double counting), duplicate
 // and out-of-order robustness, the leadership/election overlay, the
-// takeover-gap overlay, and metric publication.
+// takeover-gap overlay, metric publication, and the truncated flag that keeps
+// ring-evicted roots out of the latency metrics.
 #include <array>
 #include <string>
 #include <vector>
@@ -255,6 +256,42 @@ TEST(CriticalPathTest, UncuredPathsAreReportedButNotPublished) {
   EXPECT_EQ(registry.GetHistogram("aer_trace_end_to_end_seconds").Snapshot().total_count(), 0);
 }
 
+// A small ring evicts a cured trace's kIncident root. The surviving
+// records still walk to the cure, but from a later start: the path is
+// flagged truncated and its understated latency never reaches the
+// end-to-end or stage histograms.
+TEST(CriticalPathTest, RingEvictedRootIsTruncatedAndNotPublished) {
+  const TraceId id = MakeTraceId(11, 3, 1);
+  TraceCollector traces({.capacity = 5});
+  for (const TraceRecord& r : {
+           Rec(id, 100, TraceEventKind::kIncident, 3),
+           Rec(id, 102, TraceEventKind::kSymptom, 3),
+           Rec(id, 105, TraceEventKind::kDispatch, 3, 0, 0),
+           Rec(id, 106, TraceEventKind::kActionStart, 3, 0),
+           Rec(id, 116, TraceEventKind::kActionDone, 3, 0),
+           Rec(id, 116, TraceEventKind::kCure, 3),
+       }) {
+    traces.Record(r);
+  }
+  const auto paths = AnalyzeCriticalPaths(traces.Snapshot());
+  ASSERT_EQ(paths.size(), 1u);
+  EXPECT_TRUE(paths[0].cured);
+  EXPECT_TRUE(paths[0].truncated);
+  EXPECT_EQ(paths[0].start, 102);
+  obs::MetricsRegistry registry;
+  PublishCriticalPathMetrics(registry, paths);
+  EXPECT_EQ(registry.GetHistogram("aer_trace_end_to_end_seconds")
+                .Snapshot()
+                .total_count(),
+            0);
+  EXPECT_EQ(registry.GetHistogram("aer_trace_stage_action_exec_seconds")
+                .Snapshot()
+                .total_count(),
+            0);
+  EXPECT_NE(FormatCriticalPaths(paths).find(" cured=1 truncated\n"),
+            std::string::npos);
+}
+
 TEST(CriticalPathTest, PublishObservesCuredPathsPerStage) {
   const TraceId id = MakeTraceId(11, 3, 1);
   TraceRecord elected = Rec(kNoTrace, 0, TraceEventKind::kLeaderElected, -1);
@@ -268,6 +305,8 @@ TEST(CriticalPathTest, PublishObservesCuredPathsPerStage) {
       Rec(id, 116, TraceEventKind::kActionDone, 3, 0),
       Rec(id, 116, TraceEventKind::kCure, 3),
   });
+  ASSERT_EQ(paths.size(), 1u);
+  EXPECT_FALSE(paths[0].truncated);
   obs::MetricsRegistry registry;
   PublishCriticalPathMetrics(registry, paths);
   EXPECT_EQ(registry.GetHistogram("aer_trace_end_to_end_seconds").Snapshot().total_count(), 1);
@@ -284,6 +323,7 @@ TEST(CriticalPathTest, PublishObservesCuredPathsPerStage) {
   EXPECT_EQ(text, FormatCriticalPaths(paths));
   EXPECT_NE(text.find("total=16"), std::string::npos);
   EXPECT_NE(text.find("action_exec=10"), std::string::npos);
+  EXPECT_EQ(text.find("truncated"), std::string::npos);
 }
 
 }  // namespace

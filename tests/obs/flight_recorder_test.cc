@@ -36,13 +36,17 @@ class FlightRecorderTest : public ::testing::Test {
 };
 
 TEST_F(FlightRecorderTest, ManualDumpContainsAllSections) {
-  Tracer tracer;
   MetricsRegistry metrics;
   TimeSeriesRecorder timeseries(metrics, {.window_width = 100});
+  TraceCollector traces;
 
-  const SpanId parent = tracer.StartSpan("recovery", 10);
-  tracer.SetLabel(parent, "Watchdog");
-  tracer.EndSpan(parent, 50);
+  TraceRecord record;
+  record.trace_id = MakeTraceId(3, 7, 1);
+  record.time = 10;
+  record.kind = TraceEventKind::kIncident;
+  record.machine = 7;
+  record.detail = "Watchdog";
+  traces.Record(record);
   metrics.GetCounter("aer_test_total").Inc(5);
   timeseries.AdvanceTo(100);
   {
@@ -52,7 +56,7 @@ TEST_F(FlightRecorderTest, ManualDumpContainsAllSections) {
   const std::string path =
       ::testing::TempDir() + "/aer_flight_manual.json";
   std::remove(path.c_str());
-  FlightRecorder::Install({.path = path}, &tracer, &metrics, &timeseries);
+  FlightRecorder::Install({.path = path}, &metrics, &timeseries, &traces);
   EXPECT_TRUE(FlightRecorder::installed());
   ASSERT_TRUE(FlightRecorder::DumpNow("unit test"));
 
@@ -60,10 +64,33 @@ TEST_F(FlightRecorderTest, ManualDumpContainsAllSections) {
   std::remove(path.c_str());
   EXPECT_NE(dump.find("\"manual\""), std::string::npos);
   EXPECT_NE(dump.find("unit test"), std::string::npos);
-  EXPECT_NE(dump.find("\"recovery\""), std::string::npos);   // span
+  EXPECT_NE(dump.find("\"Watchdog\""), std::string::npos);  // trace DAG
   EXPECT_NE(dump.find("aer_test_total"), std::string::npos);  // metrics
   EXPECT_NE(dump.find("last_window"), std::string::npos);     // timeseries
   EXPECT_NE(dump.find("flight_probe"), std::string::npos);    // profile
+}
+
+// Trace records are the only trace store: a dump carries them as the
+// stitched DAG and has no separate span section.
+TEST_F(FlightRecorderTest, DumpCarriesRecordsButNoSpansSection) {
+  TraceCollector traces;
+  TraceRecord record;
+  record.trace_id = MakeTraceId(3, 7, 1);
+  record.time = 10;
+  record.kind = TraceEventKind::kIncident;
+  record.machine = 7;
+  traces.Record(record);
+
+  const std::string path =
+      ::testing::TempDir() + "/aer_flight_nospans.json";
+  std::remove(path.c_str());
+  FlightRecorder::Install({.path = path}, nullptr, nullptr, &traces);
+  ASSERT_TRUE(FlightRecorder::DumpNow("no spans"));
+  const std::string dump = ReadFileOrEmpty(path);
+  std::remove(path.c_str());
+  EXPECT_NE(dump.find("\"trace_dag\""), std::string::npos);
+  EXPECT_NE(dump.find("\"incident\""), std::string::npos);
+  EXPECT_EQ(dump.find("\"spans\""), std::string::npos);
 }
 
 TEST_F(FlightRecorderTest, DumpStitchesTraceRecordsIntoADag) {
@@ -85,8 +112,7 @@ TEST_F(FlightRecorderTest, DumpStitchesTraceRecordsIntoADag) {
 
   const std::string path = ::testing::TempDir() + "/aer_flight_traces.json";
   std::remove(path.c_str());
-  FlightRecorder::Install({.path = path}, nullptr, &metrics, nullptr,
-                          &traces);
+  FlightRecorder::Install({.path = path}, &metrics, nullptr, &traces);
   ASSERT_TRUE(FlightRecorder::DumpNow("trace dump"));
 
   const std::string dump = ReadFileOrEmpty(path);
@@ -114,8 +140,8 @@ TEST_F(FlightRecorderTest, MaxTraceRecordsKeepsOnlyTheMostRecent) {
 
   const std::string path = ::testing::TempDir() + "/aer_flight_trim.json";
   std::remove(path.c_str());
-  FlightRecorder::Install({.path = path, .max_trace_records = 2}, nullptr,
-                          &metrics, nullptr, &traces);
+  FlightRecorder::Install({.path = path, .max_trace_records = 2}, &metrics,
+                          nullptr, &traces);
   ASSERT_TRUE(FlightRecorder::DumpNow("trim traces"));
 
   const std::string dump = ReadFileOrEmpty(path);
@@ -124,24 +150,6 @@ TEST_F(FlightRecorderTest, MaxTraceRecordsKeepsOnlyTheMostRecent) {
   EXPECT_EQ(dump.find("episode_3"), std::string::npos);
   EXPECT_NE(dump.find("episode_4"), std::string::npos);
   EXPECT_NE(dump.find("episode_5"), std::string::npos);
-}
-
-TEST_F(FlightRecorderTest, MaxSpansKeepsOnlyTheMostRecent) {
-  Tracer tracer;
-  for (int i = 0; i < 10; ++i) {
-    tracer.Instant("span_" + std::to_string(i), i);
-  }
-  const std::string path =
-      ::testing::TempDir() + "/aer_flight_maxspans.json";
-  std::remove(path.c_str());
-  FlightRecorder::Install({.path = path, .max_spans = 3}, &tracer, nullptr,
-                          nullptr);
-  ASSERT_TRUE(FlightRecorder::DumpNow("trim"));
-  const std::string dump = ReadFileOrEmpty(path);
-  std::remove(path.c_str());
-  EXPECT_EQ(dump.find("span_6"), std::string::npos);
-  EXPECT_NE(dump.find("span_7"), std::string::npos);
-  EXPECT_NE(dump.find("span_9"), std::string::npos);
 }
 
 TEST_F(FlightRecorderTest, DumpNowWithoutInstallFails) {
@@ -158,7 +166,7 @@ TEST_F(FlightRecorderTest, CheckFailureWritesDump) {
       {
         MetricsRegistry metrics;
         metrics.GetCounter("aer_test_total").Inc(9);
-        FlightRecorder::Install({.path = path}, nullptr, &metrics, nullptr);
+        FlightRecorder::Install({.path = path}, &metrics, nullptr);
         AER_CHECK(false) << "flight recorder check probe";
       },
       "flight recorder check probe");
@@ -175,7 +183,7 @@ TEST_F(FlightRecorderTest, FatalSignalWritesDumpAndRedelivers) {
   std::remove(path.c_str());
   EXPECT_DEATH(
       {
-        FlightRecorder::Install({.path = path}, nullptr, nullptr, nullptr);
+        FlightRecorder::Install({.path = path}, nullptr, nullptr);
         std::raise(SIGABRT);
       },
       "");

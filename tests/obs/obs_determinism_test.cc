@@ -1,8 +1,6 @@
 // The observability determinism contract (docs/OBSERVABILITY.md): for the
 // same seed, an instrumented pipeline produces byte-identical deterministic
-// metric snapshots and trace dumps, run after run. Also pins the span
-// structure RecoveryManager emits: one "recovery" span per process labeled
-// with the initiating symptom, child "action:<name>" spans per attempt.
+// metric snapshots and trace dumps, run after run.
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,50 +19,11 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
-#include "obs/tracer.h"
+#include "obs/trace_collector.h"
+#include "obs/trace_dag.h"
 
 namespace aer {
 namespace {
-
-TEST(ObsSpanStructureTest, RecoveryProcessSpansNestActions) {
-  UserDefinedPolicy policy;
-  RecoveryManager manager(policy);
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  manager.SetObservers(&tracer, &metrics);
-
-  manager.OnSymptom(100, 1, "Watchdog");
-  ASSERT_TRUE(manager.OnRecoveryNeeded(150, 1).has_value());
-  manager.OnActionResult(200, 1, /*healthy=*/false);
-  ASSERT_TRUE(manager.OnRecoveryNeeded(250, 1).has_value());
-  manager.OnActionResult(300, 1, /*healthy=*/true);
-
-  EXPECT_EQ(tracer.open_count(), 0u);
-  const std::vector<obs::Span> spans = tracer.Snapshot();
-  ASSERT_EQ(spans.size(), 3u);  // two actions + the enclosing process
-
-  // The process span opened first, so it has the smallest id; it closes
-  // last, so it is the final ring entry.
-  const obs::Span& process = spans[2];
-  EXPECT_EQ(process.id, 1);
-  EXPECT_EQ(process.name, "recovery");
-  EXPECT_EQ(process.label, "Watchdog");
-  EXPECT_EQ(process.machine, 1);
-  EXPECT_EQ(process.start, 100);
-  EXPECT_EQ(process.end, 300);
-
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_EQ(spans[i].parent, process.id) << "action " << i;
-    EXPECT_EQ(spans[i].name.rfind("action:", 0), 0u) << spans[i].name;
-    EXPECT_EQ(spans[i].machine, 1);
-    ASSERT_EQ(spans[i].events.size(), 1u);
-  }
-  EXPECT_EQ(spans[0].events[0].label, "result:failed");
-  EXPECT_EQ(spans[1].events[0].label, "result:cured");
-
-  EXPECT_EQ(metrics.GetCounter("aer_recovery_processes_total").value(), 1);
-  EXPECT_EQ(metrics.GetCounter("aer_recovery_actions_total").value(), 2);
-}
 
 // One instrumented fault-injection run: scripted incidents through a
 // GuardedPolicy into an InjectionHarness with every fault class enabled.
@@ -99,18 +58,18 @@ ObservedRun RunObservedHarness(std::uint64_t seed) {
   harness_config.hang_action = 0.1;
   harness_config.false_success = 0.1;
 
-  obs::Tracer tracer;
+  obs::TraceCollector traces;
   obs::MetricsRegistry metrics;
-  guard.SetObservers(&tracer, &metrics);
+  guard.SetObservers(&traces, &metrics);
   InjectionHarness harness(guard, manager_config, harness_config);
-  harness.SetObservers(&tracer, &metrics);
+  harness.SetObservers(&traces, &metrics);
   harness.Run(incidents);
 
   ObservedRun run;
   obs::MetricsRegistry::ExportOptions options;
   options.include_volatile = false;
   run.metrics_text = metrics.ExportText(options);
-  run.trace_text = obs::Tracer::FormatSpans(tracer.Snapshot());
+  run.trace_text = obs::FormatTraceDag(obs::BuildTraceDag(traces.Snapshot()));
   return run;
 }
 
@@ -175,11 +134,11 @@ TEST(ObsDeterminismTest, PolicyBytesUnaffectedByObservability) {
 
   obs::MetricsRegistry registry;
   obs::TimeSeriesRecorder recorder(registry, {.window_width = 1});
-  obs::Tracer tracer;
+  obs::TraceCollector traces;
   const std::string dump_path =
       ::testing::TempDir() + "/aer_obs_determinism_flight.json";
-  obs::FlightRecorder::Install({.path = dump_path}, &tracer, &registry,
-                               &recorder);
+  obs::FlightRecorder::Install({.path = dump_path}, &registry, &recorder,
+                               &traces);
   ProfileRegistry::Global().Reset();
   std::string observed;
   {

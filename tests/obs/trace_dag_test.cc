@@ -1,8 +1,11 @@
 // BuildTraceDag units: the frozen positional parent rules, orphan marking
 // for loss events, global-event separation, acyclicity by construction,
-// and the deterministic renderings (FormatTraceDag text, TraceDagToJson,
-// ChromeTraceJson) that back the aerctl golden surface.
+// the deterministic renderings (FormatTraceDag text, TraceDagToJson,
+// ChromeTraceJson) that back the aerctl golden surface, the truncated
+// marker for ring-evicted roots, and the `aerctl trace` views.
+#include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -156,6 +159,86 @@ TEST(TraceDagTest, RenderingsAreDeterministic) {
   EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(chrome.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(chrome.find("\"ph\": \"i\""), std::string::npos);
+}
+
+TEST(TraceDagTest, RingEvictedRootRendersTruncated) {
+  const TraceId id = MakeTraceId(9, 4, 1);
+  TraceCollector traces({.capacity = 10});
+  for (const TraceRecord& r : TwoAttemptProcess(id)) traces.Record(r);
+  const TraceDag dag = BuildTraceDag(traces.Snapshot());
+  ASSERT_EQ(dag.processes.size(), 1u);
+  EXPECT_TRUE(dag.processes[0].truncated);
+  EXPECT_EQ(dag.processes[0].start, 102);
+  EXPECT_NE(FormatTraceDag(dag).find("end=131 truncated\n"),
+            std::string::npos);
+  EXPECT_NE(TraceDagToJson(dag).ToString().find("\"truncated\": true"),
+            std::string::npos);
+  // An intact process carries no marker, so untruncated dumps keep their
+  // bytes.
+  const TraceDag intact = BuildTraceDag(TwoAttemptProcess(id));
+  EXPECT_FALSE(intact.processes[0].truncated);
+  EXPECT_EQ(FormatTraceDag(intact).find("truncated"), std::string::npos);
+  EXPECT_EQ(TraceDagToJson(intact).ToString().find("truncated"),
+            std::string::npos);
+}
+
+// One process per (machine, incident detail, start, end); the incident is
+// the root unless `root` says otherwise.
+TraceDag Processes(
+    const std::vector<std::tuple<std::int64_t, std::string, SimTime, SimTime>>&
+        specs,
+    TraceEventKind root = TraceEventKind::kIncident) {
+  std::vector<TraceRecord> records;
+  TraceRecord elected = Rec(kNoTrace, 0, TraceEventKind::kLeaderElected, -1);
+  elected.node = 0;
+  records.push_back(elected);
+  for (const auto& [machine, detail, start, end] : specs) {
+    const TraceId id = MakeTraceId(2, machine, 1);
+    TraceRecord first = Rec(id, start, root, machine);
+    first.detail = detail;
+    records.push_back(first);
+    records.push_back(Rec(id, end, TraceEventKind::kSymptom, machine));
+  }
+  return BuildTraceDag(records);
+}
+
+std::vector<std::int64_t> Machines(const TraceDag& dag) {
+  std::vector<std::int64_t> machines;
+  for (const TraceProcess& p : dag.processes) machines.push_back(p.machine);
+  return machines;
+}
+
+TEST(TraceDagTest, FilterByIncidentExactMatch) {
+  const TraceDag dag = Processes({{1, "DiskError", 10, 20},
+                                  {2, "Disk", 11, 21},
+                                  {3, "DiskErrorX", 12, 22},
+                                  {4, "Watchdog", 13, 23},
+                                  {5, "DiskError", 14, 24}});
+  const TraceDag filtered = FilterByIncident(dag, "DiskError");
+  EXPECT_EQ(Machines(filtered), (std::vector<std::int64_t>{1, 5}));
+  // Global events are context, not processes: the filter keeps them.
+  EXPECT_EQ(filtered.global_events.size(), 1u);
+  EXPECT_TRUE(FilterByIncident(dag, "NicDown").processes.empty());
+  // A process whose incident root was evicted cannot be attributed.
+  const TraceDag rootless =
+      Processes({{1, "DiskError", 10, 20}}, TraceEventKind::kSymptom);
+  EXPECT_TRUE(FilterByIncident(rootless, "DiskError").processes.empty());
+}
+
+TEST(TraceDagTest, LongestProcessesSortsAndBreaksTies) {
+  const TraceDag dag = Processes({{1, "a", 0, 10},
+                                  {2, "a", 1, 31},
+                                  {3, "a", 2, 7},
+                                  {4, "a", 3, 33},
+                                  {5, "a", 4, 14}});
+  // Durations 10, 30, 5, 30, 10: longest first, ties to the earlier
+  // first appearance.
+  EXPECT_EQ(Machines(LongestProcesses(dag, 4)),
+            (std::vector<std::int64_t>{2, 4, 1, 5}));
+  EXPECT_EQ(Machines(LongestProcesses(dag, 1)),
+            (std::vector<std::int64_t>{2}));
+  EXPECT_EQ(LongestProcesses(dag, 10).processes.size(), 5u);
+  EXPECT_EQ(LongestProcesses(dag, 1).global_events.size(), 1u);
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
     aer::obs::FlightRecorder::Install(
         {.path = std::string(dir) + "/flight_" + std::to_string(getpid()) +
                  ".json"},
-        nullptr, nullptr, nullptr);
+        nullptr, nullptr);
   }
   return RUN_ALL_TESTS();
 }

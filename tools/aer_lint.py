@@ -31,8 +31,8 @@ trips them):
                     few lines by a good()/is_open() check.
   no-direct-output  No std::cout/std::cerr/printf-family output in src/core/,
                     src/rl/, src/sim/: library layers report through return
-                    values, AER_CHECK messages, or obs/ metrics and spans
-                    (docs/OBSERVABILITY.md). Stray prints corrupt the CLI's
+                    values, AER_CHECK messages, or obs/ metrics and trace
+                    records (docs/OBSERVABILITY.md). Stray prints corrupt the CLI's
                     machine-readable output and bypass the observability
                     contract.
   mutex-annotation  In src/, no raw std::mutex / std::lock_guard /
@@ -319,7 +319,7 @@ class Linter:
                     path, lineno, "no-direct-output",
                     "direct stream/printf output in a library layer; report "
                     "through return values, AER_CHECK messages, or obs/ "
-                    "metrics and spans", allows)
+                    "metrics and trace records", allows)
             if rel.startswith(MUTEX_SCOPES) and rel not in MUTEX_ALLOWED \
                     and RAW_MUTEX.search(line):
                 self.report(

@@ -229,7 +229,8 @@ class AerLintTest(unittest.TestCase):
                         "std::unique_lock<std::mutex> lock(mu_);",
                         "std::scoped_lock lock(a_, b_);",
                         "std::condition_variable cv_;"):
-            findings = self.repo.lint("src/obs/tracer.cc", snippet + "\n")
+            findings = self.repo.lint("src/obs/trace_collector.cc",
+                                      snippet + "\n")
             self.assert_rule(findings, "mutex-annotation")
 
     def test_aer_mutex_with_guarded_field_ok(self):
