@@ -28,7 +28,6 @@
 #include "mining/error_type.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
-#include "rl/parallel_trainer.h"
 #include "rl/qlearning.h"
 #include "rl/telemetry.h"
 #include "sim/platform.h"
@@ -74,12 +73,10 @@ void Run() {
   const double serial_ms = MsSince(serial_start);
 
   // Parallel arm: sharded by type over the shared pool.
-  ThreadPool& pool = GetPool();
-  const ParallelTrainer parallel_trainer(trainer, pool);
   std::vector<QTable> tables;
   const auto parallel_start = std::chrono::steady_clock::now();
   const QLearningTrainer::TrainingOutput parallel =
-      parallel_trainer.TrainAll(&tables);
+      trainer.TrainAll(&GetPool(), &tables);
   const double parallel_ms = MsSince(parallel_start);
 
   // Equivalence gate: the serialized policies must match byte for byte.
@@ -90,8 +87,16 @@ void Run() {
   AER_CHECK(serial_bytes.str() == parallel_bytes.str())
       << "parallel training diverged from the serial trainer";
 
-  const std::int64_t episodes = ParallelTrainer::TotalEpisodes(serial);
-  AER_CHECK_EQ(episodes, ParallelTrainer::TotalEpisodes(parallel));
+  const auto total_episodes =
+      [](const QLearningTrainer::TrainingOutput& output) {
+        std::int64_t total = 0;
+        for (const TypeTrainingResult& r : output.per_type) {
+          total += r.episodes;
+        }
+        return total;
+      };
+  const std::int64_t episodes = total_episodes(serial);
+  AER_CHECK_EQ(episodes, total_episodes(parallel));
   const double serial_eps = episodes / (serial_ms / 1000.0);
   const double parallel_eps = episodes / (parallel_ms / 1000.0);
 

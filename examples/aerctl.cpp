@@ -198,6 +198,12 @@ int Mine(const Flags& flags) {
 }
 
 int Train(const Flags& flags) {
+  const long long sweeps = flags.GetInt("sweeps", 40000);
+  if (sweeps < 1) {
+    std::fprintf(stderr, "train: --sweeps must be at least 1 (got %lld)\n",
+                 sweeps);
+    return 1;
+  }
   const auto log = LoadLog(flags.Get("log", ""));
   if (!log.has_value()) return 1;
   const std::string out = flags.Get("out", "");
@@ -206,7 +212,7 @@ int Train(const Flags& flags) {
     return 1;
   }
   PolicyGeneratorConfig config;
-  config.trainer.max_sweeps = flags.GetInt("sweeps", 40000);
+  config.trainer.max_sweeps = sweeps;
   config.use_selection_tree = !flags.Has("no-tree");
   const PolicyGenerator generator(config);
   PolicyGenerationReport report;

@@ -51,7 +51,7 @@ class ExperimentRunner {
   ExperimentRunner(std::span<const RecoveryProcess> clean_processes,
                    const SymptomTable& symptoms, ExperimentConfig config);
 
-  // With a pool, training shards by error type through ParallelTrainer;
+  // With a pool, TrainAll(pool) trains the error types concurrently;
   // results are bit-identical to the serial path for any thread count
   // (docs/PARALLELISM.md). The experiment replications (one per train
   // fraction) are themselves independent, so RunAll() keeps the pool busy

@@ -13,6 +13,7 @@
 #ifndef AER_RL_QLEARNING_H_
 #define AER_RL_QLEARNING_H_
 
+#include <functional>
 #include <span>
 
 #include "common/stats.h"
@@ -107,6 +108,8 @@ ActionSequence GreedySequence(const QTable& table, ErrorTypeId type,
 // through) — the read-out view of Double Q-learning's twin tables.
 QTable MergeTablesByMean(const QTable& a, const QTable& b);
 
+class ThreadPool;
+
 class QLearningTrainer {
  public:
   // `training` must outlive the trainer. Processes that the catalog cannot
@@ -126,7 +129,13 @@ class QLearningTrainer {
   };
 
   // Trains every type of the platform's catalog into one deployable policy.
-  TrainingOutput TrainAll() const;
+  // With a pool, the types train concurrently: each is a pure function of
+  // (seed, type), and the results merge in catalog order, so the output is
+  // byte-identical for any thread count (docs/PARALLELISM.md). With
+  // `tables_out` non-null, every type's final Q-table is captured there,
+  // indexed by ErrorTypeId.
+  TrainingOutput TrainAll(ThreadPool* pool = nullptr,
+                          std::vector<QTable>* tables_out = nullptr) const;
 
   // The processes grouped under one type (for the selection-tree trainer and
   // the experiment harnesses).
@@ -137,6 +146,30 @@ class QLearningTrainer {
 
  private:
   friend class SelectionTreeTrainer;
+
+  // A policy generator: reads a type's sequence out of a view table (the
+  // table itself, or the merged twins under Double Q).
+  using SequenceGenerator = std::function<ActionSequence(const QTable&)>;
+
+  // The sequence a type ends with. kRegenerate: the generator's read-out of
+  // the final table. kLastCheck: the last check's sequence, or the read-out
+  // of the final table when no check produced one.
+  enum class FinalSequence { kRegenerate, kLastCheck };
+
+  // The sweep/convergence loop of both generators: sweeps until `generate`
+  // has returned the same non-empty sequence at `stable_checks` consecutive
+  // checks (one every check_every sweeps) and min_sweeps have run, or until
+  // the sweep cap.
+  TypeTrainingResult TrainTypeWith(ErrorTypeId type,
+                                   const SequenceGenerator& generate,
+                                   int stable_checks, FinalSequence final_rule,
+                                   QTable* table_out) const;
+
+  // The catalog-order merge of both TrainAll()s over `train_type`.
+  TrainingOutput TrainAllWith(
+      ThreadPool* pool, std::vector<QTable>* tables_out,
+      const std::function<TypeTrainingResult(ErrorTypeId, QTable*)>&
+          train_type) const;
 
   // One episode: sample a process, roll out, update Q. `sweep` drives the
   // temperature. With `table_b` non-null, Double Q-learning: action

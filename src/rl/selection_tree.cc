@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "common/check.h"
-#include "common/profiler.h"
 
 namespace aer {
 namespace {
@@ -68,18 +67,8 @@ SelectionTreeTrainer::SelectionTreeTrainer(const QLearningTrainer& base,
 
 TypeTrainingResult SelectionTreeTrainer::TrainType(ErrorTypeId type,
                                                    QTable* table_out) const {
-  AER_PROFILE_SCOPE("train_type");
   const auto processes = base_.processes_of(type);
   const TrainerConfig& tc = base_.config();
-
-  TypeTrainingResult result;
-  result.type = type;
-  result.training_processes = static_cast<std::int64_t>(processes.size());
-  if (processes.empty()) return result;
-
-  Rng rng(DeriveStream(tc.seed, static_cast<std::uint64_t>(type)));
-  QTable table(tc.fixed_alpha);
-  QTable table_b(tc.fixed_alpha);  // Double Q twin (unused otherwise)
 
   // A candidate's price depends only on the sequence: the processes,
   // estimator, max_actions and capability model are fixed for this call.
@@ -89,11 +78,9 @@ TypeTrainingResult SelectionTreeTrainer::TrainType(ErrorTypeId type,
   std::unordered_map<StateKey, SequenceEvaluation> priced;
   std::vector<ActionSequence> unpriced;
 
-  const auto scan_tree = [&]() -> ActionSequence {
-    const QTable scan_table =
-        tc.double_q ? MergeTablesByMean(table, table_b) : QTable();
-    std::vector<ActionSequence> candidates = BuildCandidateSequences(
-        tc.double_q ? scan_table : table, type, tc.max_actions, config_);
+  const auto scan_tree = [&](const QTable& view) -> ActionSequence {
+    std::vector<ActionSequence> candidates =
+        BuildCandidateSequences(view, type, tc.max_actions, config_);
     if (config_.seed_escalation_candidates) {
       const std::vector<RepairAction>& allowed =
           base_.platform().estimator().ObservedActions(type);
@@ -161,61 +148,17 @@ TypeTrainingResult SelectionTreeTrainer::TrainType(ErrorTypeId type,
     return best;
   };
 
-  ActionSequence stable_sequence;
-  std::int64_t stable_since = 0;
-  int stable_checks = 0;
-
-  TypeTelemetry* telemetry =
-      tc.collect_telemetry ? &result.telemetry : nullptr;
-
-  std::int64_t sweep = 0;
-  for (; sweep < tc.max_sweeps; ++sweep) {
-    base_.RunSweep(type, processes, sweep, table, rng,
-                   tc.double_q ? &table_b : nullptr, telemetry);
-    if ((sweep + 1) % tc.check_every != 0) continue;
-
-    ActionSequence sequence = scan_tree();
-    if (!sequence.empty() && sequence == stable_sequence) {
-      ++stable_checks;
-    } else {
-      stable_sequence = std::move(sequence);
-      stable_since = sweep + 1;
-      stable_checks = 1;
-    }
-    if (stable_checks >= config_.stable_checks &&
-        sweep + 1 >= tc.min_sweeps) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  result.sweeps = result.converged ? stable_since : tc.max_sweeps;
-  result.episodes = sweep < tc.max_sweeps ? sweep + 1 : tc.max_sweeps;
-  result.sequence = stable_sequence.empty() ? scan_tree() : stable_sequence;
-  QTable final_table =
-      tc.double_q ? MergeTablesByMean(table, table_b) : std::move(table);
-  result.states_explored = final_table.num_states();
-  if (telemetry != nullptr) base_.FillCoverage(type, final_table, *telemetry);
-  if (table_out != nullptr) *table_out = std::move(final_table);
-  return result;
+  return base_.TrainTypeWith(type, scan_tree, config_.stable_checks,
+                             QLearningTrainer::FinalSequence::kLastCheck,
+                             table_out);
 }
 
-QLearningTrainer::TrainingOutput SelectionTreeTrainer::TrainAll() const {
-  AER_PROFILE_SCOPE("train_all");
-  QLearningTrainer::TrainingOutput output;
-  const SimulationPlatform& platform = base_.platform();
-  for (std::size_t t = 0; t < platform.types().num_types(); ++t) {
-    const ErrorTypeId type = static_cast<ErrorTypeId>(t);
-    TypeTrainingResult result = TrainType(type);
-    if (!result.sequence.empty()) {
-      output.policy.AddType(
-          {std::string(platform.symptoms().Name(
-               platform.types().symptom_of(type))),
-           result.sequence});
-    }
-    output.per_type.push_back(std::move(result));
-  }
-  return output;
+QLearningTrainer::TrainingOutput SelectionTreeTrainer::TrainAll(
+    ThreadPool* pool, std::vector<QTable>* tables_out) const {
+  return base_.TrainAllWith(pool, tables_out,
+                            [this](ErrorTypeId type, QTable* table_out) {
+                              return TrainType(type, table_out);
+                            });
 }
 
 }  // namespace aer

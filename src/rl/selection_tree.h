@@ -49,15 +49,18 @@ std::vector<ActionSequence> BuildCandidateSequences(
 
 class SelectionTreeTrainer {
  public:
-  // Wraps a QLearningTrainer: same sweeps, different policy generation and
-  // convergence rule.
+  // Wraps a QLearningTrainer: the same sweep loop, with the tree scan as
+  // its policy generator and this config's stable-check count.
   SelectionTreeTrainer(const QLearningTrainer& base,
                        SelectionTreeConfig config);
 
   TypeTrainingResult TrainType(ErrorTypeId type,
                                QTable* table_out = nullptr) const;
 
-  QLearningTrainer::TrainingOutput TrainAll() const;
+  // As QLearningTrainer::TrainAll(): the same pool and table contract.
+  QLearningTrainer::TrainingOutput TrainAll(
+      ThreadPool* pool = nullptr,
+      std::vector<QTable>* tables_out = nullptr) const;
 
   // The wrapped plain trainer (platform, process grouping, sweep config).
   const QLearningTrainer& base() const { return base_; }

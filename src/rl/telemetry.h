@@ -2,8 +2,8 @@
 //
 // The per-type TypeTelemetry shards (collected by QLearningTrainer /
 // SelectionTreeTrainer when TrainerConfig::collect_telemetry is set) are
-// folded in the order they appear in `per_type` — the catalog order for both
-// the serial TrainAll() and ParallelTrainer::TrainAll() — so the published
+// folded in the order they appear in `per_type` — the catalog order
+// TrainAll() returns with or without a pool — so the published
 // aer_training_* metrics are bit-identical for any thread count.
 //
 // Throughput (episodes/sec) is wall-clock-derived and therefore registered

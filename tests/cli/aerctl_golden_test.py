@@ -62,6 +62,15 @@ CASES = [
      ["profile", "--incidents", "24", "--seed", "7"]),
 ]
 
+# (aerctl argv, stderr substring) for inputs aerctl must refuse: a non-zero
+# exit, the message on stderr, and no file written at {out}.
+REJECTED_CASES = [
+    (["train", "--log", "{trace}", "--out", "{out}", "--sweeps", "0"],
+     "train: --sweeps must be at least 1"),
+    (["train", "--log", "{trace}", "--out", "{out}", "--sweeps", "-5"],
+     "train: --sweeps must be at least 1"),
+]
+
 PROFILING_OFF_NOTICE = b"profiling disabled"
 
 
@@ -133,13 +142,31 @@ def main() -> int:
             else:
                 print(f"  ok   {golden_name}")
 
+        out_path = Path(tmp) / "rejected.out"
+        for args, message in REJECTED_CASES:
+            argv = [a.replace("{trace}", trace_path)
+                    .replace("{out}", str(out_path)) for a in args]
+            label = " ".join(args)
+            proc = subprocess.run([binary] + argv, capture_output=True)
+            errors = []
+            if proc.returncode == 0:
+                errors.append("exited 0, expected a rejection")
+            if message not in proc.stderr.decode(errors="replace"):
+                errors.append(f"stderr lacks {message!r}")
+            if out_path.exists():
+                errors.append(f"wrote {out_path.name}")
+                out_path.unlink()
+            failures.extend(f"{label}: {error}" for error in errors)
+            if not errors:
+                print(f"  ok   rejects {label}")
+
     if failures:
         print("aerctl_golden_test: FAILED:")
         for failure in failures:
             print(f"  - {failure}")
         return 1
     print(f"aerctl_golden_test: {'updated' if update else 'passed'} "
-          f"{len(CASES)} cases")
+          f"{len(CASES)} cases, {len(REJECTED_CASES)} rejected inputs")
     return 0
 
 

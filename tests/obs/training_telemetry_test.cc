@@ -1,7 +1,7 @@
 // Training-telemetry contract: collecting telemetry never perturbs the
 // trained policy (observation only — no extra RNG draws), and the published
 // aer_training_* snapshot is byte-identical whether the sweeps ran serially
-// or on a ParallelTrainer at any thread count (shards merge in catalog
+// or through TrainAll(pool) at any thread count (types merge in catalog
 // order, docs/OBSERVABILITY.md).
 #include "rl/telemetry.h"
 
@@ -14,7 +14,6 @@
 
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
-#include "rl/parallel_trainer.h"
 #include "rl/qlearning.h"
 #include "rl/selection_tree.h"
 
@@ -152,8 +151,8 @@ TEST(TrainingTelemetryTest, ParallelSnapshotsByteIdenticalToSerial) {
     EXPECT_FALSE(serial.empty());
     for (const int threads : {1, 2, 8}) {
       ThreadPool pool(threads);
-      const ParallelTrainer parallel(trainer, pool);
-      EXPECT_EQ(DeterministicSnapshot(parallel.TrainAll().per_type), serial)
+      EXPECT_EQ(DeterministicSnapshot(trainer.TrainAll(&pool).per_type),
+                serial)
           << "seed " << seed << ", " << threads
           << " threads: published telemetry diverged from serial";
     }
@@ -168,8 +167,7 @@ TEST(TrainingTelemetryTest, TreeTrainerTelemetryDeterministicAcrossThreads) {
   const std::string serial = DeterministicSnapshot(tree.TrainAll().per_type);
   for (const int threads : {2, 8}) {
     ThreadPool pool(threads);
-    const ParallelTrainer parallel(tree, pool);
-    EXPECT_EQ(DeterministicSnapshot(parallel.TrainAll().per_type), serial)
+    EXPECT_EQ(DeterministicSnapshot(tree.TrainAll(&pool).per_type), serial)
         << threads << " threads";
   }
 }

@@ -199,5 +199,21 @@ TEST(QLearningTrainerTest, EmptyTypeYieldsEmptyResult) {
   EXPECT_EQ(result.training_processes, 0);
 }
 
+TEST(QLearningTrainerDeathTest, RejectsNonPositiveSweepBudget) {
+  const TrainingFixture fx;
+  TrainerConfig zero = FastConfig();
+  zero.max_sweeps = 0;
+  EXPECT_DEATH(QLearningTrainer(fx.platform, fx.processes, zero),
+               "AER_CHECK_GT failed: config_.max_sweeps > 0");
+  TrainerConfig negative = FastConfig();
+  negative.max_sweeps = -5;
+  EXPECT_DEATH(QLearningTrainer(fx.platform, fx.processes, negative),
+               "AER_CHECK_GT failed: config_.max_sweeps > 0");
+  TrainerConfig negative_min = FastConfig();
+  negative_min.min_sweeps = -1;
+  EXPECT_DEATH(QLearningTrainer(fx.platform, fx.processes, negative_min),
+               "AER_CHECK_GE failed: config_.min_sweeps >= 0");
+}
+
 }  // namespace
 }  // namespace aer
