@@ -29,7 +29,6 @@
 #include "eval/experiment.h"
 #include "fleet/fleet_sim.h"
 #include "fleet/trace.h"
-#include "inject/harness.h"
 #include "log/log_report.h"
 #include "mining/symptom_clusters.h"
 #include "common/profiler.h"
@@ -305,25 +304,25 @@ int Diff(const Flags& flags) {
   return 0;
 }
 
-// Shared by `metrics` and `trace`: drives a guarded policy through scripted
-// incidents under fault injection with the registry (and, for `trace`, a
-// trace collector) attached. Fully deterministic for a given (seed,
-// incidents, clean) triple — the registry snapshot and the trace dump are
-// byte-identical across runs (docs/OBSERVABILITY.md), which is what makes
-// the output diffable.
+// Shared by `metrics`, `trace`, `timeseries` and `profile`: drives a guarded
+// policy through scripted incidents on a one-coordinator control plane under
+// fault injection (lost, late and duplicated monitoring reports, dispatches
+// and results, plus false success reports), with the registry (and, for
+// `trace`, a trace collector) attached. Fully deterministic for a given
+// (seed, incidents, clean) triple — the registry snapshot and the trace dump
+// are byte-identical across runs (docs/OBSERVABILITY.md), which is what
+// makes the output diffable.
 void RunObservedPipeline(const Flags& flags, obs::MetricsRegistry& metrics,
                          obs::TimeSeriesRecorder* recorder = nullptr,
                          obs::TraceCollector* traces = nullptr) {
   const int count = static_cast<int>(flags.GetInt("incidents", 40));
-  std::vector<HarnessIncident> incidents;
+  std::vector<ctrl::ControlIncident> incidents;
   const char* symptoms[] = {"Watchdog", "DiskError", "EventLog", "NicDown"};
   for (int i = 0; i < count; ++i) {
-    HarnessIncident incident;
-    incident.time = 100 + i * 700;
-    incident.machine = i % 7;
-    incident.symptom = symptoms[i % 4];
-    incident.cure_strength = i % kNumActions;
-    incidents.push_back(incident);
+    incidents.push_back({.time = 100 + i * 700,
+                         .machine = i % 7,
+                         .symptom = symptoms[i % 4],
+                         .cure_strength = i % kNumActions});
   }
 
   UserDefinedPolicy primary;
@@ -336,17 +335,17 @@ void RunObservedPipeline(const Flags& flags, obs::MetricsRegistry& metrics,
   manager_config.flap_threshold = 6;
   manager_config.flap_window = 12 * kHour;
 
-  HarnessConfig harness_config;
-  harness_config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
+  ctrl::ControlHarnessConfig config = ctrl::OneCoordinatorConfig();
+  config.net.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
   if (!flags.Has("clean")) {
-    harness_config.drop_event = 0.2;
-    harness_config.duplicate_event = 0.1;
-    harness_config.delay_event = 0.2;
-    harness_config.hang_action = 0.1;
-    harness_config.false_success = 0.1;
+    config.net.drop_machine_hop = 0.2;
+    config.net.duplicate_machine_hop = 0.1;
+    config.net.delay_machine_hop = 0.2;
+    config.net.false_success = 0.1;
   }
 
-  InjectionHarness harness(guard, manager_config, harness_config);
+  ctrl::ControlPlaneHarness harness(guard, manager_config, config,
+                                    NetFaultScript{});
   harness.SetObservers(traces, &metrics);
   harness.SetTimeSeries(recorder);
   harness.Run(incidents);
@@ -413,11 +412,12 @@ int Metrics(const Flags& flags) {
   return 0;
 }
 
-// `trace --dag|--critical-path|--chrome` drives the distributed control
-// plane (src/ctrl) instead of the event-level pipeline: a compressed-time
-// cluster cures three scripted incidents while node 0 crashes mid-recovery
-// and later restarts, so the collected causal DAG exercises dispatch,
-// execution, timeout, takeover adoption, and the leadership overlay.
+// `trace --dag|--critical-path|--chrome` drives a --cluster-sized control
+// plane (default 3) instead of the one-coordinator pipeline: a
+// compressed-time cluster cures three scripted incidents while node 0
+// crashes mid-recovery and later restarts, so the collected causal DAG
+// exercises dispatch, execution, timeout, takeover adoption, and the
+// leadership overlay.
 // Fully deterministic for a given (--cluster, --seed) pair — the DAG text,
 // the critical-path attribution, and the Chrome trace JSON are byte-
 // identical across runs (the golden CLI tests pin them).

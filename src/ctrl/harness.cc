@@ -23,6 +23,18 @@ void AddStats(Coordinator::Stats& into, const Coordinator::Stats& from) {
 
 }  // namespace
 
+ControlHarnessConfig OneCoordinatorConfig() {
+  ControlHarnessConfig config;
+  config.cluster_size = 1;
+  config.tick_interval = 60;
+  config.coordinator.lease.lease_duration = 6 * 60;
+  config.coordinator.membership.suspect_after = 3 * 60;
+  config.coordinator.membership.evict_after = 12 * 60;
+  config.coordinator.election_retry = 2 * 60;
+  config.net.max_delay = 2 * 60;
+  return config;
+}
+
 struct ControlPlaneHarness::Event {
   enum class Kind : int {
     kIncident = 0,        // a machine falls sick
@@ -49,6 +61,8 @@ struct ControlPlaneHarness::Event {
   // produces carry the flag so the critical-path analyzer never
   // double-counts stages.
   bool duplicate = false;
+  // A symptom report the machine network delivered late.
+  bool delayed = false;
 };
 
 ControlPlaneHarness::ControlPlaneHarness(RecoveryPolicy& policy,
@@ -64,9 +78,14 @@ ControlPlaneHarness::ControlPlaneHarness(RecoveryPolicy& policy,
   AER_CHECK_GT(config_.tick_interval, 0);
   AER_CHECK_GT(config_.net_latency, 0);
   AER_CHECK_GT(config_.reemit_interval, 0);
-  if (!script.crashes.empty()) {
-    // A crashed issuer never hears its in-flight results; without timeouts
-    // those processes would be stuck forever.
+  for (const NodeCrash& crash : script.crashes) {
+    AER_CHECK_LT(crash.node, config_.cluster_size)
+        << "scripted crash names a node outside the cluster";
+  }
+  if (!script.crashes.empty() || config_.net.drop_machine_hop > 0.0) {
+    // A crashed issuer never hears its in-flight results, and a dropped
+    // dispatch never runs; without timeouts those processes would be stuck
+    // forever.
     AER_CHECK_GT(manager_config_.action_timeout, 0);
   }
   coordinators_.resize(static_cast<std::size_t>(config_.cluster_size));
@@ -310,6 +329,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
     }
     result.audit = auditor_.report();
     result.net = net_.stats();
+    if (timeseries_) timeseries_->Finish(result.end_time);
   };
 
   while (!queue.empty()) {
@@ -325,6 +345,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
       --ticks_pending[static_cast<std::size_t>(event.node)];
     }
     result.end_time = event.time;
+    if (timeseries_) timeseries_->AdvanceTo(event.time);
     ApplyTransitions(event.time);
 
     switch (event.kind) {
@@ -374,15 +395,37 @@ ControlHarnessResult ControlPlaneHarness::Run(
       case Event::Kind::kReemit: {
         const MachineState& machine = machines_[event.machine];
         if (!machine.sick) break;  // cured: the chain ends
-        // Monitoring broadcasts the symptom to every coordinator; a down
-        // node simply misses this round.
+        // Monitoring broadcasts the symptom to every coordinator over the
+        // machine network; a down node simply misses this round, and a
+        // lost report is re-detected by the next re-emit.
         for (NodeId node = 0; node < config_.cluster_size; ++node) {
+          const NetPerturber::Routing routing =
+              net_.RouteMachineHop(event.time, config_.net_latency);
+          if (!routing.deliver) {
+            if (traces_) {
+              obs::TraceRecord trace;
+              trace.trace_id = machine.trace;
+              trace.time = event.time;
+              trace.kind = obs::TraceEventKind::kMessageDrop;
+              trace.machine = event.machine;
+              trace.node = node;
+              trace.detail = "dropped";
+              traces_->Record(std::move(trace));
+            }
+            continue;
+          }
           Event deliver;
           deliver.kind = Event::Kind::kSymptomDeliver;
-          deliver.time = event.time + config_.net_latency;
+          deliver.time = routing.at;
           deliver.machine = event.machine;
           deliver.node = node;
-          push(std::move(deliver));
+          deliver.delayed = routing.at > event.time + config_.net_latency;
+          push(deliver);
+          if (routing.duplicated) {
+            deliver.time = routing.duplicate_at;
+            deliver.duplicate = true;
+            push(std::move(deliver));
+          }
         }
         Event next;
         next.kind = Event::Kind::kReemit;
@@ -405,7 +448,8 @@ ControlHarnessResult ControlPlaneHarness::Run(
           trace.kind = obs::TraceEventKind::kSymptom;
           trace.machine = event.machine;
           trace.node = event.node;
-          trace.detail = machine.symptom;
+          trace.duplicate = event.duplicate;
+          trace.detail = event.delayed ? "delayed" : machine.symptom;
           traces_->Record(std::move(trace));
         }
         process_output(event.time,
@@ -504,6 +548,11 @@ ControlHarnessResult ControlPlaneHarness::Run(
                            dispatch.action == RepairAction::kRma ||
                            ActionStrength(dispatch.action) >=
                                machine.cure_strength;
+        // RMA never lies: the false-success arm only hits weaker actions
+        // that left the machine sick. The machine's re-emit chain is still
+        // alive, so the next report reopens the falsely closed process.
+        const bool healthy = cured || (dispatch.action != RepairAction::kRma &&
+                                       net_.FalseSuccess());
         const auto trace_hop = [this, &event, &dispatch](
                                    obs::TraceEventKind kind,
                                    std::string detail) {
@@ -521,7 +570,10 @@ ControlHarnessResult ControlPlaneHarness::Run(
           trace.detail = std::move(detail);
           traces_->Record(std::move(trace));
         };
-        trace_hop(obs::TraceEventKind::kActionDone, cured ? "cured" : "sick");
+        trace_hop(obs::TraceEventKind::kActionDone,
+                  cured     ? "cured"
+                  : healthy ? "false_success"
+                            : "sick");
         if (cured && machine.sick) {
           machine.sick = false;
           machine.cure_strength = 0;
@@ -541,7 +593,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
         report.kind = Event::Kind::kResultDeliver;
         report.time = routing.at;
         report.dispatch = dispatch;
-        report.healthy = cured;
+        report.healthy = healthy;
         report.duplicate = event.duplicate;
         push(std::move(report));
         if (routing.duplicated) {
@@ -549,7 +601,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
           dup.kind = Event::Kind::kResultDeliver;
           dup.time = routing.duplicate_at;
           dup.dispatch = dispatch;
-          dup.healthy = cured;
+          dup.healthy = healthy;
           dup.duplicate = true;
           push(std::move(dup));
         }

@@ -1,8 +1,12 @@
 // ControlPlaneHarness — the deterministic simulation that closes the loop
 // around the distributed control plane: N coordinators (src/ctrl), a fleet
 // of machines with scripted incidents, and a NetPerturber (src/inject)
-// sitting on every coordinator-to-coordinator link injecting crashes,
-// restarts, partitions, and message-level faults.
+// sitting on every coordinator-to-coordinator link and every machine hop,
+// injecting crashes, restarts, partitions, and message-level faults. It is
+// the repo's one fault-injection harness: with cluster_size = 1 it drives a
+// single RecoveryManager through lost, late and duplicated monitoring
+// reports, lost dispatches (hung actions), lost results and false success
+// reports (docs/ROBUSTNESS.md).
 //
 // One global event queue ordered by (sim-time, FIFO seq) drives everything;
 // all randomness flows through the perturber's seeded Rng, and no RNG is
@@ -16,14 +20,16 @@
 // rejected and audited), and reports each result only to the action's
 // issuer — a crashed or deposed issuer simply never hears it, and the
 // manager's timeout/N-cap machinery plus the symptom re-emit chain are what
-// rescue the process, exactly as in the event-level InjectionHarness.
+// rescue the process.
 //
-// Termination is provable, not hopeful: RMA always cures, the N-cap forces
-// it eventually, re-emits re-detect anything lost, leaders poll timeouts
-// every tick, and a hard event budget converts any residual loop into a
-// reported failure (all_completed = false) instead of a hang. Ticks shut
-// down once the fleet is healthy, no work is in flight, and no open or
-// replicated process remains unowned, so the queue drains on its own.
+// Termination is provable, not hopeful: RMA always cures and never lies,
+// the N-cap forces it eventually, a lost RMA dispatch is re-issued after its
+// timeout, re-emits re-detect anything lost or falsely reported healthy,
+// leaders poll timeouts every tick, and a hard event budget converts any
+// residual loop into a reported failure (all_completed = false) instead of
+// a hang. Ticks shut down once the fleet is healthy, no work is in flight,
+// and no open or replicated process remains unowned, so the queue drains on
+// its own.
 #ifndef AER_CTRL_HARNESS_H_
 #define AER_CTRL_HARNESS_H_
 
@@ -40,14 +46,14 @@
 #include "ctrl/fence.h"
 #include "ctrl/message.h"
 #include "inject/net_perturber.h"
+#include "obs/timeseries.h"
 #include "obs/trace_collector.h"
 #include "obs/trace_context.h"
 
 namespace aer::ctrl {
 
-// One scripted fleet failure, same shape as the event-level harness's: at
-// `time`, `machine` falls sick with `symptom` until an action of index
-// >= `cure_strength` executes (RMA always cures).
+// One scripted fleet failure: at `time`, `machine` falls sick with `symptom`
+// until an action of index >= `cure_strength` executes (RMA always cures).
 struct ControlIncident {
   SimTime time = 0;
   MachineId machine = 0;
@@ -64,10 +70,13 @@ struct ControlHarnessConfig {
   SimTime reemit_interval = 15 * 60;
   std::array<SimTime, kNumActions> action_duration = {60, 900, 2 * kHour,
                                                       8 * kHour};
+  // Hard stop: a run that processes more events than this is declared hung
+  // (all_completed = false) instead of looping forever.
   std::size_t max_events = 2'000'000;
   CoordinatorConfig coordinator;
-  // Message-level injection arms + seed; scripted crashes/partitions come
-  // from the NetFaultScript passed to Run().
+  // Message-level injection arms + seed (coordinator links, machine hops,
+  // false success); scripted crashes/partitions come from the
+  // NetFaultScript passed to the constructor.
   NetPerturbConfig net;
 
   // Scripted dispatch delays: the dispatch_index-th dispatch of the run
@@ -80,6 +89,13 @@ struct ControlHarnessConfig {
   };
   std::vector<DispatchDelay> dispatch_delays;
 };
+
+// The one-coordinator setup that stands in for a single recovery service
+// (cluster_size = 1): a one-minute tick with lease, suspicion, eviction and
+// election retry scaled to it (6, 3, 12 and 2 ticks), and machine-hop delays
+// of up to two ticks. Hours-long repairs under hours-long action timeouts
+// then cost few protocol events, so runs stay far inside max_events.
+ControlHarnessConfig OneCoordinatorConfig();
 
 // Where and when one action actually ran — the cross-cluster-size
 // determinism surface ((machine, action) only; epochs differ by design
@@ -135,9 +151,10 @@ class ControlPlaneHarness {
  public:
   // `policy` must outlive the harness and is shared by every coordinator's
   // manager (so a GuardedPolicy's breaker state survives takeovers, same as
-  // a shared policy service would). `manager_config.action_timeout` must be
-  // > 0 whenever the script crashes nodes: a lost result is otherwise
-  // unrecoverable.
+  // a shared policy service would). Every scripted crash must name a node
+  // below `config.cluster_size`. `manager_config.action_timeout` must be
+  // > 0 whenever the script crashes nodes or machine hops can drop: a lost
+  // dispatch or result is otherwise unrecoverable.
   ControlPlaneHarness(RecoveryPolicy& policy,
                       RecoveryManagerConfig manager_config,
                       ControlHarnessConfig config, NetFaultScript script);
@@ -153,6 +170,14 @@ class ControlPlaneHarness {
   // disables tracing with zero behavioral difference.
   void SetObservers(obs::TraceCollector* traces,
                     obs::MetricsRegistry* metrics);
+
+  // Attaches a time-series recorder (may be null; must outlive the
+  // harness). Run() advances it to each event's sim time before processing
+  // the event and finishes it at the final event time, so window deltas
+  // line up with sim-time boundaries.
+  void SetTimeSeries(obs::TimeSeriesRecorder* recorder) {
+    timeseries_ = recorder;
+  }
 
   // Runs all incidents to quiescence (or the event budget). Callable once.
   ControlHarnessResult Run(const std::vector<ControlIncident>& incidents);
@@ -206,6 +231,7 @@ class ControlPlaneHarness {
   obs::TraceCollector* traces_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* stale_rejected_metric_ = nullptr;
+  obs::TimeSeriesRecorder* timeseries_ = nullptr;
 };
 
 }  // namespace aer::ctrl

@@ -27,6 +27,8 @@ NetPerturber::NetPerturber(NetPerturbConfig config, NetFaultScript script)
   AER_CHECK_LE(config_.delay_machine_hop, 1.0);
   AER_CHECK_GE(config_.duplicate_machine_hop, 0.0);
   AER_CHECK_LE(config_.duplicate_machine_hop, 1.0);
+  AER_CHECK_GE(config_.false_success, 0.0);
+  AER_CHECK_LE(config_.false_success, 1.0);
   AER_CHECK_GT(config_.max_delay, 0);
 
   int order = 0;
@@ -84,6 +86,23 @@ void NetPerturber::SetMetrics(obs::MetricsRegistry* metrics) {
       &metrics->GetCounter("aer_inject_partitions_started_total");
   obs_.partitions_healed =
       &metrics->GetCounter("aer_inject_partitions_healed_total");
+  // Machine-side arms register only while enabled (see SetMetrics docs).
+  if (config_.drop_machine_hop > 0.0) {
+    obs_.machine_drops =
+        &metrics->GetCounter("aer_inject_events_dropped_total");
+  }
+  if (config_.delay_machine_hop > 0.0) {
+    obs_.machine_delays =
+        &metrics->GetCounter("aer_inject_events_delayed_total");
+  }
+  if (config_.duplicate_machine_hop > 0.0) {
+    obs_.machine_duplicates =
+        &metrics->GetCounter("aer_inject_events_duplicated_total");
+  }
+  if (config_.false_success > 0.0) {
+    obs_.false_successes =
+        &metrics->GetCounter("aer_inject_false_successes_total");
+  }
 }
 
 void NetPerturber::Apply(const NetTransition& transition) {
@@ -193,20 +212,32 @@ NetPerturber::Routing NetPerturber::RouteMachineHop(SimTime now,
       rng_.NextBool(config_.drop_machine_hop)) {
     routing.deliver = false;
     ++stats_.machine_drops;
+    if (obs_.machine_drops) obs_.machine_drops->Inc();
     return routing;
   }
   if (config_.delay_machine_hop > 0.0 &&
       rng_.NextBool(config_.delay_machine_hop)) {
     routing.at += rng_.NextInt(1, config_.max_delay);
     ++stats_.machine_delays;
+    if (obs_.machine_delays) obs_.machine_delays->Inc();
   }
   if (config_.duplicate_machine_hop > 0.0 &&
       rng_.NextBool(config_.duplicate_machine_hop)) {
     routing.duplicated = true;
     routing.duplicate_at = routing.at + rng_.NextInt(1, config_.max_delay);
     ++stats_.machine_duplicates;
+    if (obs_.machine_duplicates) obs_.machine_duplicates->Inc();
   }
   return routing;
+}
+
+bool NetPerturber::FalseSuccess() {
+  if (config_.false_success <= 0.0 || !rng_.NextBool(config_.false_success)) {
+    return false;
+  }
+  ++stats_.false_successes;
+  if (obs_.false_successes) obs_.false_successes->Inc();
+  return true;
 }
 
 }  // namespace aer

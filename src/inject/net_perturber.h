@@ -1,18 +1,20 @@
 // NetPerturber — deterministic network- and node-fault injection for a small
-// set of control-plane nodes (coordinators), addressed by dense integer ids.
-// It is the control-plane counterpart of the event/log perturbers: the ctrl
-// layer routes every coordinator-to-coordinator message through Route(),
-// and drives scripted node crashes/restarts and link partitions through
-// AdvanceTo().
+// set of control-plane nodes (coordinators), addressed by dense integer ids,
+// and for the hops between those nodes and fleet machines. The ctrl layer
+// routes every coordinator-to-coordinator message through Route(), every
+// machine hop (monitoring reports, dispatches, results) through
+// RouteMachineHop(), and drives scripted node crashes/restarts and link
+// partitions through AdvanceTo().
 //
 // Two fault families:
 //   - Scripted (exact sim-times, declared up front): node crash/restart and
 //     symmetric or asymmetric link partitions between node groups. These
 //     model the scenarios the control plane must provably survive
 //     (docs/CONTROL_PLANE.md failure matrix).
-//   - Probabilistic (seeded): per-message drop / delay / duplication, the
-//     same arms the event-level InjectionHarness applies to symptom
-//     traffic, here applied to heartbeats, votes, and replication.
+//   - Probabilistic (seeded): per-message drop / delay / duplication on
+//     coordinator links (heartbeats, votes, replication) and, separately, on
+//     machine hops, plus one machine-side arm: a non-curing action that
+//     reports success anyway (FalseSuccess()).
 //
 // The perturber knows nothing about message contents or the ctrl layer —
 // it operates on (from, to) node-id pairs only, which is what keeps it in
@@ -64,12 +66,18 @@ struct NetPerturbConfig {
   SimTime max_delay = 10;
 
   // Machine-network arms, applied by RouteMachineHop() to the hops between
-  // the control plane and fleet machines (dispatches, results). Defaults
-  // keep the machine network reliable — and consume no RNG — so enabling
-  // coordinator-link chaos alone reproduces historical runs byte-for-byte.
+  // the control plane and fleet machines (symptom reports, dispatches,
+  // results). Defaults keep the machine network reliable — and consume no
+  // RNG — so enabling coordinator-link chaos alone reproduces historical
+  // runs byte-for-byte. A dropped dispatch is the hung action of the
+  // degradation ladder: the machine never runs it and the issuer hears
+  // nothing until its timeout.
   double drop_machine_hop = 0.0;
   double delay_machine_hop = 0.0;
   double duplicate_machine_hop = 0.0;
+  // A non-curing, non-RMA action reports healthy anyway (drawn by
+  // FalseSuccess(); no RNG while 0).
+  double false_success = 0.0;
 };
 
 // A transition AdvanceTo() applied while catching up to `now`.
@@ -92,8 +100,12 @@ class NetPerturber {
 
   // Attaches the metrics registry (may be null; must outlive the
   // perturber). Injection counts mirror into aer_inject_net_* /
-  // aer_inject_partitions_* / aer_inject_coordinator_* metrics; the control
-  // plane harness records crashes and restarts as trace records.
+  // aer_inject_partitions_* / aer_inject_coordinator_* metrics. The
+  // machine-side arms mirror into aer_inject_events_*_total and
+  // aer_inject_false_successes_total, each registered only while its arm is
+  // enabled, so an arms-off run exports the same registry as before the
+  // arms existed. The control plane harness records crashes and restarts as
+  // trace records.
   void SetMetrics(obs::MetricsRegistry* metrics);
 
   // Applies every scripted transition with time <= now (in time order,
@@ -123,12 +135,17 @@ class NetPerturber {
   // consume RNG only when enabled.
   Routing RouteMachineHop(SimTime now, SimTime base_latency);
 
+  // Whether a non-curing, non-RMA action that just finished reports healthy
+  // anyway. Draws RNG only while the false_success arm is enabled.
+  bool FalseSuccess();
+
   struct Stats {
     std::int64_t messages_routed = 0;
     std::int64_t machine_hops_routed = 0;
     std::int64_t machine_drops = 0;
     std::int64_t machine_delays = 0;
     std::int64_t machine_duplicates = 0;
+    std::int64_t false_successes = 0;
     std::int64_t partition_drops = 0;  // closed link or down endpoint
     std::int64_t random_drops = 0;
     std::int64_t delays = 0;
@@ -167,6 +184,10 @@ class NetPerturber {
     obs::Counter* restarts = nullptr;
     obs::Counter* partitions_started = nullptr;
     obs::Counter* partitions_healed = nullptr;
+    obs::Counter* machine_drops = nullptr;
+    obs::Counter* machine_delays = nullptr;
+    obs::Counter* machine_duplicates = nullptr;
+    obs::Counter* false_successes = nullptr;
   };
   ObsMetrics obs_;
 };

@@ -6,6 +6,7 @@
 
 #include "common/string_util.h"
 #include "obs/metrics.h"
+#include "obs/trace_dag.h"
 
 namespace aer::obs {
 
@@ -278,35 +279,20 @@ struct Walker {
 
 std::vector<CriticalPath> AnalyzeCriticalPaths(
     const std::vector<TraceRecord>& records) {
-  std::vector<TraceRecord> globals;
-  for (const TraceRecord& r : records) {
-    if (r.trace_id == kNoTrace) globals.push_back(r);
-  }
-  const GlobalOverlay overlay = BuildOverlay(globals);
-
-  // Group per trace in first-appearance order (records are already in
-  // canonical collector order).
-  std::vector<TraceId> order;
-  std::map<TraceId, std::vector<const TraceRecord*>> by_trace;
-  for (const TraceRecord& r : records) {
-    if (r.trace_id == kNoTrace) continue;
-    auto& list = by_trace[r.trace_id];
-    if (list.empty()) order.push_back(r.trace_id);
-    list.push_back(&r);
-  }
-
+  const TraceDag dag = BuildTraceDag(records);
+  const GlobalOverlay overlay = BuildOverlay(dag.global_events);
   std::vector<CriticalPath> paths;
-  paths.reserve(order.size());
-  for (const TraceId trace_id : order) {
-    const auto& list = by_trace[trace_id];
+  paths.reserve(dag.processes.size());
+  for (const TraceProcess& process : dag.processes) {
+    const TraceRecord& first = process.nodes.front().record;
     Walker walker(overlay);
-    walker.path.trace_id = trace_id;
-    walker.path.machine = list.front()->machine;
-    walker.path.truncated = list.front()->kind != TraceEventKind::kIncident;
-    walker.path.start = list.front()->time;
-    walker.path.end = list.front()->time;
-    walker.cursor = list.front()->time;
-    for (const TraceRecord* r : list) walker.Step(*r);
+    walker.path.trace_id = process.trace_id;
+    walker.path.machine = first.machine;
+    walker.path.truncated = process.truncated;
+    walker.path.start = first.time;
+    walker.path.end = first.time;
+    walker.cursor = first.time;
+    for (const TraceDagNode& node : process.nodes) walker.Step(node.record);
     paths.push_back(std::move(walker.path));
   }
   return paths;

@@ -89,8 +89,8 @@ struct CriticalPath {
   }
 };
 
-// One CriticalPath per traced process in `records` (collector snapshot
-// order). Uncured processes get the attribution up to their last on-path
+// One CriticalPath per process of BuildTraceDag(records), in the same
+// order. Uncured processes get the attribution up to their last on-path
 // event with cured == false.
 std::vector<CriticalPath> AnalyzeCriticalPaths(
     const std::vector<TraceRecord>& records);

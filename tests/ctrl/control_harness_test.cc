@@ -291,5 +291,16 @@ TEST(ControlHarnessTest, SameSeedReproducesByteIdenticalRuns) {
   EXPECT_EQ(a.events_processed, b.events_processed);
 }
 
+// Scripted crashes index per-node state: a node id outside the cluster (a
+// 3-node script reused on one coordinator) is refused up front.
+TEST(ControlHarnessDeathTest, ScriptedCrashOutsideTheClusterIsRefused) {
+  UserDefinedPolicy policy;
+  NetFaultScript script;
+  script.crashes.push_back({72, 5, 300});
+  EXPECT_DEATH(ControlPlaneHarness(policy, ManagerConfig(), FastConfig(1),
+                                   script),
+               "scripted crash names a node outside the cluster");
+}
+
 }  // namespace
 }  // namespace aer::ctrl

@@ -16,7 +16,6 @@
 #include "ctrl/harness.h"
 #include "fleet/fleet_sim.h"
 #include "fleet/trace.h"
-#include "inject/harness.h"
 #include "inject/net_perturber.h"
 #include "mining/error_type.h"
 #include "obs/critical_path.h"
@@ -74,30 +73,33 @@ TEST(MetricNamesTest, GuardedPolicyRegistersFrozenSet) {
   EXPECT_EQ(Sorted(registry.Names()), expected);
 }
 
-TEST(MetricNamesTest, InjectionHarnessRegistersFrozenSet) {
+TEST(MetricNamesTest, NetPerturberArmsRegisterFrozenSet) {
+  // The machine-side arms register their counters only while enabled, so
+  // this is the perturber's full set; the arms-off set is pinned by
+  // ControlPlaneHarnessRegistersFrozenSet below.
   obs::MetricsRegistry registry;
-  UserDefinedPolicy policy;
-  InjectionHarness harness(policy, RecoveryManagerConfig{}, HarnessConfig{});
-  harness.SetObservers(nullptr, &registry);
-  // The harness forwards to its internal RecoveryManager, so its set is the
-  // aer_inject_* names plus the manager's.
-  const std::vector<std::string> expected_inject = {
-      "aer_inject_cures_total",
+  NetPerturbConfig config;
+  config.drop_machine_hop = 0.2;
+  config.delay_machine_hop = 0.2;
+  config.duplicate_machine_hop = 0.2;
+  config.false_success = 0.2;
+  NetPerturber perturber(config, NetFaultScript{});
+  perturber.SetMetrics(&registry);
+  const std::vector<std::string> expected = {
+      "aer_inject_coordinator_crashes_total",
+      "aer_inject_coordinator_restarts_total",
       "aer_inject_events_delayed_total",
       "aer_inject_events_dropped_total",
       "aer_inject_events_duplicated_total",
       "aer_inject_false_successes_total",
-      "aer_inject_hangs_total",
-      "aer_inject_incidents_total",
-      "aer_inject_reorder_depth",
+      "aer_inject_net_msgs_delayed_total",
+      "aer_inject_net_msgs_dropped_total",
+      "aer_inject_net_msgs_duplicated_total",
+      "aer_inject_net_partition_drops_total",
+      "aer_inject_partitions_healed_total",
+      "aer_inject_partitions_started_total",
   };
-  std::vector<std::string> inject_names;
-  for (const std::string& name : registry.Names()) {
-    if (name.rfind("aer_inject_", 0) == 0) inject_names.push_back(name);
-    else EXPECT_EQ(name.rfind("aer_recovery_", 0), 0u) << name;
-  }
-  EXPECT_EQ(Sorted(inject_names), expected_inject);
-  EXPECT_EQ(registry.size(), expected_inject.size() + 13);
+  EXPECT_EQ(Sorted(registry.Names()), expected);
 }
 
 TEST(MetricNamesTest, ControlPlaneHarnessRegistersFrozenSet) {
@@ -256,10 +258,14 @@ TEST(MetricNamesTest, AllFrozenNamesAreValid) {
   UserDefinedPolicy fallback;
   GuardedPolicy guard(primary, fallback);
   guard.SetObservers(nullptr, &registry);
-  InjectionHarness harness(guard, RecoveryManagerConfig{}, HarnessConfig{});
-  harness.SetObservers(nullptr, &registry);
-  ctrl::ControlPlaneHarness ctrl_harness(fallback, RecoveryManagerConfig{},
-                                         ctrl::ControlHarnessConfig{},
+  ctrl::ControlHarnessConfig ctrl_config;
+  ctrl_config.net.drop_machine_hop = 0.2;
+  ctrl_config.net.delay_machine_hop = 0.2;
+  ctrl_config.net.duplicate_machine_hop = 0.2;
+  ctrl_config.net.false_success = 0.2;
+  RecoveryManagerConfig manager_config;
+  manager_config.action_timeout = 10 * kHour;
+  ctrl::ControlPlaneHarness ctrl_harness(guard, manager_config, ctrl_config,
                                          NetFaultScript{});
   ctrl_harness.SetObservers(nullptr, &registry);
   PublishTrainingTelemetry(registry, {});

@@ -13,9 +13,9 @@
 #include "core/guarded_policy.h"
 #include "core/policy_generator.h"
 #include "core/recovery_manager.h"
+#include "ctrl/harness.h"
 #include "fleet/fleet_sim.h"
 #include "fleet/trace.h"
-#include "inject/harness.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -26,23 +26,21 @@ namespace aer {
 namespace {
 
 // One instrumented fault-injection run: scripted incidents through a
-// GuardedPolicy into an InjectionHarness with every fault class enabled.
-// Mirrors the pipeline behind `aerctl metrics` / `aerctl trace`.
+// GuardedPolicy into a one-coordinator ControlPlaneHarness with every fault
+// arm enabled. Mirrors the pipeline behind `aerctl metrics` / `aerctl trace`.
 struct ObservedRun {
   std::string metrics_text;
   std::string trace_text;
 };
 
 ObservedRun RunObservedHarness(std::uint64_t seed) {
-  std::vector<HarnessIncident> incidents;
+  std::vector<ctrl::ControlIncident> incidents;
   const char* symptoms[] = {"Watchdog", "DiskError", "EventLog", "NicDown"};
   for (int i = 0; i < 30; ++i) {
-    HarnessIncident incident;
-    incident.time = 100 + i * 700;
-    incident.machine = i % 5;
-    incident.symptom = symptoms[i % 4];
-    incident.cure_strength = i % kNumActions;
-    incidents.push_back(incident);
+    incidents.push_back({.time = 100 + i * 700,
+                         .machine = i % 5,
+                         .symptom = symptoms[i % 4],
+                         .cure_strength = i % kNumActions});
   }
 
   UserDefinedPolicy primary;
@@ -50,18 +48,18 @@ ObservedRun RunObservedHarness(std::uint64_t seed) {
   GuardedPolicy guard(primary, fallback);
   RecoveryManagerConfig manager_config;
   manager_config.action_timeout = 10 * kHour;
-  HarnessConfig harness_config;
-  harness_config.seed = seed;
-  harness_config.drop_event = 0.2;
-  harness_config.duplicate_event = 0.1;
-  harness_config.delay_event = 0.2;
-  harness_config.hang_action = 0.1;
-  harness_config.false_success = 0.1;
+  ctrl::ControlHarnessConfig harness_config = ctrl::OneCoordinatorConfig();
+  harness_config.net.seed = seed;
+  harness_config.net.drop_machine_hop = 0.2;
+  harness_config.net.duplicate_machine_hop = 0.1;
+  harness_config.net.delay_machine_hop = 0.2;
+  harness_config.net.false_success = 0.1;
 
   obs::TraceCollector traces;
   obs::MetricsRegistry metrics;
   guard.SetObservers(&traces, &metrics);
-  InjectionHarness harness(guard, manager_config, harness_config);
+  ctrl::ControlPlaneHarness harness(guard, manager_config, harness_config,
+                                    NetFaultScript{});
   harness.SetObservers(&traces, &metrics);
   harness.Run(incidents);
 

@@ -52,7 +52,14 @@ trips them):
                     undocumented one silently grows the catalog. This rule
                     matches the raw source (names live inside string
                     literals); tests are exempt — their throwaway
-                    aer_test_* names are not catalog entries.
+                    aer_test_* names are not catalog entries. In the other
+                    direction, on a whole-tree run, every name in the
+                    "Metric catalog (frozen)" section must be registered by
+                    some src/ or bench/ literal, so a deleted metric cannot
+                    linger in the doc. The per-stage
+                    aer_trace_stage_<name>_seconds histograms, built by
+                    TraceStageMetricName, count as registered through their
+                    documented `stage:<name>` tokens.
   stage-catalog     Every critical-path stage name wrapped in
                     AER_TRACE_STAGE("...") (src/obs/critical_path.*) must
                     appear as a `stage:<name>` token in the frozen stage
@@ -147,6 +154,12 @@ METRIC_CATALOG_SCOPES = ("src/", "bench/")
 METRIC_REGISTRATION = re.compile(
     r'\bGet(?:Counter|Gauge|Histogram|Stat)\s*\(\s*"(aer_[a-z0-9_]*)"')
 METRIC_CATALOG_DOC = "docs/OBSERVABILITY.md"
+# The frozen catalog section of the doc (up to the next level-2 heading) and
+# the full metric names in it; a `<placeholder>` suffix is not a name.
+METRIC_CATALOG_SECTION = re.compile(
+    r"^## Metric catalog \(frozen\)\n(.*?)(?=^## |\Z)", re.M | re.S)
+CATALOG_NAME = re.compile(r"\baer_[a-z0-9_]+\b(?!<)")
+STAGE_METRIC = "aer_trace_stage_{}_seconds"
 
 # Critical-path stage names are frozen the same way metric names are: every
 # name wrapped in AER_TRACE_STAGE("...") must appear as a `stage:<name>`
@@ -250,6 +263,8 @@ class Linter:
         self.findings: list[str] = []
         self._catalog: set[str] | None | bool = False  # False = not loaded
         self._stages: set[str] | None | bool = False   # False = not loaded
+        # Every aer_* name a linted src/ or bench/ literal registers.
+        self.registered: set[str] = set()
 
     def catalog_names(self) -> set[str] | None:
         """The aer_* names documented in docs/OBSERVABILITY.md, or None if
@@ -350,6 +365,7 @@ class Linter:
             return
         for m in METRIC_REGISTRATION.finditer(text):
             name = m.group(1)
+            self.registered.add(name)
             if name in catalog:
                 continue
             lineno = text.count("\n", 0, m.start()) + 1
@@ -364,6 +380,31 @@ class Linter:
                 f"frozen catalog in {METRIC_CATALOG_DOC}; document it (and "
                 f"update tests/obs/metric_names_test.cc) in the same change",
                 allows)
+
+    def lint_catalog_coverage(self) -> None:
+        """Reverse metric-catalog check, valid only after linting the whole
+        tree: each name in the frozen catalog section must be registered."""
+        stages = self.stage_names()
+        if stages is None:
+            return
+        doc = self.root / METRIC_CATALOG_DOC
+        text = doc.read_text(encoding="utf-8")
+        section = METRIC_CATALOG_SECTION.search(text)
+        if section is None:
+            return
+        registered = self.registered | {STAGE_METRIC.format(s) for s in stages}
+        reported: set[str] = set()
+        for m in CATALOG_NAME.finditer(section.group(1)):
+            name = m.group(0)
+            if name in registered or name in reported:
+                continue
+            reported.add(name)
+            lineno = text.count("\n", 0, section.start(1) + m.start()) + 1
+            self.report(
+                doc, lineno, "metric-catalog",
+                f"metric '{name}' is in the frozen catalog but no src/ or "
+                f"bench/ code registers it; remove it from the catalog (and "
+                f"tests/obs/metric_names_test.cc) in the same change", {})
 
     def lint_stage_catalog(self, path: Path, text: str,
                            allows: dict[int, set[str]]) -> None:
@@ -478,6 +519,8 @@ def main(argv: list[str]) -> int:
     linter = Linter(root)
     for path in collect_files(root, opts.files):
         linter.lint_file(path)
+    if not opts.files:
+        linter.lint_catalog_coverage()
 
     for finding in linter.findings:
         print(finding)

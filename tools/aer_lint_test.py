@@ -352,6 +352,44 @@ class AerLintTest(unittest.TestCase):
             'metrics.GetCounter("aer_recovery_whatever_total");\n')
         self.assertEqual(findings, [])
 
+    def test_unregistered_catalog_name_flagged(self):
+        # The reverse direction: a frozen-catalog name no src/ or bench/
+        # literal registers is a finding on the doc line. Stage histograms
+        # count as registered through their `stage:<name>` tokens, and names
+        # outside the frozen section are not catalog entries.
+        doc = self.repo.root / "docs/OBSERVABILITY.md"
+        doc.parent.mkdir(parents=True, exist_ok=True)
+        doc.write_text(
+            "# Observability\n\n"
+            "See `aer_inject_incidents_total_delta` below.\n\n"
+            "## Metric catalog (frozen)\n\n"
+            "- `aer_recovery_processes_total` — counter\n"
+            "- `aer_inject_hangs_total` — counter\n"
+            "- `aer_trace_stage_<name>_seconds`: "
+            "`aer_trace_stage_detect_seconds`\n\n"
+            "## Critical-path stages\n\n"
+            "`stage:detect`, `aer_ts_unregistered_total`\n",
+            encoding="utf-8")
+        src = self.repo.root / "src/core/recovery_manager.cc"
+        src.parent.mkdir(parents=True, exist_ok=True)
+        src.write_text(
+            'metrics.GetCounter("aer_recovery_processes_total").Inc();\n',
+            encoding="utf-8")
+        linter = aer_lint.Linter(self.repo.root)
+        linter.lint_file(src)
+        linter.lint_catalog_coverage()
+        self.assertEqual(len(linter.findings), 1, linter.findings)
+        self.assert_rule(linter.findings, "metric-catalog")
+        self.assertIn("docs/OBSERVABILITY.md:8:", linter.findings[0])
+        self.assertIn("aer_inject_hangs_total", linter.findings[0])
+        # Registering it clears the finding; a whole-tree main() run checks
+        # the same direction.
+        src.write_text(
+            'metrics.GetCounter("aer_recovery_processes_total").Inc();\n'
+            'metrics.GetCounter("aer_inject_hangs_total").Inc();\n',
+            encoding="utf-8")
+        self.assertEqual(aer_lint.main(["--root", str(self.repo.root)]), 0)
+
     # -- stage-catalog ------------------------------------------------------
 
     def write_stage_catalog(self):
