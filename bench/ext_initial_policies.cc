@@ -2,7 +2,8 @@
 // improved". The learned optimum is *local* — reachable only through
 // actions the original policy ever tried — so the starting policy matters.
 // This bench generates a trace under three different hand-written baselines
-// and reports how much the learner improves each:
+// and reports each baseline's mean downtime and the hybrid policy's
+// relative cost against it:
 //
 //   cheapest-first   the paper's production policy (T, B, B, I, I, RMA...)
 //   impatient        one try per level, escalates fast
@@ -77,9 +78,9 @@ void Run() {
   Report("ext_initial_policies", "baseline", labels,
          {baseline_mttr, hybrid_rel});
 
-  std::printf("\nworse starting policies leave more on the table for the "
-              "learner, and richer strong-action logs widen the local "
-              "optimum it can reach.\n");
+  std::printf("\nhybrid rel cost = the hybrid's replayed downtime over the "
+              "baseline's own, on that baseline's log: lower means the "
+              "learner saved more from that starting policy.\n");
   Footer();
 }
 

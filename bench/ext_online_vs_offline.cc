@@ -54,21 +54,21 @@ void Run() {
   next.sim.seed = config.sim.seed + 31337;
   const FaultCatalog catalog = MakeDefaultCatalog(next.catalog);
 
-  // The serial engine: the online learner updates its Q-table from
-  // OnActionOutcome, so it needs deterministic, single-threaded callbacks.
+  // No pool: the online learner updates its Q-table from OnActionOutcome,
+  // so it needs deterministic, single-threaded callbacks.
   const fleet::FleetSimConfig sim_config{.sim = next.sim};
   UserDefinedPolicy user_arm(next.escalation);
   const SimulationResult under_user =
-      fleet::FleetSimulator(sim_config, catalog).RunSeedCompat(user_arm);
+      fleet::FleetSimulator(sim_config, catalog).Run(user_arm);
 
   UserDefinedPolicy fallback(next.escalation);
   HybridPolicy hybrid(trained, fallback);
   const SimulationResult under_hybrid =
-      fleet::FleetSimulator(sim_config, catalog).RunSeedCompat(hybrid);
+      fleet::FleetSimulator(sim_config, catalog).Run(hybrid);
 
   OnlineQLearningPolicy online;
   const SimulationResult under_online =
-      fleet::FleetSimulator(sim_config, catalog).RunSeedCompat(online);
+      fleet::FleetSimulator(sim_config, catalog).Run(online);
 
   const auto user_m = MonthlyMeans(under_user, next.sim.duration);
   const auto hybrid_m = MonthlyMeans(under_hybrid, next.sim.duration);

@@ -133,10 +133,11 @@ void Run() {
 
   std::printf("\nthe mining front end absorbs cross-fault noise (it filters "
               "polluted processes before training); heterogeneity widens "
-              "the platform's deviation; each injection arm alone shrinks "
-              "the training set yet keeps the hybrid savings, but stacked "
-              "damage (loss + corruption) can push the learned policy past "
-              "the user baseline — the regime the circuit breaker exists "
+              "the platform's deviation; event loss, retries and light "
+              "corruption shrink the training set yet keep the hybrid "
+              "savings, but heavy or stacked damage (20%% corruption, loss + "
+              "corruption) can push the learned policy past the user "
+              "baseline — the regime the circuit breaker exists "
               "for.\n");
   Footer();
 }

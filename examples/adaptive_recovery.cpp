@@ -76,7 +76,7 @@ int main() {
     aer::fleet::FleetSimulator sim({.sim = period2}, changed);
     aer::UserDefinedPolicy fallback(config.escalation);
     aer::HybridPolicy stale(p1, fallback);
-    const aer::SimulationResult result = sim.RunSeedCompat(stale);
+    const aer::SimulationResult result = sim.Run(stale);
     std::printf("\nPeriod 2 under the stale policy:\n");
     std::printf("  mean downtime of the changed fault: %.0f s "
                 "(the stale REBOOT-first rule retries in vain)\n",
@@ -94,7 +94,7 @@ int main() {
     aer::fleet::FleetSimulator sim3({.sim = period3}, changed);
     aer::UserDefinedPolicy fallback3(config.escalation);
     aer::HybridPolicy refreshed(p2, fallback3);
-    const aer::SimulationResult result3 = sim3.RunSeedCompat(refreshed);
+    const aer::SimulationResult result3 = sim3.Run(refreshed);
 
     // Baseline for period 3: the stale policy on identical conditions.
     aer::fleet::FleetSimulator sim3_stale({.sim = period3},
@@ -102,7 +102,7 @@ int main() {
     aer::UserDefinedPolicy fallback3s(config.escalation);
     aer::HybridPolicy stale3(p1, fallback3s);
     const aer::SimulationResult result3_stale =
-        sim3_stale.RunSeedCompat(stale3);
+        sim3_stale.Run(stale3);
 
     const double fresh = MeanDowntimeOfFault(result3, 0);
     const double old = MeanDowntimeOfFault(result3_stale, 0);

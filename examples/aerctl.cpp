@@ -511,12 +511,12 @@ int Simulate(const Flags& flags) {
   const fleet::FleetSimConfig sim_config{.sim = config.sim};
   UserDefinedPolicy user_a(config.escalation);
   const SimulationResult arm_a =
-      fleet::FleetSimulator(sim_config, catalog).RunSeedCompat(user_a);
+      fleet::FleetSimulator(sim_config, catalog).Run(user_a);
 
   UserDefinedPolicy user_b(config.escalation);
   HybridPolicy hybrid(policy, user_b);
   const SimulationResult arm_b =
-      fleet::FleetSimulator(sim_config, catalog).RunSeedCompat(hybrid);
+      fleet::FleetSimulator(sim_config, catalog).Run(hybrid);
 
   const double mean_a = static_cast<double>(arm_a.total_downtime) /
                         static_cast<double>(arm_a.processes_completed);

@@ -83,14 +83,14 @@ int main() {
   const aer::FaultCatalog catalog = aer::MakeDefaultCatalog(period2.catalog);
   aer::fleet::FleetSimulator sim_a({.sim = period2.sim}, catalog);
   aer::UserDefinedPolicy user_a(period2.escalation);
-  const aer::SimulationResult arm_a = sim_a.RunSeedCompat(user_a);
+  const aer::SimulationResult arm_a = sim_a.Run(user_a);
   const PeriodStats stats_a = Summarize(arm_a, catalog);
 
   std::printf("Period 2, arm B: hybrid (RL-trained + fallback)\n");
   aer::fleet::FleetSimulator sim_b({.sim = period2.sim}, catalog);
   aer::UserDefinedPolicy user_b(period2.escalation);
   aer::HybridPolicy hybrid(trained, user_b);
-  const aer::SimulationResult arm_b = sim_b.RunSeedCompat(hybrid);
+  const aer::SimulationResult arm_b = sim_b.Run(hybrid);
   const PeriodStats stats_b = Summarize(arm_b, catalog);
 
   std::printf("\n  %-12s %14s %14s\n", "", "arm A (user)", "arm B (hybrid)");

@@ -119,7 +119,7 @@ int main() {
   const FaultCatalog catalog = ServiceCatalog();
   fleet::FleetSimulator simulator({.sim = sim}, catalog);
   UserDefinedPolicy runbook_policy(runbook);
-  const SimulationResult history = simulator.RunSeedCompat(runbook_policy);
+  const SimulationResult history = simulator.Run(runbook_policy);
   std::printf("two weeks of incidents under the runbook: %lld incidents, "
               "%.1f s mean time to recover\n",
               static_cast<long long>(history.processes_completed),
@@ -147,11 +147,11 @@ int main() {
   next.seed = sim.seed + 1;
   fleet::FleetSimulator sim_a({.sim = next}, catalog);
   UserDefinedPolicy arm_a(runbook);
-  const SimulationResult a = sim_a.RunSeedCompat(arm_a);
+  const SimulationResult a = sim_a.Run(arm_a);
   fleet::FleetSimulator sim_b({.sim = next}, catalog);
   UserDefinedPolicy fallback(runbook);
   HybridPolicy arm_b(learned, fallback);
-  const SimulationResult b = sim_b.RunSeedCompat(arm_b);
+  const SimulationResult b = sim_b.Run(arm_b);
 
   const double mean_a = static_cast<double>(a.total_downtime) /
                         static_cast<double>(a.processes_completed);

@@ -13,11 +13,10 @@
 //
 // Determinism contract (docs/FLEET_SIM.md): events pop in strictly
 // ascending (time, tie, id) order, where `tie` is a caller-supplied 64-bit
-// key and `id` the schedule-order sequence number. The compat engine passes
-// a global push counter as the tie — reproducing the original heap engine's
-// (time, push-seq) order bit for bit — and the sharded engine packs
-// (machine, kind, per-machine seq) into it, giving the (time, machine, kind)
-// tie-break that makes shard execution independent of thread schedule.
+// key and `id` the schedule-order sequence number. The fleet engine packs
+// (machine, kind, per-machine seq) into the tie, giving the
+// (time, machine, kind) tie-break that makes shard execution independent
+// of thread schedule.
 // Cascading never reorders: equal-time events are re-sorted by (tie, id)
 // when their slot drains, so the pop order is a pure function of the
 // scheduled set, not of insertion history or wheel geometry.

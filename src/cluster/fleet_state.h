@@ -15,8 +15,6 @@
 // sharded engine gives each shard a disjoint machine-id range; writes to
 // distinct elements of the same array are distinct memory locations, so
 // concurrent shards are race-free by partitioning (docs/FLEET_SIM.md).
-// The optional healthy-pool (compat mode only) is global state and is only
-// valid single-threaded.
 #ifndef AER_CLUSTER_FLEET_STATE_H_
 #define AER_CLUSTER_FLEET_STATE_H_
 
@@ -42,10 +40,6 @@ class FleetState {
     // symptoms of the largest fault (generic/cross-fault noise is emitted
     // but never recorded for re-emission).
     int emitted_capacity = 0;
-    // Compat mode keeps a healthy-machine pool for its
-    // rng.NextBounded(pool size) victim selection; the sharded engine does
-    // not use a pool.
-    bool with_healthy_pool = false;
   };
 
   explicit FleetState(const Layout& layout);
@@ -119,27 +113,6 @@ class FleetState {
     ++emitted_count_[Idx(m)];
   }
 
-  // --- Healthy-machine pool (compat mode only; single-threaded) ---------
-  // A swap-remove pool: victim selection indexes it with
-  // rng.NextBounded(pool_size()), so the pool's element order is part of
-  // the pinned-output contract (docs/FLEET_SIM.md).
-
-  bool has_pool() const { return layout_.with_healthy_pool; }
-  std::size_t pool_size() const { return pool_.size(); }
-  bool pool_empty() const { return pool_.empty(); }
-  MachineId pool_at(std::size_t i) const { return pool_[i]; }
-  void PoolRemove(MachineId m);
-  void PoolAdd(MachineId m);
-
-  // Machines currently down (O(1); maintained by PoolRemove/PoolAdd in
-  // compat mode). Sharded shards track their own range-local counts.
-  int pool_num_down() const {
-    return layout_.num_machines - static_cast<int>(pool_.size());
-  }
-
-  // Approximate resident size of the state arrays, for bench reporting.
-  std::size_t ApproxBytes() const;
-
  private:
   std::size_t Idx(MachineId m) const {
     AER_DCHECK_GE(m, 0);
@@ -160,8 +133,6 @@ class FleetState {
   std::vector<std::uint16_t> tried_count_;
   std::vector<SymptomId> emitted_;        // stride = emitted_capacity
   std::vector<std::uint16_t> emitted_count_;
-  std::vector<MachineId> pool_;           // compat mode only
-  std::vector<std::int32_t> pool_pos_;    // index in pool_, -1 if absent
 };
 
 }  // namespace aer

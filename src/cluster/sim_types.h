@@ -92,7 +92,7 @@ struct SimulationResult {
   // Sorted by (start, machine): the same order SegmentIntoProcesses yields,
   // so ground_truth[i] describes processes[i].
   std::vector<ProcessGroundTruth> ground_truth;
-  std::int64_t fault_arrivals_skipped = 0;  // whole fleet was down
+  std::int64_t fault_arrivals_skipped = 0;  // fault hit a machine already down
   std::int64_t processes_completed = 0;
   SimTime total_downtime = 0;
 };

@@ -63,22 +63,18 @@ std::size_t SampleFault(Rng& rng, const Tables& t) {
       static_cast<std::ptrdiff_t>(t.cum_rate.size()) - 1));
 }
 
-// The recovery-process state machine, shared verbatim between compat and
-// sharded modes. Draw order inside a process is fixed (the pinned outputs
-// depend on it, draw for draw); the Mode supplies which RNG stream the
-// draws come from and how event ties are numbered:
-//
-//   CompatMode — one global Rng + a global push counter, i.e. a
-//     (time, push-seq) heap order on the wheel.
-//   ShardMode — per-machine Rng streams + (machine, kind, seq) ties,
-//     making every machine's timeline independent of all others.
-template <typename Mode>
+// The recovery-process state machine of one shard. Draw order inside a
+// process is fixed (the pinned outputs depend on it, draw for draw). Every
+// machine draws from its own Rng stream (DeriveStream(seed, machine)) and
+// numbers its event ties (machine, kind, per-machine seq), so no draw and no
+// byte of state crosses a machine boundary: shard composition — and with it
+// thread count and shard count — cannot affect the output.
 class EngineCore {
  public:
   EngineCore(const ClusterSimConfig& cfg, const FaultCatalog& catalog,
              const Tables& tables, FleetState& state, EventWheel& wheel,
-             RecoveryPolicy& policy, ShardOutput& out, Mode& mode,
-             const obs::TraceCollector* traces = nullptr)
+             RecoveryPolicy& policy, ShardOutput& out, MachineId begin,
+             MachineId end, const obs::TraceCollector* traces)
       : cfg_(cfg),
         catalog_(catalog),
         t_(tables),
@@ -86,8 +82,19 @@ class EngineCore {
         wheel_(wheel),
         policy_(policy),
         out_(out),
-        mode_(mode),
-        traces_(traces) {}
+        traces_(traces),
+        base_(begin) {
+    const std::size_t n = static_cast<std::size_t>(end - begin);
+    rngs_.reserve(n);
+    for (MachineId m = begin; m < end; ++m) {
+      rngs_.emplace_back(DeriveStream(cfg.seed, static_cast<std::uint64_t>(m)));
+    }
+    seqs_.assign(n, 0);
+  }
+
+  Rng& RngFor(MachineId m) {
+    return rngs_[static_cast<std::size_t>(m - base_)];
+  }
 
   // Buffers one sampled causal trace record into the shard output. The id
   // is a pure function of (seed, machine, process ordinal) and the sampling
@@ -119,13 +126,21 @@ class EngineCore {
     ev.process_seq = process_seq;
     ev.symptom = symptom;
     ev.action = action;
-    wheel_.Schedule(time, mode_.NextTie(machine, kind), ev);
+    // (machine, kind, per-machine seq): 30 bits of machine id, 2 of kind,
+    // 32 of sequence. The FleetSimulator ctor checks the fleet fits.
+    const std::uint64_t tie =
+        (static_cast<std::uint64_t>(machine) << 34) |
+        (static_cast<std::uint64_t>(kind) << 32) |
+        static_cast<std::uint64_t>(
+            seqs_[static_cast<std::size_t>(machine - base_)]++);
+    wheel_.Schedule(time, tie, ev);
   }
 
-  // Fault arrival accepted on a healthy machine: open a recovery process.
-  // `f` was sampled by the caller (the victim-selection draw, if any,
-  // precedes the fault draw).
-  void BeginProcess(SimTime now, MachineId m, std::size_t f, Rng& rng) {
+  // Fault arrival accepted on a healthy machine: draw the fault and open a
+  // recovery process.
+  void BeginProcess(SimTime now, MachineId m) {
+    Rng& rng = RngFor(m);
+    const std::size_t f = SampleFault(rng, t_);
     st_.set_healthy(m, false);
     st_.bump_process_seq(m);
     st_.set_fault_index(m, static_cast<std::int32_t>(f));
@@ -203,7 +218,7 @@ class EngineCore {
   void HandleActionDone(const ScheduledEvent& e) {
     if (Stale(e)) return;
     const MachineId m = e.event.machine;
-    Rng& rng = mode_.RngFor(m);
+    Rng& rng = RngFor(m);
     const std::size_t f = static_cast<std::size_t>(st_.fault_index(m));
     const FaultType& fault = catalog_.faults[f];
     const double cure_p =
@@ -244,7 +259,6 @@ class EngineCore {
       out_.total_downtime += e.time - st_.process_start(m);
       st_.set_healthy(m, true);
       st_.set_last_recovery_end(m, e.time);
-      mode_.OnCured(m);
       return;
     }
     // Result monitoring is machine-local: the failed outcome is "delivered"
@@ -278,7 +292,7 @@ class EngineCore {
   }
 
   void StartAction(SimTime now, MachineId m) {
-    Rng& rng = mode_.RngFor(m);
+    Rng& rng = RngFor(m);
     const std::size_t f = static_cast<std::size_t>(st_.fault_index(m));
     const FaultType& fault = catalog_.faults[f];
 
@@ -323,52 +337,10 @@ class EngineCore {
   EventWheel& wheel_;
   RecoveryPolicy& policy_;
   ShardOutput& out_;
-  Mode& mode_;
-  const obs::TraceCollector* traces_ = nullptr;
-};
-
-// One global RNG + global push counter: the serial engine's draw and tie
-// order.
-struct CompatMode {
-  explicit CompatMode(std::uint64_t seed) : rng(seed) {}
-  Rng& RngFor(MachineId) { return rng; }
-  std::uint64_t NextTie(MachineId, FleetEventKind) { return seq++; }
-  void OnCured(MachineId m) { state->PoolAdd(m); }
-
-  Rng rng;
-  std::uint64_t seq = 0;
-  FleetState* state = nullptr;
-};
-
-// Per-machine RNG streams and (machine, kind, seq) ties. No draw and no
-// byte of state crosses a machine boundary, so shard composition — and
-// with it thread count and shard count — cannot affect the output.
-struct ShardMode {
-  ShardMode(MachineId begin, MachineId end, std::uint64_t seed)
-      : base(begin) {
-    const std::size_t n = static_cast<std::size_t>(end - begin);
-    rngs.reserve(n);
-    for (MachineId m = begin; m < end; ++m) {
-      rngs.emplace_back(DeriveStream(seed, static_cast<std::uint64_t>(m)));
-    }
-    seqs.assign(n, 0);
-  }
-  Rng& RngFor(MachineId m) {
-    return rngs[static_cast<std::size_t>(m - base)];
-  }
-  std::uint64_t NextTie(MachineId m, FleetEventKind kind) {
-    // (machine, kind, per-machine seq): 30 bits of machine id, 2 of kind,
-    // 32 of sequence. The ctor checks the fleet fits the machine field.
-    return (static_cast<std::uint64_t>(m) << 34) |
-           (static_cast<std::uint64_t>(kind) << 32) |
-           static_cast<std::uint64_t>(
-               seqs[static_cast<std::size_t>(m - base)]++);
-  }
-  void OnCured(MachineId) {}
-
-  MachineId base;
-  std::vector<Rng> rngs;
-  std::vector<std::uint32_t> seqs;
+  const obs::TraceCollector* traces_;
+  MachineId base_;
+  std::vector<Rng> rngs_;
+  std::vector<std::uint32_t> seqs_;
 };
 
 }  // namespace
@@ -396,96 +368,6 @@ int FleetSimulator::num_shards() const {
   return std::clamp(machines / 16384, 1, 64);
 }
 
-SimulationResult FleetSimulator::RunSeedCompat(RecoveryPolicy& policy) {
-  AER_PROFILE_SCOPE("fleet_run_compat");
-  const ClusterSimConfig& cfg = config_.sim;
-  SimulationResult result;
-  const FleetSimTables tables = BuildTables(catalog_, result.log.symptoms());
-
-  FleetState state(FleetState::Layout{
-      .num_machines = cfg.num_machines,
-      .tried_capacity = cfg.max_actions_per_process,
-      .emitted_capacity = tables.emitted_capacity,
-      .with_healthy_pool = true});
-  EventWheel wheel(0);
-  CompatMode mode(cfg.seed);
-  mode.state = &state;
-  ShardOutput out;
-  EngineCore<CompatMode> engine(cfg, catalog_, tables, state, wheel, policy,
-                                out, mode, traces_);
-
-  // Draw order: per-machine speeds first (only when spread > 0), then the
-  // first arrival.
-  if (cfg.machine_speed_spread > 0.0) {
-    for (MachineId m = 0; m < cfg.num_machines; ++m) {
-      state.set_speed(
-          m, std::max(0.1, 1.0 + cfg.machine_speed_spread *
-                                     (2.0 * mode.rng.NextDouble() - 1.0)));
-    }
-  }
-
-  // Global Poisson arrivals across the fleet, diurnal modulation by
-  // thinning against the peak rate (which keeps the mean rate).
-  const double fleet_rate = static_cast<double>(cfg.num_machines) /
-                            (cfg.machine_mtbf_days * static_cast<double>(kDay));
-  const double peak_rate = fleet_rate * (1.0 + cfg.diurnal_amplitude);
-  const auto schedule_next_arrival = [&](SimTime now) {
-    const SimTime dt = std::max<SimTime>(
-        1, static_cast<SimTime>(mode.rng.NextExponential(1.0 / peak_rate)));
-    if (now + dt <= cfg.duration) {
-      engine.Push(now + dt, FleetEventKind::kFaultArrival, 0, 0,
-                  kInvalidSymptom, RepairAction::kTryNop);
-    }
-  };
-  const auto accept_arrival = [&](SimTime t) {
-    if (cfg.diurnal_amplitude == 0.0) return true;
-    const double rate =
-        fleet_rate * (1.0 + cfg.diurnal_amplitude *
-                                std::sin(2.0 * 3.14159265358979323846 *
-                                         static_cast<double>(t % kDay) /
-                                         static_cast<double>(kDay)));
-    return mode.rng.NextDouble() < rate / peak_rate;
-  };
-  schedule_next_arrival(0);
-
-  ScheduledEvent e;
-  while (wheel.PopNext(&e)) {
-    ++out.events_processed;
-    switch (e.event.kind) {
-      case FleetEventKind::kFaultArrival: {
-        schedule_next_arrival(e.time);
-        if (!accept_arrival(e.time)) break;  // thinned (off-peak)
-        ++out.fault_arrivals;
-        if (state.pool_empty()) {
-          ++out.fault_arrivals_skipped;  // whole fleet is down
-          break;
-        }
-        const MachineId m = state.pool_at(
-            mode.rng.NextBounded(state.pool_size()));
-        state.PoolRemove(m);
-        const std::size_t f = SampleFault(mode.rng, tables);
-        engine.BeginProcess(e.time, m, f, mode.rng);
-        break;
-      }
-      case FleetEventKind::kSymptom:
-        engine.HandleSymptom(e);
-        break;
-      case FleetEventKind::kChooseAction:
-        engine.HandleChooseAction(e);
-        break;
-      case FleetEventKind::kActionDone:
-        engine.HandleActionDone(e);
-        break;
-    }
-  }
-  out.wheel_peak = wheel.peak_size();
-
-  std::vector<ShardOutput> outputs;
-  outputs.push_back(std::move(out));
-  Finalize(std::move(outputs), /*shards_used=*/1, result);
-  return result;
-}
-
 void FleetSimulator::RunShard(int shard, int shards, const FleetSimTables& t,
                               FleetState& state, RecoveryPolicy& policy,
                               ShardMerger& merger) const {
@@ -498,22 +380,20 @@ void FleetSimulator::RunShard(int shard, int shards, const FleetSimTables& t,
 
   ShardOutput out;
   EventWheel wheel(0);
-  ShardMode mode(begin, end, cfg.seed);
-  EngineCore<ShardMode> engine(cfg, catalog_, t, state, wheel, policy, out,
-                               mode, traces_);
+  EngineCore engine(cfg, catalog_, t, state, wheel, policy, out, begin, end,
+                    traces_);
 
-  // Per-machine Poisson arrivals: superposing num_machines independent
-  // rate-1/mtbf processes gives exactly the serial engine's fleet-level
-  // Poisson process, but with no draw shared across machines. Diurnal
-  // thinning applies the same relative modulation (the fleet/machine rate
-  // ratio cancels out of rate(t)/peak).
+  // Per-machine Poisson arrivals at rate 1/mtbf (their superposition is a
+  // fleet-level Poisson process at rate num_machines/mtbf), with no draw
+  // shared across machines. Diurnal thinning against the peak rate keeps
+  // the mean rate.
   const double machine_rate =
       1.0 / (cfg.machine_mtbf_days * static_cast<double>(kDay));
   const double peak_rate = machine_rate * (1.0 + cfg.diurnal_amplitude);
   const auto schedule_next_arrival = [&](MachineId m, SimTime now) {
     const SimTime dt = std::max<SimTime>(
         1, static_cast<SimTime>(
-               mode.RngFor(m).NextExponential(1.0 / peak_rate)));
+               engine.RngFor(m).NextExponential(1.0 / peak_rate)));
     if (now + dt <= cfg.duration) {
       engine.Push(now + dt, FleetEventKind::kFaultArrival, m, 0,
                   kInvalidSymptom, RepairAction::kTryNop);
@@ -527,16 +407,16 @@ void FleetSimulator::RunShard(int shard, int shards, const FleetSimTables& t,
                             static_cast<double>(time % kDay) /
                             static_cast<double>(kDay))) /
         (1.0 + cfg.diurnal_amplitude);
-    return mode.RngFor(m).NextDouble() < factor;
+    return engine.RngFor(m).NextDouble() < factor;
   };
 
-  // Machine init mirrors the serial stream discipline per machine: the speed
-  // draw (when spread > 0) comes first, then the first arrival.
+  // Machine init, per machine stream: the speed draw (when spread > 0)
+  // comes first, then the first arrival.
   for (MachineId m = begin; m < end; ++m) {
     if (cfg.machine_speed_spread > 0.0) {
       state.set_speed(
           m, std::max(0.1, 1.0 + cfg.machine_speed_spread *
-                                     (2.0 * mode.RngFor(m).NextDouble() -
+                                     (2.0 * engine.RngFor(m).NextDouble() -
                                       1.0)));
     }
     schedule_next_arrival(m, 0);
@@ -552,14 +432,13 @@ void FleetSimulator::RunShard(int shard, int shards, const FleetSimTables& t,
         if (!accept_arrival(m, e.time)) break;  // thinned (off-peak)
         ++out.fault_arrivals;
         if (!state.healthy(m)) {
-          // The machine is mid-recovery; the fault is lost. The serial engine
-          // instead redirects arrivals to a random healthy machine — global
-          // state the shards deliberately do not share (docs/FLEET_SIM.md).
+          // The machine is mid-recovery; the fault is lost rather than
+          // redirected to another machine, which would be state shared
+          // across shards (docs/FLEET_SIM.md).
           ++out.fault_arrivals_skipped;
           break;
         }
-        const std::size_t f = SampleFault(mode.RngFor(m), t);
-        engine.BeginProcess(e.time, m, f, mode.RngFor(m));
+        engine.BeginProcess(e.time, m);
         break;
       }
       case FleetEventKind::kSymptom:
@@ -588,8 +467,7 @@ SimulationResult FleetSimulator::Run(RecoveryPolicy& policy,
   FleetState state(FleetState::Layout{
       .num_machines = config_.sim.num_machines,
       .tried_capacity = config_.sim.max_actions_per_process,
-      .emitted_capacity = tables.emitted_capacity,
-      .with_healthy_pool = false});
+      .emitted_capacity = tables.emitted_capacity});
   ShardMerger merger(shards);
   const auto run_shard = [&](std::size_t s) {
     RunShard(static_cast<int>(s), shards, tables, state, policy, merger);

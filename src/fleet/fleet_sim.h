@@ -2,34 +2,22 @@
 // config and result types): a timing-wheel scheduler, SoA machine state,
 // and sharded execution.
 //
-// Two run modes, two determinism guarantees (docs/FLEET_SIM.md):
+// The fleet is split into contiguous machine-ID shards; each machine owns
+// an independent RNG stream (DeriveStream(seed, machine)) and its own
+// Poisson arrival chain at rate 1/mtbf. Shards run on the work-stealing
+// ThreadPool (or serially without one) and a serial merge in machine-ID
+// order assembles the result, so the RecoveryLog and SimulationResult are
+// byte-identical for ANY thread count and ANY shard count
+// (docs/FLEET_SIM.md). A fault arriving at a machine that is already down
+// is skipped and counted in fault_arrivals_skipped.
 //
-//  RunSeedCompat() — the serial engine. One global RNG stream and a global
-//    push counter as the wheel tie, so the draw order is the original
-//    heap engine's, draw for draw; its outputs survive only as the
-//    checksums pinned in tests/fleet/fleet_equivalence_test.cc, which this
-//    mode must keep reproducing. GenerateTrace, the figure benches, the
-//    CLI and learning policies all run here.
-//
-//  Run() — the scale path. The fleet is split into contiguous machine-ID
-//    shards; each machine owns an independent RNG stream
-//    (DeriveStream(seed, machine)) and its own Poisson arrival chain (by
-//    superposition, per-machine arrivals at rate 1/mtbf are exactly the
-//    serial engine's fleet-level Poisson process). Shards run on the
-//    work-stealing ThreadPool and a serial merge in machine-ID order
-//    assembles the result, so the RecoveryLog and SimulationResult are
-//    byte-identical for ANY thread count and ANY shard count. The one
-//    semantic difference from the serial engine: a fault arriving at a
-//    machine that is already down is skipped (counted in
-//    fault_arrivals_skipped) instead of being redirected to a random
-//    healthy machine — victim redirection is global state that would
-//    serialize the shards.
-//
-// Run() invokes the policy concurrently from shard threads, so it requires
-// ChooseAction to be pure (the documented RecoveryPolicy contract) and
-// OnActionOutcome to be state-free. All shipped stateless policies
-// (UserDefinedPolicy, TrainedPolicy, HybridPolicy) qualify; learning
-// policies (rl/online_policy.h) must use RunSeedCompat or an external lock.
+// With a pool, Run() invokes the policy concurrently from shard threads,
+// so it requires ChooseAction to be pure (the documented RecoveryPolicy
+// contract) and OnActionOutcome to be state-free. All shipped stateless
+// policies (UserDefinedPolicy, TrainedPolicy, HybridPolicy) qualify.
+// Learning policies (rl/online_policy.h) pass no pool: shards then run one
+// after another, and a one-shard fleet sees its events in global time
+// order.
 #ifndef AER_FLEET_FLEET_SIM_H_
 #define AER_FLEET_FLEET_SIM_H_
 
@@ -51,7 +39,7 @@ namespace aer::fleet {
 struct FleetSimTables;
 
 struct FleetSimConfig {
-  // The workload parameters, shared by both run modes.
+  // The workload parameters.
   ClusterSimConfig sim;
   // Shard count for Run(). <= 0 derives a count from the fleet size alone
   // (deterministic in the config, never in the host's core count — shard
@@ -65,14 +53,9 @@ class FleetSimulator {
   FleetSimulator(FleetSimConfig config, FaultCatalog catalog);
 
   // Sharded run. `pool` supplies the worker threads (the calling thread
-  // participates); nullptr runs the shards serially. Output is identical
-  // either way.
+  // participates); nullptr runs the shards serially, in shard order, which
+  // is what learning policies need. Output is identical either way.
   SimulationResult Run(RecoveryPolicy& policy, ThreadPool* pool = nullptr);
-
-  // Serial run with one global RNG stream, reproducing the pinned heap
-  // engine outputs. The policy is invoked in deterministic event order, so
-  // learning policies (stateful OnActionOutcome) are safe here.
-  SimulationResult RunSeedCompat(RecoveryPolicy& policy);
 
   // Optional observability sink: the aer_fleet_* metrics are folded in
   // after the run, so instrumentation never feeds back into the simulation

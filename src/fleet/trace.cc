@@ -13,7 +13,7 @@ TraceDataset GenerateTrace(const TraceConfig& config) {
   dataset.result =
       fleet::FleetSimulator(fleet::FleetSimConfig{.sim = config.sim},
                             dataset.catalog)
-          .RunSeedCompat(policy);
+          .Run(policy);
   return dataset;
 }
 

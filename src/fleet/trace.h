@@ -24,8 +24,7 @@ struct TraceDataset {
   SimulationResult result;
 };
 
-// Runs FleetSimulator::RunSeedCompat (the serial engine): deterministic for
-// a given config.
+// Runs FleetSimulator::Run with no pool: deterministic for a given config.
 TraceDataset GenerateTrace(const TraceConfig& config = {});
 
 // Scales the simulated fleet/time: "small" for unit tests (~2k processes),

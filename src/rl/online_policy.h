@@ -6,8 +6,10 @@
 // an online learner burns before it catches up, if it ever does.
 //
 // The policy plugs into the same frameworks as every other RecoveryPolicy
-// (FleetSimulator::RunSeedCompat, RecoveryManager); it receives its
-// reinforcement signal through RecoveryPolicy::OnActionOutcome. Unlike the
+// (FleetSimulator::Run, RecoveryManager); it receives its reinforcement
+// signal through RecoveryPolicy::OnActionOutcome, so it is stateful: run
+// it with no pool. A one-shard fleet then shows it its events in global
+// time order; a multi-shard one, shard after shard. Unlike the
 // offline trainer it is not restricted to actions observed in any log — it
 // explores all four repair actions on the live system, which is precisely
 // the problem.

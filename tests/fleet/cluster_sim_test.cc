@@ -1,5 +1,5 @@
-// The serial cluster simulation (FleetSimulator::RunSeedCompat, the engine
-// behind GenerateTrace): determinism, log well-formedness, ground-truth
+// The cluster simulation run serially (FleetSimulator::Run with no pool, the
+// engine behind GenerateTrace): determinism, log well-formedness, ground-truth
 // accounting, the N cap, fleet exhaustion, and the optional noise,
 // heterogeneity and diurnal paths.
 #include <map>
@@ -20,7 +20,7 @@ SimulationResult Simulate(const ClusterSimConfig& config,
                           const FaultCatalog& catalog,
                           RecoveryPolicy& policy) {
   return fleet::FleetSimulator(fleet::FleetSimConfig{.sim = config}, catalog)
-      .RunSeedCompat(policy);
+      .Run(policy);
 }
 
 ClusterSimConfig SmallConfig() {

@@ -1,14 +1,14 @@
 // Equivalence suite for the fleet simulator (docs/FLEET_SIM.md):
 //
-//  1. FleetSimulator::RunSeedCompat reproduces the pinned outputs of the
-//     original heap engine — same log serialization, same entries, same
-//     SimulationResult fields — across seeds × fleet sizes × policies,
-//     including the heterogeneity / diurnal / cross-fault-noise paths.
-//  2. FleetSimulator::Run (sharded) is byte-identical to itself for any
-//     thread count and any shard count.
+//  1. FleetSimulator::Run reproduces pinned checksums — same log
+//     serialization, same entries, same SimulationResult fields — across
+//     seeds × fleet sizes × policies, including the heterogeneity / diurnal
+//     / cross-fault-noise paths.
+//  2. Run is byte-identical to itself for any thread count and any shard
+//     count.
 //
-// Together these are the draw-order proof for the serial engine and the
-// determinism proof the parallel engine rests on.
+// Together these are the draw-order proof and the determinism proof the
+// parallel engine rests on.
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -85,7 +85,7 @@ ClusterSimConfig MatrixConfig(std::uint64_t seed, int num_machines) {
 }
 
 // A trained Q policy for the second policy arm, generated once from a
-// compat-engine log (the pipeline's normal path).
+// simulated log (the pipeline's normal path).
 const TrainedPolicy& TrainedQPolicy() {
   static const TrainedPolicy* policy = [] {
     ClusterSimConfig config;
@@ -96,87 +96,84 @@ const TrainedPolicy& TrainedQPolicy() {
     UserDefinedPolicy user;
     const SimulationResult result =
         FleetSimulator(FleetSimConfig{.sim = config}, MakeDefaultCatalog())
-            .RunSeedCompat(user);
+            .Run(user);
     return new TrainedPolicy(PolicyGenerator().Generate(result.log));
   }();
   return *policy;
 }
 
-struct HeapEnginePin {
+struct RunPin {
   std::uint64_t seed;
   int machines;
   bool trained;
   std::uint64_t checksum;  // ResultChecksum (fleet/sim_checksum.h)
 };
 
-// The reference outputs of the original heap engine, ClusterSimulator::Run,
-// which the compat mode replaced. Captured before that engine was deleted
-// by a one-off program that ran this exact grid (MatrixConfig,
-// TrainedQPolicy) through ClusterSimulator::Run and printed ResultChecksum
-// for each case; RunSeedCompat matched all 40 values at capture time.
-constexpr HeapEnginePin kHeapEnginePins[] = {
-    {1, 1, false, 0x1db66b510047326bULL},
-    {1, 7, false, 0x7af1032eb07c209dULL},
-    {1, 100, false, 0x8148020f5e64777cULL},
-    {1, 10000, false, 0x380462ecc299cbfaULL},
-    {2, 1, false, 0x5cd16d5b694c645eULL},
-    {2, 7, false, 0x1563568e713f73b2ULL},
-    {2, 100, false, 0xea3047836feceae7ULL},
-    {2, 10000, false, 0x7b4c17f91a6ab5afULL},
-    {3, 1, false, 0x90af1d6068b2f9d5ULL},
-    {3, 7, false, 0xe2b77c5e1612eb54ULL},
-    {3, 100, false, 0xfa009d6c06e8efbeULL},
-    {3, 10000, false, 0x2cd2085ba745a6c7ULL},
-    {4, 1, false, 0x48f94698661c6ed9ULL},
-    {4, 7, false, 0xb234f0ea57ea4a5dULL},
-    {4, 100, false, 0xc57821aa1e5df665ULL},
-    {4, 10000, false, 0x5088fabe1e3fe769ULL},
-    {5, 1, false, 0xf083eadb36ac082bULL},
-    {5, 7, false, 0x8f302108563b1be4ULL},
-    {5, 100, false, 0x3b9a31c78d43458cULL},
-    {5, 10000, false, 0x6b70563e2ae596daULL},
-    {1, 1, true, 0xd732afd39bd27c0fULL},
-    {1, 7, true, 0x90a4a2e7a78bf5c5ULL},
-    {1, 100, true, 0x80495c6f17b9909eULL},
-    {1, 10000, true, 0xfa04e2aca1c3f5aeULL},
-    {2, 1, true, 0xdb35cef9480ba638ULL},
-    {2, 7, true, 0xefb80665adcbb395ULL},
-    {2, 100, true, 0x8ad47da2dc1201bcULL},
-    {2, 10000, true, 0x5ed3fd3dddca9578ULL},
-    {3, 1, true, 0xc28986f2d938a313ULL},
-    {3, 7, true, 0x7a31d20fa3f88834ULL},
-    {3, 100, true, 0x244def99123019eeULL},
-    {3, 10000, true, 0x92cd7e4b408bf7b3ULL},
-    {4, 1, true, 0xbb21b072f952744fULL},
-    {4, 7, true, 0x0d7a20d789235889ULL},
-    {4, 100, true, 0xc59adcf4114b4aa3ULL},
-    {4, 10000, true, 0x2f60f4e002139187ULL},
-    {5, 1, true, 0x36b3b2134fff0a7bULL},
-    {5, 7, true, 0x0f37e11dd220474cULL},
-    {5, 100, true, 0x7f2f9d480d739de5ULL},
-    {5, 10000, true, 0xe02b314199f20b45ULL},
+// Run()'s outputs on this exact grid (MatrixConfig, TrainedQPolicy). They
+// were captured while the engine still had a second, global-stream run
+// mode, so they also prove that folding it down to one mode kept Run()'s
+// per-machine draw and tie order.
+constexpr RunPin kRunPins[] = {
+    {1, 1, false, 0xdf345689f756aec9ULL},
+    {1, 7, false, 0xdc02d2e3e7b5a28cULL},
+    {1, 100, false, 0xa0a735ba62fa5e4dULL},
+    {1, 10000, false, 0x72e3ddccc5558f2eULL},
+    {2, 1, false, 0xae9b60c0b7793728ULL},
+    {2, 7, false, 0x72a13c6a7b98fbacULL},
+    {2, 100, false, 0x0c8597d16d5fd5e1ULL},
+    {2, 10000, false, 0x033eefa1b803f7faULL},
+    {3, 1, false, 0xabe8d7fe6a3725aaULL},
+    {3, 7, false, 0x8bcd56c8a467c396ULL},
+    {3, 100, false, 0x35ff1bc4d353f77fULL},
+    {3, 10000, false, 0x384372728fb62b81ULL},
+    {4, 1, false, 0xb9aef2dba710fe7fULL},
+    {4, 7, false, 0xca754924ccb52c06ULL},
+    {4, 100, false, 0x64ee17a44f25bf0eULL},
+    {4, 10000, false, 0x926e9bde66c9b603ULL},
+    {5, 1, false, 0x428b9d87230cc3a3ULL},
+    {5, 7, false, 0x807bbad471b0ea79ULL},
+    {5, 100, false, 0xe6f4b056e7ac5990ULL},
+    {5, 10000, false, 0xf057e1dd3f3bf8bcULL},
+    {1, 1, true, 0x0d429476d855304cULL},
+    {1, 7, true, 0xa12a8d38fa9d0c75ULL},
+    {1, 100, true, 0xb20dfa8e9c1cc3eaULL},
+    {1, 10000, true, 0xa725a5b194f880adULL},
+    {2, 1, true, 0x48b5c841326b3173ULL},
+    {2, 7, true, 0xddf905c85fb3fcf2ULL},
+    {2, 100, true, 0x8f7a2caf1a745d71ULL},
+    {2, 10000, true, 0xbecce55a3b769eb5ULL},
+    {3, 1, true, 0xa696e584989e68b9ULL},
+    {3, 7, true, 0x41607d5964d1b179ULL},
+    {3, 100, true, 0xe1bc0e09d32918dbULL},
+    {3, 10000, true, 0xdb1472b9d50748f2ULL},
+    {4, 1, true, 0x754fd8c3726782e5ULL},
+    {4, 7, true, 0xf5015b515c5d4d33ULL},
+    {4, 100, true, 0x4e58a502082c52d3ULL},
+    {4, 10000, true, 0x56ab7ea1c6bfc783ULL},
+    {5, 1, true, 0x11c0f538bf47a2d0ULL},
+    {5, 7, true, 0xf579c890985d7062ULL},
+    {5, 100, true, 0xbda98e23863ad646ULL},
+    {5, 10000, true, 0xc1ff43c9775f99f2ULL},
 };
 
 class FleetEquivalenceTest : public testing::TestWithParam<bool> {};
 
-// Seeds {1..5} × fleets {1, 7, 100, 10k} × {user policy, trained Q policy}:
-// the wheel-based compat engine reproduces the heap engine's pinned
-// outputs byte for byte.
-TEST_P(FleetEquivalenceTest, CompatByteIdenticalToSeedEngine) {
+// Seeds {1..5} × fleets {1, 7, 100, 10k} × {user policy, trained Q policy}.
+TEST_P(FleetEquivalenceTest, RunMatchesPinnedChecksums) {
   const bool trained = GetParam();
   const FaultCatalog catalog = MakeDefaultCatalog();
   int cases = 0;
-  for (const HeapEnginePin& pin : kHeapEnginePins) {
+  for (const RunPin& pin : kRunPins) {
     if (pin.trained != trained) continue;
     ++cases;
     const FleetSimConfig config{.sim = MatrixConfig(pin.seed, pin.machines)};
     SimulationResult result;
     if (trained) {
       TrainedPolicy policy = TrainedQPolicy();
-      result = FleetSimulator(config, catalog).RunSeedCompat(policy);
+      result = FleetSimulator(config, catalog).Run(policy);
     } else {
       UserDefinedPolicy policy;
-      result = FleetSimulator(config, catalog).RunSeedCompat(policy);
+      result = FleetSimulator(config, catalog).Run(policy);
     }
     SCOPED_TRACE(testing::Message() << "seed=" << pin.seed << " machines="
                                     << pin.machines << " trained=" << trained);
@@ -259,19 +256,6 @@ TEST(FleetShardingTest, TrainedPolicyThreadInvariance) {
   const SimulationResult parallel =
       FleetSimulator(config, catalog).Run(parallel_policy, &pool);
   ExpectResultsIdentical(serial, parallel);
-}
-
-// The compat mode rides the sharded engine's wheel; its repeatability is
-// its own guarantee (two compat runs are bit-equal), independent of the
-// pinned table.
-TEST(FleetShardingTest, CompatIsDeterministic) {
-  const FaultCatalog catalog = MakeDefaultCatalog();
-  const FleetSimConfig config{.sim = MatrixConfig(3, 100)};
-  UserDefinedPolicy a;
-  UserDefinedPolicy b;
-  const SimulationResult ra = FleetSimulator(config, catalog).RunSeedCompat(a);
-  const SimulationResult rb = FleetSimulator(config, catalog).RunSeedCompat(b);
-  ExpectResultsIdentical(ra, rb);
 }
 
 }  // namespace

@@ -111,25 +111,5 @@ TEST(FleetInvariantTest, RandomizedCatalogsShardedRun) {
   }
 }
 
-TEST(FleetInvariantTest, RandomizedCatalogsCompatRun) {
-  Rng meta(0xc0ffee);
-  for (int round = 0; round < 4; ++round) {
-    const FaultCatalog catalog = MakeDefaultCatalog(RandomCatalogConfig(meta));
-    ClusterSimConfig sim;
-    sim.num_machines = 100 + static_cast<int>(meta.NextBounded(200));
-    sim.duration = 15 * kDay;
-    sim.machine_mtbf_days = 3.0 + 5.0 * meta.NextDouble();
-    sim.seed = meta.Next();
-
-    UserDefinedPolicy policy;
-    const SimulationResult result =
-        FleetSimulator(FleetSimConfig{.sim = sim}, catalog)
-            .RunSeedCompat(policy);
-    SCOPED_TRACE(testing::Message() << "round " << round);
-    EXPECT_GT(result.processes_completed, 0);
-    CheckInvariants(result);
-  }
-}
-
 }  // namespace
 }  // namespace aer::fleet

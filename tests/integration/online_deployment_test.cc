@@ -40,13 +40,13 @@ TEST(OnlineDeploymentTest, HybridPolicyReducesRealDowntime) {
   fleet::FleetSimulator sim_user({.sim = next.sim},
                                 MakeDefaultCatalog(next.catalog));
   UserDefinedPolicy user1(next.escalation);
-  const SimulationResult under_user = sim_user.RunSeedCompat(user1);
+  const SimulationResult under_user = sim_user.Run(user1);
 
   fleet::FleetSimulator sim_hybrid({.sim = next.sim},
                                   MakeDefaultCatalog(next.catalog));
   UserDefinedPolicy user2(next.escalation);
   HybridPolicy hybrid(trained, user2);
-  const SimulationResult under_hybrid = sim_hybrid.RunSeedCompat(hybrid);
+  const SimulationResult under_hybrid = sim_hybrid.Run(hybrid);
 
   ASSERT_GT(under_user.processes_completed, 500);
   ASSERT_GT(under_hybrid.processes_completed, 500);
@@ -153,7 +153,7 @@ TEST(OnlineDeploymentTest, AdaptationAfterEnvironmentChange) {
 
   fleet::FleetSimulator sim({.sim = after.sim}, changed);
   UserDefinedPolicy user(after.escalation);
-  const SimulationResult result = sim.RunSeedCompat(user);
+  const SimulationResult result = sim.Run(user);
 
   const PolicyGenerator generator(FastGenerator());
   const TrainedPolicy policy = generator.Generate(result.log);

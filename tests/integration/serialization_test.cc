@@ -85,35 +85,52 @@ TEST(SerializationRoundTripTest, PolicyThroughDiskDrivesSameDecisions) {
   }
 }
 
+// `log` with every entry moved `offset` seconds later.
+RecoveryLog Shifted(const RecoveryLog& log, SimTime offset) {
+  RecoveryLog shifted;
+  shifted.symptoms() = log.symptoms();
+  for (LogEntry e : log.entries()) {
+    e.time += offset;
+    shifted.Append(e);
+  }
+  return shifted;
+}
+
 TEST(LogMergeTest, MergedPeriodsEqualConcatenation) {
   const TraceDataset period1 = GenerateTrace(TinyTrace(0));
-  const TraceDataset period2 = GenerateTrace(TinyTrace(99));
-
-  RecoveryLog merged;
-  merged.Merge(period1.result.log);
-  merged.Merge(period2.result.log);
-  merged.SortByTime();
-
   const auto seg1 = SegmentIntoProcesses(period1.result.log);
-  const auto seg2 = SegmentIntoProcesses(period2.result.log);
-  const auto seg_merged = SegmentIntoProcesses(merged);
+  ASSERT_FALSE(period1.result.log.empty());
+  const SimTime period1_end = period1.result.log.entries().back().time;
 
-  // Machines overlap across periods, so a machine healthy at the end of
-  // period 1 simply accumulates both periods' processes; totals must add.
-  // (Process counts add exactly because each period's log ends with all
-  // machines recovered.)
-  EXPECT_EQ(seg_merged.processes.size(),
-            seg1.processes.size() + seg2.processes.size());
-  EXPECT_EQ(TotalDowntime(seg_merged.processes),
-            TotalDowntime(seg1.processes) + TotalDowntime(seg2.processes));
+  for (std::uint64_t offset = 1; offset <= 40; ++offset) {
+    SCOPED_TRACE(testing::Message() << "period 2 seed offset " << offset);
+    const TraceDataset period2 = GenerateTrace(TinyTrace(offset));
+    // Period 2 starts after period 1's last entry, so the merge is a real
+    // concatenation: no machine's processes from the two periods interleave.
+    const RecoveryLog later = Shifted(period2.result.log, period1_end + 1);
 
-  // Symptom names survive the remap: every name in period 2 resolves in the
-  // merged table.
-  for (const LogEntry& e : period2.result.log.entries()) {
-    if (e.kind != EntryKind::kSymptom) continue;
-    const std::string& name =
-        period2.result.log.symptoms().Name(e.symptom);
-    EXPECT_NE(merged.symptoms().Find(name), kInvalidSymptom);
+    RecoveryLog merged;
+    merged.Merge(period1.result.log);
+    merged.Merge(later);
+    merged.SortByTime();
+
+    const auto seg2 = SegmentIntoProcesses(later);
+    const auto seg_merged = SegmentIntoProcesses(merged);
+
+    // Every simulated process runs to completion, so each period's log ends
+    // with all machines recovered and the counts and downtimes add exactly.
+    EXPECT_EQ(seg_merged.processes.size(),
+              seg1.processes.size() + seg2.processes.size());
+    EXPECT_EQ(TotalDowntime(seg_merged.processes),
+              TotalDowntime(seg1.processes) + TotalDowntime(seg2.processes));
+
+    // Symptom names survive the remap: every name in period 2 resolves in
+    // the merged table.
+    for (const LogEntry& e : later.entries()) {
+      if (e.kind != EntryKind::kSymptom) continue;
+      EXPECT_NE(merged.symptoms().Find(later.symptoms().Name(e.symptom)),
+                kInvalidSymptom);
+    }
   }
 }
 

@@ -102,7 +102,7 @@ TEST(ObsDeterminismTest, ClusterSimMetricsDeterministic) {
     UserDefinedPolicy policy;
     fleet::FleetSimulator sim({.sim = config}, catalog);
     sim.SetMetrics(&metrics);
-    sim.RunSeedCompat(policy);
+    sim.Run(policy);
     text = metrics.ExportText();
     EXPECT_GT(metrics.GetCounter("aer_fleet_processes_total").value(), 0);
   }

@@ -67,6 +67,13 @@ trips them):
                     the same way metric names are: the per-stage
                     aer_trace_stage_<name>_seconds histograms and the
                     aerctl/Chrome export surfaces key on them.
+  profile-scope     Every profiler scope name in src/ code
+                    (AER_PROFILE_SCOPE("...")) must be a row of the scope
+                    table in the Profiler section of docs/OBSERVABILITY.md.
+                    In the other direction, on a whole-tree run, every row
+                    must name a src/ literal, so a deleted scope cannot
+                    linger in the doc. Scope names are API: profile paths,
+                    the aerctl profile golden and bench records key on them.
 
 Suppress a finding on one line with:  // aer-lint: allow(<rule>)
 
@@ -170,6 +177,17 @@ STAGE_REGISTRATION = re.compile(r'\bAER_TRACE_STAGE\s*\(\s*"([a-z0-9_]+)"')
 STAGE_CATALOG_DOC = METRIC_CATALOG_DOC
 STAGE_TOKEN = re.compile(r"stage:([a-z0-9_]+)")
 
+# Profiler scopes: the AER_PROFILE_SCOPE("...") literals in library code
+# against the table rows that open with a backticked name in the doc's
+# Profiler section (up to the next level-2 heading). Matched on the raw
+# source, like the catalogs above.
+PROFILE_SCOPE_SCOPES = ("src/",)
+PROFILE_SCOPE_REGISTRATION = re.compile(
+    r'\bAER_PROFILE_SCOPE\s*\(\s*"([a-z0-9_]+)"')
+PROFILE_SCOPE_DOC = METRIC_CATALOG_DOC
+PROFILE_SECTION = re.compile(r"^## Profiler\n(.*?)(?=^## |\Z)", re.M | re.S)
+PROFILE_SCOPE_ROW = re.compile(r"^\|\s*`([a-z0-9_]+)`\s*\|", re.M)
+
 
 def strip_comments_and_strings(text: str) -> str:
     """Blanks out comments and string/char literal contents, preserving
@@ -263,8 +281,11 @@ class Linter:
         self.findings: list[str] = []
         self._catalog: set[str] | None | bool = False  # False = not loaded
         self._stages: set[str] | None | bool = False   # False = not loaded
+        self._scopes: dict[str, int] | None | bool = False  # name -> doc line
         # Every aer_* name a linted src/ or bench/ literal registers.
         self.registered: set[str] = set()
+        # Every profiler scope name a linted src/ literal opens.
+        self.profiled: set[str] = set()
 
     def catalog_names(self) -> set[str] | None:
         """The aer_* names documented in docs/OBSERVABILITY.md, or None if
@@ -292,6 +313,24 @@ class Linter:
             else:
                 self._stages = None
         return self._stages
+
+    def scope_names(self) -> dict[str, int] | None:
+        """The profiler scopes tabled in the Profiler section of
+        docs/OBSERVABILITY.md, each with its doc line, or None if the doc
+        (or the section) does not exist — the profile-scope rule is then
+        skipped."""
+        if self._scopes is False:
+            self._scopes = None
+            doc = self.root / PROFILE_SCOPE_DOC
+            if doc.is_file():
+                text = doc.read_text(encoding="utf-8")
+                section = PROFILE_SECTION.search(text)
+                if section is not None:
+                    self._scopes = {
+                        m.group(1): text.count(
+                            "\n", 0, section.start(1) + m.start()) + 1
+                        for m in PROFILE_SCOPE_ROW.finditer(section.group(1))}
+        return self._scopes
 
     def report(self, path: Path, lineno: int, rule: str, message: str,
                allows: dict[int, set[str]]) -> None:
@@ -357,6 +396,9 @@ class Linter:
 
         if rel.startswith(STAGE_CATALOG_SCOPES):
             self.lint_stage_catalog(path, text, allows)
+
+        if rel.startswith(PROFILE_SCOPE_SCOPES):
+            self.lint_profile_scopes(path, text, allows)
 
     def lint_metric_catalog(self, path: Path, text: str,
                             allows: dict[int, set[str]]) -> None:
@@ -425,6 +467,36 @@ class Linter:
                 f"missing from the frozen stage catalog in "
                 f"{STAGE_CATALOG_DOC}; document it as `stage:{name}` in the "
                 f"same change", allows)
+
+    def lint_profile_scopes(self, path: Path, text: str,
+                            allows: dict[int, set[str]]) -> None:
+        scopes = self.scope_names()
+        if scopes is None:
+            return
+        for m in PROFILE_SCOPE_REGISTRATION.finditer(text):
+            name = m.group(1)
+            self.profiled.add(name)
+            if name in scopes:
+                continue
+            self.report(
+                path, text.count("\n", 0, m.start()) + 1, "profile-scope",
+                f"profiler scope '{name}' is opened here but missing from "
+                f"the scope table in the Profiler section of "
+                f"{PROFILE_SCOPE_DOC}; add a row in the same change", allows)
+
+    def lint_profile_scope_coverage(self) -> None:
+        """Reverse profile-scope check, valid only after linting the whole
+        tree: each tabled scope must be opened by some src/ literal."""
+        scopes = self.scope_names()
+        if scopes is None:
+            return
+        for name, lineno in scopes.items():
+            if name in self.profiled:
+                continue
+            self.report(
+                self.root / PROFILE_SCOPE_DOC, lineno, "profile-scope",
+                f"profiler scope '{name}' is in the scope table but no src/ "
+                f"code opens it; remove the row in the same change", {})
 
     def lint_mutex_members(self, path: Path, lines: list[str],
                            allows: dict[int, set[str]]) -> None:
@@ -521,6 +593,7 @@ def main(argv: list[str]) -> int:
         linter.lint_file(path)
     if not opts.files:
         linter.lint_catalog_coverage()
+        linter.lint_profile_scope_coverage()
 
     for finding in linter.findings:
         print(finding)

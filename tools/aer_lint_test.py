@@ -429,6 +429,57 @@ class AerLintTest(unittest.TestCase):
             'return AER_TRACE_STAGE("anything_goes");\n')
         self.assertEqual(findings, [])
 
+    # -- profile-scope ------------------------------------------------------
+
+    def write_scope_table(self):
+        doc = self.repo.root / "docs/OBSERVABILITY.md"
+        doc.parent.mkdir(parents=True, exist_ok=True)
+        doc.write_text("# Observability\n\n"
+                       "## Profiler\n\n"
+                       "Paths such as `train_all/train_type` nest.\n\n"
+                       "| scope | times |\n"
+                       "|---|---|\n"
+                       "| `fleet_run` | one run |\n"
+                       "| `fleet_run_compat` | a deleted engine |\n\n"
+                       "## Flight recorder\n\n"
+                       "| `not_a_scope` | outside the section |\n",
+                       encoding="utf-8")
+
+    def test_undocumented_profile_scope_flagged(self):
+        self.write_scope_table()
+        findings = self.repo.lint(
+            "src/fleet/fleet_sim.cc",
+            'AER_PROFILE_SCOPE("fleet_run");\n'
+            'AER_PROFILE_SCOPE("fleet_warp");\n')
+        self.assertEqual(len(findings), 1, findings)
+        self.assert_rule(findings, "profile-scope")
+        self.assertIn("fleet_warp", findings[0])
+        # Benches open their own probe scopes; only src/ is catalogued.
+        self.assertEqual(self.repo.lint(
+            "bench/bench_training.cc", 'AER_PROFILE_SCOPE("bench_probe");\n'),
+            [])
+
+    def test_deleted_profile_scope_left_in_doc_flagged(self):
+        # The reverse direction, on a whole-tree run: a tabled scope no src/
+        # literal opens is a finding on its doc row. Rows outside the
+        # Profiler section are not scopes.
+        self.write_scope_table()
+        src = self.repo.root / "src/fleet/fleet_sim.cc"
+        src.parent.mkdir(parents=True, exist_ok=True)
+        src.write_text('AER_PROFILE_SCOPE("fleet_run");\n', encoding="utf-8")
+        linter = aer_lint.Linter(self.repo.root)
+        linter.lint_file(src)
+        linter.lint_profile_scope_coverage()
+        self.assertEqual(len(linter.findings), 1, linter.findings)
+        self.assert_rule(linter.findings, "profile-scope")
+        self.assertIn("docs/OBSERVABILITY.md:10:", linter.findings[0])
+        self.assertIn("fleet_run_compat", linter.findings[0])
+        self.assertEqual(aer_lint.main(["--root", str(self.repo.root)]), 1)
+        src.write_text('AER_PROFILE_SCOPE("fleet_run");\n'
+                       'AER_PROFILE_SCOPE("fleet_run_compat");\n',
+                       encoding="utf-8")
+        self.assertEqual(aer_lint.main(["--root", str(self.repo.root)]), 0)
+
     # -- allow pragma & stripping -------------------------------------------
 
     def test_allow_pragma_suppresses(self):
