@@ -123,6 +123,11 @@ void Report(const std::string& csv_name, const std::string& x_name,
   }
 }
 
+bool CheckClaim(bool held, const std::string& claim) {
+  std::printf("claim %s: %s\n", held ? "held" : "BROKEN", claim.c_str());
+  return held;
+}
+
 std::vector<std::string> TypeLabels(std::size_t n) {
   std::vector<std::string> labels;
   labels.reserve(n);

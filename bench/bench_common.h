@@ -59,6 +59,11 @@ void Report(const std::string& csv_name, const std::string& x_name,
             const std::vector<std::string>& labels,
             const std::vector<ChartSeries>& series, bool log_scale = false);
 
+// Prints whether a paper claim held and returns `held`. A bench whose claim
+// broke exits non-zero after Footer(), which fails run_all.py (--smoke too);
+// nothing here enters the checksum.
+bool CheckClaim(bool held, const std::string& claim);
+
 // "1".."40" style labels for per-error-type series (1-based like the paper).
 std::vector<std::string> TypeLabels(std::size_t n);
 

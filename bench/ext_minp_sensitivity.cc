@@ -17,16 +17,17 @@ void Run() {
          "Noise filtering and end-to-end savings across minp.");
 
   const BenchDataset& dataset = GetDataset();
+  const std::vector<double> minps = {0.05, 0.1, 0.3, 0.5, 0.8};
+  const std::vector<SymptomClustering> sweep =
+      SymptomClusteringSweep(BuildSymptomTransactions(dataset.all), minps);
   std::vector<std::string> labels;
   ChartSeries clean_frac{"clean fraction", {}};
   ChartSeries types_found{"error types", {}};
   ChartSeries hybrid_rel{"hybrid rel cost", {}};
-  for (const double minp : {0.05, 0.1, 0.3, 0.5, 0.8}) {
-    MPatternConfig mining;
-    mining.minp = minp;
-    const SymptomClustering clustering(dataset.all, mining);
+  for (std::size_t m = 0; m < minps.size(); ++m) {
+    const double minp = minps[m];
     const NoiseFilterResult filtered =
-        FilterNoisyProcesses(dataset.all, clustering);
+        FilterNoisyProcesses(dataset.all, sweep[m]);
     std::vector<RecoveryProcess> clean;
     for (std::size_t i : filtered.clean) {
       clean.push_back(dataset.all[i]);

@@ -11,7 +11,7 @@
 namespace aer::bench {
 namespace {
 
-void Run() {
+bool Run() {
   Header("fig14_selection_tree_perf", "Figure 14 (Section 5.3)",
          "Relative cost per type: selection-tree policies vs standard-RL "
          "policies (train fraction 0.4).");
@@ -50,12 +50,15 @@ void Run() {
               "well above 1 (up to ~2); the tree-generated policies do "
               "not.\n");
   Footer();
+  return CheckClaim(tree.trained.overall_relative_cost <
+                        plain.trained.overall_relative_cost,
+                    "the tree's overall relative cost is below the "
+                    "no-tree cost");
 }
 
 }  // namespace
 }  // namespace aer::bench
 
 int main() {
-  aer::bench::Run();
-  return 0;
+  return aer::bench::Run() ? 0 : 1;
 }

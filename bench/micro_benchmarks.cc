@@ -201,6 +201,20 @@ void BM_MPatternMining(benchmark::State& state) {
 }
 BENCHMARK(BM_MPatternMining);
 
+// The Figure 3 sweep over the ten fig03 minp values: one mine at minp 0.1,
+// then a strength filter, maximal sets and cohesion count per minp.
+void BM_CohesiveFractionSweep(benchmark::State& state) {
+  const BenchDataset& dataset = GetDataset();
+  std::vector<double> minps;
+  for (int i = 1; i <= 10; ++i) minps.push_back(0.1 * i);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CohesiveFractionSweep(dataset.all, minps));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(dataset.all.size()));
+}
+BENCHMARK(BM_CohesiveFractionSweep)->Unit(benchmark::kMillisecond);
+
 void BM_LogSerializationRoundTrip(benchmark::State& state) {
   const BenchDataset& dataset = GetDataset();
   for (auto _ : state) {

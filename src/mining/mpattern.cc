@@ -1,14 +1,27 @@
 #include "mining/mpattern.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <cstdint>
+#include <functional>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 #include "common/check.h"
 
 namespace aer {
 namespace {
+
+// Hashes a sorted itemset (a 64-bit multiplicative mix per item).
+struct ItemSetHash {
+  std::size_t operator()(const ItemSet& items) const noexcept {
+    std::uint64_t h = 0;
+    for (SymptomId item : items) {
+      h = (h ^ static_cast<std::uint32_t>(item)) * 0x9e3779b97f4a7c15ull;
+    }
+    return static_cast<std::size_t>(h ^ (h >> 32));
+  }
+};
 
 // Enumerates all size-k subsets of `txn` and invokes `fn` on each. `txn` is
 // sorted, so emitted subsets are sorted too. Recursion depth is bounded by k
@@ -50,46 +63,57 @@ std::int64_t MPatternMiner::Support(const ItemSet& items,
 }
 
 std::vector<ItemSet> MPatternMiner::MineAll(
-    std::span<const Transaction> transactions) const {
+    std::span<const Transaction> transactions,
+    std::vector<double>* strengths) const {
   // Item supports.
   std::unordered_map<SymptomId, std::int64_t> item_support;
   for (const Transaction& txn : transactions) {
-    AER_CHECK(std::is_sorted(txn.begin(), txn.end()));
+    AER_CHECK(std::adjacent_find(txn.begin(), txn.end(),
+                                 std::greater_equal<>()) == txn.end())
+        << "transaction items must be sorted and distinct";
     for (SymptomId item : txn) ++item_support[item];
   }
 
   // Level 1: every sufficiently-supported single item is trivially an
   // m-pattern (sup(X)/sup(i) == 1).
   std::vector<ItemSet> result;
+  std::vector<double> result_strength;
   std::vector<ItemSet> level;
+  std::vector<double> level_strength;
   for (const auto& [item, sup] : item_support) {
     if (sup >= config_.min_support) level.push_back({item});
   }
   std::sort(level.begin(), level.end());
+  level_strength.assign(level.size(), 1.0);
 
-  const auto is_mpattern = [&](const ItemSet& items,
-                               std::int64_t support) {
-    if (support < config_.min_support) return false;
+  // min_i sup(X)/sup(i); sup(X) <= sup(i), so every ratio is at most 1.
+  const auto strength_of = [&](const ItemSet& items, std::int64_t support) {
+    double strength = 1.0;
     for (SymptomId item : items) {
       const auto it = item_support.find(item);
       AER_CHECK(it != item_support.end())
           << "candidate item " << item << " missing from 1-item support map";
-      const double dep =
-          static_cast<double>(support) / static_cast<double>(it->second);
-      if (dep < config_.minp) return false;
+      strength = std::min(strength, static_cast<double>(support) /
+                                        static_cast<double>(it->second));
     }
-    return true;
+    return strength;
   };
 
+  // Levels are appended in size order and each is sorted, so `result` ends
+  // up in the documented order without a final sort.
   while (!level.empty()) {
     result.insert(result.end(), level.begin(), level.end());
+    result_strength.insert(result_strength.end(), level_strength.begin(),
+                           level_strength.end());
     if (level.front().size() >= config_.max_pattern_size) break;
     const std::size_t k = level.front().size() + 1;
 
     // Candidate generation: join patterns sharing a (k-2)-prefix, then prune
-    // candidates with a non-pattern (k-1)-subset (downward closure).
-    std::set<ItemSet> prev(level.begin(), level.end());
-    std::set<ItemSet> candidates;
+    // candidates with a non-pattern (k-1)-subset (downward closure). Each
+    // candidate enters `counts` with support 0.
+    const std::unordered_set<ItemSet, ItemSetHash> prev(level.begin(),
+                                                        level.end());
+    std::unordered_map<ItemSet, std::int64_t, ItemSetHash> counts;
     for (std::size_t i = 0; i < level.size(); ++i) {
       for (std::size_t j = i + 1; j < level.size(); ++j) {
         const ItemSet& a = level[i];
@@ -111,47 +135,54 @@ std::vector<ItemSet> MPatternMiner::MineAll(
             break;
           }
         }
-        if (all_subsets_present) candidates.insert(std::move(joined));
+        if (all_subsets_present) counts.emplace(std::move(joined), 0);
       }
     }
-    if (candidates.empty()) break;
+    if (counts.empty()) break;
 
-    // Support counting: enumerate size-k subsets of each transaction and
-    // count hits against the candidate set.
-    std::map<ItemSet, std::int64_t> counts;
+    // Support counting: enumerate size-k subsets of each transaction; one
+    // hash lookup per subset.
     ItemSet scratch;
     scratch.reserve(k);
     for (const Transaction& txn : transactions) {
       if (txn.size() < k) continue;
       ForEachSubset(txn, k, 0, scratch, [&](const ItemSet& subset) {
-        if (candidates.contains(subset)) ++counts[subset];
+        const auto it = counts.find(subset);
+        if (it != counts.end()) ++it->second;
       });
     }
 
-    std::vector<ItemSet> next;
+    std::vector<std::pair<ItemSet, double>> next;
     for (const auto& [items, support] : counts) {
-      if (is_mpattern(items, support)) next.push_back(items);
+      if (support < config_.min_support) continue;
+      const double strength = strength_of(items, support);
+      if (!(strength < config_.minp)) next.emplace_back(items, strength);
     }
+    // Patterns are distinct, so the pair order is the itemset order.
     std::sort(next.begin(), next.end());
-    level = std::move(next);
+    level.clear();
+    level_strength.clear();
+    for (auto& [items, strength] : next) {
+      level.push_back(std::move(items));
+      level_strength.push_back(strength);
+    }
   }
 
-  std::sort(result.begin(), result.end(), [](const ItemSet& a, const ItemSet& b) {
-    if (a.size() != b.size()) return a.size() < b.size();
-    return a < b;
-  });
+  if (strengths != nullptr) *strengths = std::move(result_strength);
   return result;
 }
 
 std::vector<ItemSet> MPatternMiner::MineMaximal(
     std::span<const Transaction> transactions) const {
-  const std::vector<ItemSet> all = MineAll(transactions);
+  return Maximal(MineAll(transactions));
+}
 
-  // Downward closure: a pattern is non-maximal iff some mined pattern of
-  // size+1 contains it, so it suffices to mark the immediate subsets of every
+std::vector<ItemSet> MPatternMiner::Maximal(std::span<const ItemSet> patterns) {
+  // Downward closure: a pattern is non-maximal iff some pattern of size+1
+  // contains it, so it suffices to mark the immediate subsets of every
   // pattern.
-  std::set<ItemSet> non_maximal;
-  for (const ItemSet& p : all) {
+  std::unordered_set<ItemSet, ItemSetHash> non_maximal;
+  for (const ItemSet& p : patterns) {
     if (p.size() < 2) continue;
     ItemSet subset(p.begin() + 1, p.end());
     for (std::size_t drop = 0; drop < p.size(); ++drop) {
@@ -161,7 +192,7 @@ std::vector<ItemSet> MPatternMiner::MineMaximal(
   }
 
   std::vector<ItemSet> maximal;
-  for (const ItemSet& p : all) {
+  for (const ItemSet& p : patterns) {
     if (!non_maximal.contains(p)) maximal.push_back(p);
   }
   return maximal;

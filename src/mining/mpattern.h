@@ -12,7 +12,14 @@
 // m-patterns are downward closed (every subset of an m-pattern is an
 // m-pattern), so we mine level-wise, Apriori style. Transactions here are
 // the distinct-symptom sets of recovery processes and are small (≤ ~16
-// items), so support counting enumerates per-transaction subsets.
+// items), so support counting enumerates per-transaction subsets and looks
+// each one up in a hash map of the level's candidates.
+//
+// A pattern's *strength* is min_{i ∈ X} sup(X) / sup(i) (1.0 for a single
+// item): X is an m-pattern at minp iff its strength is not below minp. The
+// patterns at a higher minp are therefore exactly the patterns mined at a
+// lower one whose strength is not below the higher minp, so a sweep over
+// minp mines once, at its lowest value (symptom_clusters.h).
 #ifndef AER_MINING_MPATTERN_H_
 #define AER_MINING_MPATTERN_H_
 
@@ -24,7 +31,8 @@
 
 namespace aer {
 
-// A transaction: sorted, de-duplicated item (symptom) ids.
+// A transaction: sorted, de-duplicated item (symptom) ids. MineAll checks
+// both: a repeated item would inflate that item's support.
 using Transaction = std::vector<SymptomId>;
 
 // An itemset, sorted ascending.
@@ -47,13 +55,19 @@ class MPatternMiner {
 
   // All m-patterns of size >= 1 over the transactions, each sorted
   // ascending; the result is sorted lexicographically within each size,
-  // sizes ascending.
-  std::vector<ItemSet> MineAll(std::span<const Transaction> transactions) const;
+  // sizes ascending. If `strengths` is given, it receives each pattern's
+  // strength, index for index.
+  std::vector<ItemSet> MineAll(std::span<const Transaction> transactions,
+                               std::vector<double>* strengths = nullptr) const;
 
   // Only the maximal m-patterns (no mined superset). These act as the
   // symptom clusters of Section 3.1.
   std::vector<ItemSet> MineMaximal(
       std::span<const Transaction> transactions) const;
+
+  // The maximal members of a downward-closed pattern set ordered as MineAll
+  // returns it (any minp filter of MineAll's result is one), in that order.
+  static std::vector<ItemSet> Maximal(std::span<const ItemSet> patterns);
 
   // Support of an itemset: number of transactions containing all its items.
   static std::int64_t Support(const ItemSet& items,

@@ -1,6 +1,7 @@
 #include "mining/symptom_clusters.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
@@ -17,9 +18,12 @@ std::vector<Transaction> BuildSymptomTransactions(
 }
 
 SymptomClustering::SymptomClustering(
-    std::span<const RecoveryProcess> processes, const MPatternConfig& config) {
-  const std::vector<Transaction> txns = BuildSymptomTransactions(processes);
-  clusters_ = MPatternMiner(config).MineMaximal(txns);
+    std::span<const RecoveryProcess> processes, const MPatternConfig& config)
+    : SymptomClustering(MPatternMiner(config).MineMaximal(
+          BuildSymptomTransactions(processes))) {}
+
+SymptomClustering::SymptomClustering(std::vector<ItemSet> clusters)
+    : clusters_(std::move(clusters)) {
   for (std::size_t ci = 0; ci < clusters_.size(); ++ci) {
     for (SymptomId s : clusters_[ci]) {
       by_symptom_[s].push_back(static_cast<int>(ci));
@@ -28,7 +32,10 @@ SymptomClustering::SymptomClustering(
 }
 
 bool SymptomClustering::IsCohesive(const RecoveryProcess& process) const {
-  const std::vector<SymptomId> symptoms = process.DistinctSymptoms();
+  return IsCohesive(process.DistinctSymptoms());
+}
+
+bool SymptomClustering::IsCohesive(const Transaction& symptoms) const {
   AER_CHECK(!symptoms.empty());
   // Candidate clusters: those containing the first symptom; the process is
   // cohesive iff one of them contains every symptom.
@@ -46,12 +53,18 @@ bool SymptomClustering::IsCohesive(const RecoveryProcess& process) const {
 
 double SymptomClustering::CohesiveFraction(
     std::span<const RecoveryProcess> processes) const {
-  if (processes.empty()) return 0.0;
+  return CohesiveFraction(BuildSymptomTransactions(processes));
+}
+
+double SymptomClustering::CohesiveFraction(
+    std::span<const Transaction> transactions) const {
+  if (transactions.empty()) return 0.0;
   std::int64_t cohesive = 0;
-  for (const RecoveryProcess& p : processes) {
-    if (IsCohesive(p)) ++cohesive;
+  for (const Transaction& txn : transactions) {
+    if (IsCohesive(txn)) ++cohesive;
   }
-  return static_cast<double>(cohesive) / static_cast<double>(processes.size());
+  return static_cast<double>(cohesive) /
+         static_cast<double>(transactions.size());
 }
 
 int SymptomClustering::ClusterOf(SymptomId symptom) const {
@@ -69,16 +82,43 @@ int SymptomClustering::ClusterOf(SymptomId symptom) const {
   return best;
 }
 
+std::vector<SymptomClustering> SymptomClusteringSweep(
+    std::span<const Transaction> transactions,
+    std::span<const double> minp_values, MPatternConfig config) {
+  std::vector<SymptomClustering> out;
+  if (minp_values.empty()) return out;
+  for (double minp : minp_values) {
+    AER_CHECK_GT(minp, 0.0);
+    AER_CHECK_LE(minp, 1.0);
+  }
+  config.minp = *std::min_element(minp_values.begin(), minp_values.end());
+  std::vector<double> strengths;
+  const std::vector<ItemSet> mined =
+      MPatternMiner(config).MineAll(transactions, &strengths);
+
+  out.reserve(minp_values.size());
+  std::vector<ItemSet> kept;
+  for (double minp : minp_values) {
+    // The comparison MineAll applies: drop a pattern whose strength is
+    // below minp.
+    kept.clear();
+    for (std::size_t j = 0; j < mined.size(); ++j) {
+      if (!(strengths[j] < minp)) kept.push_back(mined[j]);
+    }
+    out.emplace_back(MPatternMiner::Maximal(kept));
+  }
+  return out;
+}
+
 std::vector<double> CohesiveFractionSweep(
     std::span<const RecoveryProcess> processes,
     std::span<const double> minp_values) {
+  const std::vector<Transaction> txns = BuildSymptomTransactions(processes);
   std::vector<double> out;
   out.reserve(minp_values.size());
-  for (double minp : minp_values) {
-    MPatternConfig config;
-    config.minp = minp;
-    const SymptomClustering clustering(processes, config);
-    out.push_back(clustering.CohesiveFraction(processes));
+  for (const SymptomClustering& clustering :
+       SymptomClusteringSweep(txns, minp_values)) {
+    out.push_back(clustering.CohesiveFraction(txns));
   }
   return out;
 }

@@ -4,6 +4,11 @@
 // symptom clusters. A process is "cohesive" when all its symptoms fall inside
 // a single cluster — the fraction of cohesive processes versus minp is the
 // paper's Figure 3, and non-cohesive processes are treated as noise.
+//
+// A minp sweep mines once: the m-patterns at any minp are the patterns mined
+// at the sweep's lowest minp whose strength is not below it (mpattern.h), so
+// SymptomClusteringSweep filters one MineAll result per minp and re-derives
+// the maximal sets. Its clusterings equal one SymptomClustering per minp.
 #ifndef AER_MINING_SYMPTOM_CLUSTERS_H_
 #define AER_MINING_SYMPTOM_CLUSTERS_H_
 
@@ -26,13 +31,20 @@ class SymptomClustering {
   SymptomClustering(std::span<const RecoveryProcess> processes,
                     const MPatternConfig& config);
 
+  // Indexes already-mined clusters (maximal m-patterns).
+  explicit SymptomClustering(std::vector<ItemSet> clusters);
+
   const std::vector<ItemSet>& clusters() const { return clusters_; }
 
   // True if every distinct symptom of the process lies in one mined cluster.
   bool IsCohesive(const RecoveryProcess& process) const;
+  // The same test on a process's distinct-symptom transaction (non-empty).
+  bool IsCohesive(const Transaction& symptoms) const;
 
   // Fraction of processes that are cohesive (one Figure 3 data point).
   double CohesiveFraction(std::span<const RecoveryProcess> processes) const;
+  // The same fraction over the processes' BuildSymptomTransactions.
+  double CohesiveFraction(std::span<const Transaction> transactions) const;
 
   // Index of the largest cluster containing `symptom`, or -1 if none.
   int ClusterOf(SymptomId symptom) const;
@@ -43,7 +55,14 @@ class SymptomClustering {
   std::unordered_map<SymptomId, std::vector<int>> by_symptom_;
 };
 
-// Convenience for the Figure 3 sweep: cohesive fraction per minp value.
+// One clustering per minp value, in the given order (any order, repeats
+// allowed), from a single mine at the lowest value. `config.minp` is
+// ignored; its other fields apply to every minp.
+std::vector<SymptomClustering> SymptomClusteringSweep(
+    std::span<const Transaction> transactions,
+    std::span<const double> minp_values, MPatternConfig config = {});
+
+// The Figure 3 sweep: cohesive fraction per minp value, from one mine.
 std::vector<double> CohesiveFractionSweep(
     std::span<const RecoveryProcess> processes,
     std::span<const double> minp_values);

@@ -170,6 +170,27 @@ TEST(MPatternTest, MaxPatternSizeCapsDepth) {
   }
 }
 
+TEST(MPatternTest, DistinctItemsKeepTheWeakerPair) {
+  // sup(1) = 2 and sup({1,3}) = 1: P({1,3}|1) = 0.5 meets minp exactly.
+  MPatternConfig config;
+  config.minp = 0.5;
+  config.min_support = 1;
+  const std::vector<Transaction> txns = {{1, 2}, {1, 3}};
+  const auto all = MPatternMiner(config).MineAll(txns);
+  EXPECT_EQ(std::count(all.begin(), all.end(), ItemSet{1, 3}), 1);
+}
+
+TEST(MPatternDeathTest, RejectsARepeatedItemInATransaction) {
+  // Counting the repeated 1 would make sup(1) = 3, and {1,3} (1/3 < 0.5)
+  // would silently drop out instead of matching the case above.
+  MPatternConfig config;
+  config.minp = 0.5;
+  config.min_support = 1;
+  const std::vector<Transaction> txns = {{1, 1, 2}, {1, 3}};
+  EXPECT_DEATH(MPatternMiner(config).MineAll(txns),
+               "AER_CHECK.*sorted and distinct");
+}
+
 // Parameterized sweep: with x% of transactions perfectly clustered and the
 // rest mixed, the number of maximal patterns is stable across minp for the
 // clustered part.
