@@ -9,7 +9,7 @@
 namespace aer::bench {
 namespace {
 
-void Run() {
+bool Run() {
   Header("fig10_coverage", "Figure 10",
          "Trained-policy coverage per error type, training fractions "
          "0.2/0.4/0.6/0.8.");
@@ -27,7 +27,9 @@ void Run() {
   }
   Report("fig10_coverage", "type", TypeLabels(n), series);
 
+  bool above_90 = true;
   for (const ExperimentResult& r : results) {
+    above_90 = above_90 && r.trained.overall_coverage > 0.90;
     std::int64_t uncovered_types = 0;
     for (const TypeEvalRow& row : r.trained.rows) {
       if (row.processes > 0 && row.coverage < 1.0) ++uncovered_types;
@@ -42,12 +44,14 @@ void Run() {
   std::printf("paper: coverage > 90%% everywhere; unhandled cases shrink as "
               "training data grows.\n");
   Footer();
+  return CheckClaim(above_90,
+                    "overall coverage is above 90% at every training "
+                    "fraction");
 }
 
 }  // namespace
 }  // namespace aer::bench
 
 int main() {
-  aer::bench::Run();
-  return 0;
+  return aer::bench::Run() ? 0 : 1;
 }

@@ -40,7 +40,7 @@ void ReportOne(const ExperimentResult& result, const char* csv_suffix) {
   if (!any) std::printf("  (none)\n");
 }
 
-void Run() {
+bool Run() {
   Header("fig11_hybrid_comparison", "Figure 11 (a) and (b)",
          "Trained vs hybrid relative cost per type at 20% and 40% "
          "training.");
@@ -50,12 +50,15 @@ void Run() {
   std::printf("\npaper: nearly identical curves; exceptions only at 20%% "
               "training where the training set misses patterns.\n");
   Footer();
+  return CheckClaim(results[0].hybrid.overall_coverage == 1.0 &&
+                        results[1].hybrid.overall_coverage == 1.0,
+                    "the hybrid policy covers 100% of processes at both "
+                    "training fractions");
 }
 
 }  // namespace
 }  // namespace aer::bench
 
 int main() {
-  aer::bench::Run();
-  return 0;
+  return aer::bench::Run() ? 0 : 1;
 }

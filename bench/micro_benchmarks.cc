@@ -1,7 +1,7 @@
 // google-benchmark micro-benchmarks for the hot paths: Q-table operations,
 // Boltzmann sampling, process replay steps, trainer sweeps, selection-tree
-// training, log segmentation, m-pattern mining and log (de)serialization
-// throughput.
+// training, log segmentation, m-pattern mining, log (de)serialization
+// throughput and the online manager's open/decide/close cycle.
 #include <cstdint>
 #include <iterator>
 #include <sstream>
@@ -11,7 +11,9 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
+#include "cluster/user_policy.h"
 #include "common/string_util.h"
+#include "core/recovery_manager.h"
 #include "mining/error_type.h"
 #include "obs/metrics.h"
 #include "obs/trace_collector.h"
@@ -333,6 +335,37 @@ void BM_GenerateTrace(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GenerateTrace);
+
+// One open -> decide -> close cycle of the online manager while it retains
+// state.range(0) machines' history (a retention nothing outlives). Every
+// 64th close runs the history sweep, so an iteration carries its amortised
+// share; the time should stay flat as the history grows. The iteration
+// count is fixed because the manager's log grows with every cycle.
+void BM_RecoveryManagerClose(benchmark::State& state) {
+  const auto machines = static_cast<MachineId>(state.range(0));
+  UserDefinedPolicy policy;
+  RecoveryManagerConfig config;
+  config.history_retention = 1000 * kDay;
+  RecoveryManager manager(policy, config);
+  SimTime now = 0;
+  const auto cycle = [&](MachineId machine) {
+    manager.OnSymptom(now, machine, "s");
+    benchmark::DoNotOptimize(manager.OnRecoveryNeeded(now + 1, machine));
+    manager.OnActionResult(now + 2, machine, /*healthy=*/true);
+    now += 10;
+  };
+  for (MachineId machine = 0; machine < machines; ++machine) cycle(machine);
+  MachineId next = 0;
+  for (auto _ : state) {
+    cycle(next);
+    next = (next + 1) % machines;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RecoveryManagerClose)
+    ->Arg(1 << 10)
+    ->Arg(1 << 16)
+    ->Iterations(1 << 17);
 
 // Console output as usual, plus every benchmark's per-iteration real time
 // recorded as a "<name>_ns" metric in BENCH_micro_benchmarks.json so

@@ -1,6 +1,7 @@
 #include "core/recovery_manager.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/check.h"
@@ -8,6 +9,16 @@
 #include "log/action.h"
 
 namespace aer {
+namespace {
+
+// a + b for b >= 0, pinned at the largest SimTime instead of overflowing
+// (a retention of "forever" is a valid configuration).
+SimTime SaturatingAdd(SimTime a, SimTime b) {
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  return a > kMax - b ? kMax : a + b;
+}
+
+}  // namespace
 
 RecoveryManager::RecoveryManager(RecoveryPolicy& policy,
                                  RecoveryManagerConfig config)
@@ -236,7 +247,9 @@ void RecoveryManager::OnActionResult(SimTime time, MachineId machine,
     obs_.actions_per_process->Observe(
         static_cast<double>(process.tried.size()));
   }
-  history_[machine].last_recovery_end = now;
+  MachineHistory& history = history_[machine];
+  history.last_recovery_end = now;
+  QueueEviction(machine, history);
   open_.erase(it);
   if (++closes_since_sweep_ >= 64) MaybeEvictHistory(now);
 }
@@ -279,23 +292,46 @@ void RecoveryManager::ExpireInFlightAction(MachineId machine,
   if (obs_.timeouts) obs_.timeouts->Inc();
 }
 
+SimTime RecoveryManager::EvictAt(const MachineHistory& history) const {
+  SimTime at = SaturatingAdd(history.last_recovery_end + 1,
+                             config_.history_retention);
+  for (const SimTime open_time : history.recent_opens) {
+    at = std::max(at, SaturatingAdd(open_time, config_.flap_window));
+  }
+  return at;
+}
+
+void RecoveryManager::QueueEviction(MachineId machine,
+                                    MachineHistory& history) {
+  const SimTime at = EvictAt(history);
+  if (at >= history.queued_at) return;
+  evict_queue_.push({at, machine});
+  history.queued_at = at;
+}
+
 void RecoveryManager::MaybeEvictHistory(SimTime now) {
   closes_since_sweep_ = 0;
   const SimTime horizon = now - config_.history_retention;
-  for (auto it = history_.begin(); it != history_.end();) {
+  while (!evict_queue_.empty() && evict_queue_.top().at <= now) {
+    const EvictEntry entry = evict_queue_.top();
+    evict_queue_.pop();
+    const auto it = history_.find(entry.machine);
+    if (it == history_.end() || it->second.queued_at != entry.at) continue;
     MachineHistory& history = it->second;
-    std::erase_if(history.recent_opens, [&](SimTime open_time) {
-      return open_time <= now - config_.flap_window;
-    });
-    const bool stale = history.last_recovery_end < horizon &&
-                       history.recent_opens.empty() &&
-                       !open_.contains(it->first);
+    history.queued_at = kNotQueued;
+    // An open machine is never stale; its close queues it again.
+    if (open_.contains(entry.machine)) continue;
+    const bool stale =
+        history.last_recovery_end < horizon &&
+        std::ranges::all_of(history.recent_opens, [&](SimTime open_time) {
+          return open_time <= now - config_.flap_window;
+        });
     if (stale) {
-      it = history_.erase(it);
+      history_.erase(it);
       ++stats_.history_evictions;
       if (obs_.history_evictions) obs_.history_evictions->Inc();
     } else {
-      ++it;
+      QueueEviction(entry.machine, history);
     }
   }
 }

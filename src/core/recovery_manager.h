@@ -23,11 +23,16 @@
 //     instead of burning retries on a machine that lies about its health;
 //   - per-machine history is evicted after a retention window, so a fleet
 //     of mostly-healthy machines cannot grow the manager's memory without
-//     bound.
+//     bound. Every 64th close pops the machines due by then from a
+//     time-ordered index, so a sweep costs the evictions it makes, not the
+//     size of the fleet.
 #ifndef AER_CORE_RECOVERY_MANAGER_H_
 #define AER_CORE_RECOVERY_MANAGER_H_
 
+#include <functional>
+#include <limits>
 #include <optional>
+#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -198,10 +203,23 @@ class RecoveryManager {
     obs::TraceId trace = obs::kNoTrace;  // distributed trace id
   };
 
+  static constexpr SimTime kNotQueued = std::numeric_limits<SimTime>::max();
+
   struct MachineHistory {
     SimTime last_recovery_end = -1;
-    // Recent process-open times inside the flap window, oldest first.
+    // Process-open times; each open first drops those outside the flap
+    // window at its own time. Arrival order, so late opens leave it
+    // unsorted.
     std::vector<SimTime> recent_opens;
+    // Key of this machine's live entry in evict_queue_, kNotQueued if none.
+    SimTime queued_at = kNotQueued;
+  };
+
+  // An entry of the eviction index: the machine cannot be stale before `at`.
+  struct EvictEntry {
+    SimTime at = 0;
+    MachineId machine = 0;
+    friend auto operator<=>(const EvictEntry&, const EvictEntry&) = default;
   };
 
   // Clamps a possibly out-of-order timestamp against the process's last
@@ -215,7 +233,19 @@ class RecoveryManager {
   void ReportOutcome(MachineId machine, OpenProcess& process, SimTime time,
                      bool cured);
 
-  // Drops history entries older than config.history_retention.
+  // Earliest time at which the machine's history can be stale: after
+  // last_recovery_end + history_retention, and once every recent open has
+  // left the flap window.
+  SimTime EvictAt(const MachineHistory& history) const;
+
+  // Pushes the machine's current EvictAt key unless an entry with a key at
+  // or below it is already queued, so each retained machine has at most one
+  // live entry.
+  void QueueEviction(MachineId machine, MachineHistory& history);
+
+  // Evicts every closed machine whose last recovery ended more than
+  // config.history_retention before `now` and whose opens have all left the
+  // flap window; pops only the index entries due by `now`.
   void MaybeEvictHistory(SimTime now);
 
   // Declares the in-flight action timed out: reports the failure to the
@@ -227,6 +257,11 @@ class RecoveryManager {
   RecoveryLog log_;
   std::unordered_map<MachineId, OpenProcess> open_;
   std::unordered_map<MachineId, MachineHistory> history_;
+  // Min-heap of when retained machines can become stale; an entry whose key
+  // differs from its machine's queued_at (or whose machine is gone) is
+  // superseded and skipped.
+  std::priority_queue<EvictEntry, std::vector<EvictEntry>, std::greater<>>
+      evict_queue_;
   int closes_since_sweep_ = 0;
   Stats stats_;
 

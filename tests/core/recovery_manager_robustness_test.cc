@@ -4,7 +4,13 @@
 // recovery_manager_test.cc.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "cluster/user_policy.h"
+#include "common/rng.h"
 #include "core/recovery_manager.h"
 
 namespace aer {
@@ -320,6 +326,183 @@ TEST(RecoveryManagerRobustnessTest, RecentHistorySurvivesEviction) {
   // must still see last_recovery_end and skip the watch level.
   manager.OnSymptom(1000 + kHour, 7, "s");
   EXPECT_EQ(*manager.OnRecoveryNeeded(1001 + kHour, 7), B);
+}
+
+TEST(RecoveryManagerRobustnessTest, UnboundedRetentionNeverEvicts) {
+  // "Keep forever" windows must not overflow the eviction index's keys.
+  UserDefinedPolicy policy;
+  RecoveryManagerConfig config;
+  config.history_retention = std::numeric_limits<SimTime>::max();
+  config.flap_window = std::numeric_limits<SimTime>::max();
+  RecoveryManager manager(policy, config);
+  for (MachineId m = 0; m < 128; ++m) {
+    manager.OnSymptom(m * 10, m, "s");
+    manager.OnRecoveryNeeded(m * 10 + 1, m);
+    manager.OnActionResult(m * 10 + 2, m, /*healthy=*/true);
+  }
+  EXPECT_EQ(manager.history_size(), 128u);
+  EXPECT_EQ(manager.stats().history_evictions, 0);
+}
+
+TEST(RecoveryManagerRobustnessTest, FlapCountIgnoresOtherMachinesCloses) {
+  // A delayed symptom of machine 1 must see machine 1's earlier open inside
+  // the flap window whether or not other machines' closes (at a later time)
+  // triggered a history sweep in between.
+  RecoveryManagerConfig config;
+  config.flap_threshold = 1;
+  config.flap_window = 21600;
+  for (const bool other_closes : {false, true}) {
+    UserDefinedPolicy policy;
+    RecoveryManager manager(policy, config);
+    manager.OnSymptom(1000, 1, "s");
+    manager.OnRecoveryNeeded(1000, 1);
+    manager.OnActionResult(1001, 1, /*healthy=*/true);
+    if (other_closes) {
+      for (MachineId m = 100; m < 164; ++m) {
+        manager.OnSymptom(30000, m, "s");
+        manager.OnRecoveryNeeded(30000, m);
+        manager.OnActionResult(30000, m, /*healthy=*/true);
+      }
+    }
+    manager.OnSymptom(20000, 1, "s");
+    EXPECT_TRUE(manager.IsQuarantined(1)) << "other_closes=" << other_closes;
+    EXPECT_EQ(manager.stats().flap_quarantines, 1);
+  }
+}
+
+// Reference model of the retained history: at every 64th close it applies
+// the eviction rule to every machine, with no index.
+class HistoryModel {
+ public:
+  explicit HistoryModel(const RecoveryManagerConfig& config)
+      : config_(config) {}
+
+  // OnSymptom opened a process at `time`: prune, record, count a flap.
+  void Open(MachineId machine, SimTime time) {
+    Entry& entry = history_[machine];
+    std::erase_if(entry.opens, [&](SimTime open_time) {
+      return open_time <= time - config_.flap_window;
+    });
+    entry.opens.push_back(time);
+    if (static_cast<int>(entry.opens.size()) > config_.flap_threshold) {
+      ++quarantines_;
+    }
+  }
+
+  void Adopt(MachineId machine) { history_[machine]; }
+
+  void Close(MachineId machine, SimTime now, const RecoveryManager& manager) {
+    history_[machine].last_recovery_end = now;
+    ++closes_;
+    if (closes_ % 64 != 0) return;
+    evictions_ += std::erase_if(history_, [&](const auto& item) {
+      const auto& [id, entry] = item;
+      if (entry.last_recovery_end >= now - config_.history_retention) {
+        return false;
+      }
+      for (const SimTime open_time : entry.opens) {
+        if (open_time > now - config_.flap_window) return false;
+      }
+      return !manager.HasOpenProcess(id);
+    });
+  }
+
+  std::size_t size() const { return history_.size(); }
+  std::int64_t closes() const { return closes_; }
+  std::int64_t evictions() const { return evictions_; }
+  std::int64_t quarantines() const { return quarantines_; }
+
+ private:
+  struct Entry {
+    SimTime last_recovery_end = -1;
+    std::vector<SimTime> opens;
+  };
+  RecoveryManagerConfig config_;
+  std::unordered_map<MachineId, Entry> history_;
+  std::int64_t closes_ = 0;
+  std::int64_t evictions_ = 0;
+  std::int64_t quarantines_ = 0;
+};
+
+TEST(RecoveryManagerRobustnessTest, EvictionIndexMatchesFullScanModel) {
+  // Dirty seeded streams (out-of-order times, duplicate symptoms and
+  // results, timeouts, adoptions) with a short retention and flap window so
+  // sweeps evict often; the indexed eviction must agree with the model's
+  // full scan after every call, and flap counts with the model's own-opens
+  // count.
+  RecoveryManagerConfig config;
+  config.max_actions_per_process = 5;
+  config.action_timeout = 40;
+  config.flap_threshold = 2;
+  config.flap_window = 300;
+  config.history_retention = 500;
+  constexpr int kMachines = 300;
+  constexpr int kHotMachines = 8;
+  constexpr int kSteps = 20000;
+  const std::string kSymptoms[] = {"s1", "s2", "s3"};
+
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    UserDefinedPolicy policy;
+    RecoveryManager manager(policy, config);
+    HistoryModel model(config);
+    Rng rng(seed);
+
+    const auto symptom = [&](SimTime t, MachineId m) {
+      const bool was_open = manager.HasOpenProcess(m);
+      manager.OnSymptom(t, m, kSymptoms[rng.NextBounded(3)]);
+      if (!was_open) model.Open(m, t);
+    };
+    const auto result = [&](SimTime t, MachineId m, bool healthy) {
+      const std::int64_t completed = manager.stats().processes_completed;
+      manager.OnActionResult(t, m, healthy);
+      if (manager.stats().processes_completed != completed) {
+        model.Close(m, manager.log().entries().back().time, manager);
+      }
+    };
+
+    SimTime clock = 0;
+    for (int step = 0; step < kSteps; ++step) {
+      clock += rng.NextInt(0, 8);
+      // A quarter of the events arrive late, some by more than the window.
+      const SimTime t = rng.NextBool(0.25) ? clock - rng.NextInt(0, 400)
+                                           : clock;
+      // Half the events hit a few hot machines, so they flap.
+      const auto m = static_cast<MachineId>(
+          rng.NextBounded(rng.NextBool(0.5) ? kHotMachines : kMachines));
+      const std::uint64_t kind = rng.NextBounded(16);
+      if (kind < 4) {
+        symptom(t, m);
+        if (rng.NextBool(0.25)) symptom(t, m);
+      } else if (kind < 8) {
+        manager.OnRecoveryNeeded(t, m);
+      } else if (kind < 13) {
+        const bool healthy = rng.NextBool(0.6);
+        result(t, m, healthy);
+        if (rng.NextBool(0.2)) result(t, m, healthy);
+      } else if (kind < 15) {
+        for (const MachineId overdue : manager.PollTimeouts(t)) {
+          if (rng.NextBool(0.5)) manager.OnRecoveryNeeded(t, overdue);
+        }
+      } else {
+        OpenProcessSnapshot snapshot;
+        snapshot.machine = m;
+        snapshot.start = t - rng.NextInt(0, 100);
+        snapshot.symptom = kSymptoms[rng.NextBounded(3)];
+        snapshot.tried.assign(rng.NextBounded(3), Y);
+        snapshot.quarantined = rng.NextBool(0.1);
+        snapshot.last_event_time = t;
+        if (manager.AdoptProcess(t, snapshot)) model.Adopt(m);
+      }
+      ASSERT_EQ(manager.history_size(), model.size()) << "step " << step;
+    }
+    const RecoveryManager::Stats& stats = manager.stats();
+    EXPECT_EQ(stats.processes_completed, model.closes());
+    EXPECT_EQ(stats.history_evictions, model.evictions());
+    EXPECT_EQ(stats.flap_quarantines, model.quarantines());
+    EXPECT_GT(model.evictions(), 0);
+    EXPECT_GT(model.quarantines(), 0);
+  }
 }
 
 }  // namespace
