@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <iterator>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -230,6 +231,37 @@ void BM_LogSerializationRoundTrip(benchmark::State& state) {
                               dataset.trace.result.log.size()));
 }
 BENCHMARK(BM_LogSerializationRoundTrip);
+
+// The two halves of the round trip, so a codec regression shows which side
+// moved.
+void BM_LogWrite(benchmark::State& state) {
+  const RecoveryLog& log = GetDataset().trace.result.log;
+  for (auto _ : state) {
+    std::ostringstream os;
+    log.Write(os);
+    benchmark::DoNotOptimize(os.tellp());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(log.size()));
+}
+BENCHMARK(BM_LogWrite);
+
+void BM_LogRead(benchmark::State& state) {
+  const RecoveryLog& log = GetDataset().trace.result.log;
+  std::ostringstream os;
+  log.Write(os);
+  const std::string text = os.str();
+  for (auto _ : state) {
+    std::istringstream is(text);
+    RecoveryLog parsed;
+    benchmark::DoNotOptimize(RecoveryLog::Read(is, parsed));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(log.size()));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_LogRead);
 
 // Observability overhead (docs/OBSERVABILITY.md): the instrumented hot
 // paths pay one cached-pointer counter increment or histogram observe per

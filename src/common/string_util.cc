@@ -1,9 +1,11 @@
 #include "common/string_util.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace aer {
 
@@ -42,14 +44,17 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
 
 std::optional<std::int64_t> ParseInt64(std::string_view s) {
   s = Trim(s);
-  if (s.empty()) return std::nullopt;
-  // strtoll needs a NUL-terminated buffer.
-  std::string buf(s);
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return std::nullopt;
-  return static_cast<std::int64_t>(v);
+  // strtoll's accept set: one optional sign, then decimal digits.
+  // from_chars takes '-' but not '+', so a '+' is stripped, and only when a
+  // digit follows (otherwise "+-1" would parse as -1).
+  if (s.size() > 1 && s[0] == '+' && s[1] >= '0' && s[1] <= '9') {
+    s.remove_prefix(1);
+  }
+  std::int64_t v = 0;
+  const char* const end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
 }
 
 std::optional<double> ParseDouble(std::string_view s) {

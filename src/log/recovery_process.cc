@@ -1,6 +1,7 @@
 #include "log/recovery_process.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -44,20 +45,35 @@ namespace {
 struct OpenProcess {
   std::vector<SymptomEvent> symptoms;
   std::vector<ActionAttempt> attempts;
+  // Index of this process's slot in open order (valid while open).
+  std::size_t slot = 0;
   bool open = false;
 };
+
+bool EntryBefore(const LogEntry& a, const LogEntry& b) {
+  if (a.time != b.time) return a.time < b.time;
+  return a.machine < b.machine;
+}
 
 }  // namespace
 
 SegmentationResult SegmentIntoProcesses(const RecoveryLog& log) {
-  // Work on a time-sorted copy of the entry list (cheap: entries are PODs).
-  std::vector<LogEntry> entries = log.entries();
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const LogEntry& a, const LogEntry& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.machine < b.machine;
-                   });
+  // Scan in (time, machine) order. Logs from Write() and the simulators are
+  // already in that order; only an unsorted log pays for a sorted copy.
+  std::vector<LogEntry> sorted;
+  const std::vector<LogEntry>* entries = &log.entries();
+  if (!std::is_sorted(entries->begin(), entries->end(), EntryBefore)) {
+    sorted = *entries;
+    std::stable_sort(sorted.begin(), sorted.end(), EntryBefore);
+    entries = &sorted;
+  }
 
+  // One slot per opened process, in open order. Opens happen in (time,
+  // machine) order, which is the (start time, machine) order the result
+  // promises; a machine reopening at the same second closed its previous
+  // process first, so ties also keep close order. Processes still open at
+  // the end leave their slot empty.
+  std::vector<std::optional<RecoveryProcess>> slots;
   SegmentationResult result;
   std::unordered_map<MachineId, OpenProcess> open;
 
@@ -68,7 +84,8 @@ SegmentationResult SegmentIntoProcesses(const RecoveryLog& log) {
     }
   };
 
-  for (const LogEntry& e : entries) {
+  std::size_t closed = 0;
+  for (const LogEntry& e : *entries) {
     OpenProcess& p = open[e.machine];
     switch (e.kind) {
       case EntryKind::kSymptom:
@@ -76,6 +93,8 @@ SegmentationResult SegmentIntoProcesses(const RecoveryLog& log) {
           p.open = true;
           p.symptoms.clear();
           p.attempts.clear();
+          p.slot = slots.size();
+          slots.emplace_back();
         }
         p.symptoms.push_back({e.time, e.symptom});
         break;
@@ -94,24 +113,19 @@ SegmentationResult SegmentIntoProcesses(const RecoveryLog& log) {
         }
         close_attempt(p, e.time);
         if (!p.attempts.empty()) p.attempts.back().cured = true;
-        result.processes.emplace_back(e.machine, std::move(p.symptoms),
-                                      std::move(p.attempts), e.time);
+        slots[p.slot].emplace(e.machine, std::move(p.symptoms),
+                              std::move(p.attempts), e.time);
+        ++closed;
         p = OpenProcess{};
         break;
     }
   }
 
-  for (const auto& [machine, p] : open) {
-    if (p.open) ++result.incomplete;
+  result.incomplete = static_cast<int>(slots.size() - closed);
+  result.processes.reserve(closed);
+  for (std::optional<RecoveryProcess>& slot : slots) {
+    if (slot.has_value()) result.processes.push_back(std::move(*slot));
   }
-
-  std::stable_sort(result.processes.begin(), result.processes.end(),
-                   [](const RecoveryProcess& a, const RecoveryProcess& b) {
-                     if (a.start_time() != b.start_time()) {
-                       return a.start_time() < b.start_time();
-                     }
-                     return a.machine() < b.machine();
-                   });
   return result;
 }
 

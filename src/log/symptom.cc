@@ -5,7 +5,7 @@
 namespace aer {
 
 SymptomId SymptomTable::Intern(std::string_view name) {
-  const auto it = ids_.find(std::string(name));
+  const auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   const SymptomId id = static_cast<SymptomId>(names_.size());
   names_.emplace_back(name);
@@ -14,7 +14,7 @@ SymptomId SymptomTable::Intern(std::string_view name) {
 }
 
 SymptomId SymptomTable::Find(std::string_view name) const {
-  const auto it = ids_.find(std::string(name));
+  const auto it = ids_.find(name);
   return it == ids_.end() ? kInvalidSymptom : it->second;
 }
 

@@ -8,6 +8,7 @@
 #define AER_LOG_SYMPTOM_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -33,8 +34,17 @@ class SymptomTable {
   std::size_t size() const { return names_.size(); }
 
  private:
+  // Transparent, so Intern and Find look up a string_view without
+  // building a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, SymptomId> ids_;
+  std::unordered_map<std::string, SymptomId, NameHash, std::equal_to<>> ids_;
 };
 
 }  // namespace aer

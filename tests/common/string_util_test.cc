@@ -62,6 +62,25 @@ TEST(ParseInt64Test, InvalidInputs) {
   EXPECT_FALSE(ParseInt64("1 2").has_value());
 }
 
+// The accept set is strtoll's: trimmed spaces, one optional sign, decimal
+// digits, and no overflow.
+TEST(ParseInt64Test, MatchesStrtollAcceptSet) {
+  EXPECT_EQ(ParseInt64("+7"), 7);
+  EXPECT_EQ(ParseInt64("-0"), 0);
+  EXPECT_EQ(ParseInt64("007"), 7);
+  EXPECT_EQ(ParseInt64("\t-5\r\n"), -5);
+  EXPECT_EQ(ParseInt64("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(ParseInt64("-9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(ParseInt64("+9223372036854775807"), INT64_MAX);
+  for (const char* bad :
+       {"+-1", "-+1", "++1", "--1", "+", "-", "+ 1", "- 1", " + ", "0x10",
+        "9223372036854775808", "-9223372036854775809",
+        "99999999999999999999", "1e3", "\xb1"}) {
+    EXPECT_FALSE(ParseInt64(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(ParseInt64(std::string_view("12\0" "3", 4)).has_value());
+}
+
 TEST(ParseDoubleTest, ValidInputs) {
   EXPECT_DOUBLE_EQ(*ParseDouble("1.5"), 1.5);
   EXPECT_DOUBLE_EQ(*ParseDouble("-2e3"), -2000.0);

@@ -73,6 +73,41 @@ TEST(RecoveryLogTest, ReadRejectsMalformedLines) {
   }
 }
 
+// A machine id wider than MachineId used to be narrowed, so m4294967297
+// read as m1 and segmentation joined two machines' entries into one process.
+TEST(RecoveryLogTest, ReadRejectsOutOfRangeMachineId) {
+  const char kText[] = "100\tm4294967297\terror:Watchdog\n200\tm1\tSuccess\n";
+  {
+    std::stringstream ss(kText);
+    RecoveryLog parsed;
+    const LogParseResult result =
+        RecoveryLog::Read(ss, parsed, LogParseMode::kStrict);
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.first_error_line, 1u);
+    EXPECT_EQ(result.first_error, "machine id out of range");
+  }
+  {
+    std::stringstream ss(kText);
+    RecoveryLog parsed;
+    const LogParseResult result =
+        RecoveryLog::Read(ss, parsed, LogParseMode::kLenient);
+    EXPECT_TRUE(result.ok);
+    EXPECT_EQ(result.skipped, 1u);
+    ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(parsed.entries()[0], LogEntry::Success(200, 1));
+  }
+  for (const char* line : {"1\tm2147483648\tSuccess", "1\tm-2147483649\tSuccess"}) {
+    std::stringstream ss(line);
+    RecoveryLog parsed;
+    EXPECT_FALSE(RecoveryLog::Read(ss, parsed)) << line;
+  }
+  std::stringstream edges("1\tm2147483647\tSuccess\n1\tm-2147483648\tSuccess\n");
+  RecoveryLog parsed;
+  ASSERT_TRUE(RecoveryLog::Read(edges, parsed));
+  EXPECT_EQ(parsed.entries()[0].machine, 2147483647);
+  EXPECT_EQ(parsed.entries()[1].machine, -2147483647 - 1);
+}
+
 TEST(RecoveryLogTest, ReadEmptyStreamYieldsEmptyLog) {
   std::stringstream ss("");
   RecoveryLog parsed;
