@@ -11,6 +11,7 @@
 #include "common/json_writer.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "fleet/trace.h"
 
 namespace aer::bench {
 namespace {
@@ -18,11 +19,6 @@ namespace {
 // FNV-1a 64 — same integrity hash the Q-table checkpoint format uses.
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::string ScaleFromEnv() {
-  const char* scale = std::getenv("AER_SCALE");
-  return scale != nullptr ? scale : "default";
-}
 
 }  // namespace
 

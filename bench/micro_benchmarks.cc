@@ -1,9 +1,11 @@
 // google-benchmark micro-benchmarks for the hot paths: Q-table operations,
 // Boltzmann sampling, process replay steps, trainer sweeps, selection-tree
-// training, log segmentation, m-pattern mining, log (de)serialization
-// throughput and the online manager's open/decide/close cycle.
+// training and pricing, log segmentation, m-pattern mining, log
+// (de)serialization throughput and the online manager's open/decide/close
+// cycle.
 #include <cstdint>
 #include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -150,21 +152,39 @@ void BM_TrainerSweeps(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainerSweeps)->Arg(2000)->Arg(10000);
 
+// The small trace of the selection-tree benchmarks: 200 machines x 60 days.
+struct TreeBenchData {
+  TraceDataset trace;
+  std::vector<RecoveryProcess> processes;
+  ErrorTypeCatalog types;
+  SimulationPlatform platform;
+
+  static TraceConfig Config() {
+    TraceConfig config = TraceConfigForScale("small");
+    config.sim.num_machines = 200;
+    config.sim.duration = 60 * kDay;
+    return config;
+  }
+  TreeBenchData()
+      : trace(GenerateTrace(Config())),
+        processes(SegmentIntoProcesses(trace.result.log).processes),
+        types(processes, 40),
+        platform(processes, types, trace.result.log.symptoms(), 20) {}
+};
+
+const TreeBenchData& GetTreeBenchData() {
+  static const TreeBenchData data;
+  return data;
+}
+
 // Selection-tree training of one error type on a small trace, sweeps and
 // tree scans together, converging as in the figure benches.
 void BM_SelectionTreeTrainType(benchmark::State& state) {
-  TraceConfig config = TraceConfigForScale("small");
-  config.sim.num_machines = 200;
-  config.sim.duration = 60 * kDay;
-  static const TraceDataset trace = GenerateTrace(config);
-  static const std::vector<RecoveryProcess> processes =
-      SegmentIntoProcesses(trace.result.log).processes;
-  static const ErrorTypeCatalog types(processes, 40);
-  static const SimulationPlatform platform(processes, types,
-                                           trace.result.log.symptoms(), 20);
+  const TreeBenchData& data = GetTreeBenchData();
   TrainerConfig trainer_config;
   trainer_config.max_sweeps = 40000;
-  const QLearningTrainer trainer(platform, processes, trainer_config);
+  const QLearningTrainer trainer(data.platform, data.processes,
+                                 trainer_config);
   const SelectionTreeTrainer tree(trainer, SelectionTreeConfig{});
   std::int64_t episodes = 0;
   for (auto _ : state) {
@@ -176,6 +196,50 @@ void BM_SelectionTreeTrainType(benchmark::State& state) {
       static_cast<double>(episodes), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_SelectionTreeTrainType)->Unit(benchmark::kMillisecond);
+
+// The pricing of one tree scan with nothing priced yet: the candidates the
+// tree draws from a part-trained Q-table of type 0 (at most 64), the
+// escalation seeds, and every prefix of each, against the type's processes.
+void BM_EvaluateSequencesTree(benchmark::State& state) {
+  const TreeBenchData& data = GetTreeBenchData();
+  TrainerConfig trainer_config;
+  trainer_config.max_sweeps = 3000;
+  trainer_config.min_sweeps = trainer_config.max_sweeps;
+  const QLearningTrainer trainer(data.platform, data.processes,
+                                 trainer_config);
+  QTable table;
+  trainer.TrainType(0, &table);
+  std::vector<ActionSequence> candidates = BuildCandidateSequences(
+      table, 0, trainer_config.max_actions, SelectionTreeConfig{});
+  const std::vector<RepairAction>& allowed =
+      data.platform.estimator().ObservedActions(0);
+  for (std::size_t start = 0; start < allowed.size(); ++start) {
+    ActionSequence seq;
+    for (std::size_t i = start; i < allowed.size(); ++i) {
+      seq.push_back(allowed[i]);
+      if (allowed[i] != RepairAction::kRma) seq.push_back(allowed[i]);
+    }
+    candidates.push_back(std::move(seq));
+  }
+  std::set<ActionSequence> prefixes;
+  for (const ActionSequence& candidate : candidates) {
+    for (auto end = candidate.begin(); end != candidate.end();) {
+      prefixes.emplace(candidate.begin(), ++end);
+    }
+  }
+  const std::vector<ActionSequence> batch(prefixes.begin(), prefixes.end());
+  const auto processes = trainer.processes_of(0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EvaluateSequences(
+        batch, processes, 0, data.platform.estimator(),
+        trainer_config.max_actions, Terminalization::kEscalate,
+        data.platform.capabilities()));
+  }
+  state.counters["sequences"] = static_cast<double>(batch.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(processes.size()));
+}
+BENCHMARK(BM_EvaluateSequencesTree)->Unit(benchmark::kMicrosecond);
 
 void BM_LogSegmentation(benchmark::State& state) {
   const BenchDataset& dataset = GetDataset();

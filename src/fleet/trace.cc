@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "common/check.h"
 #include "fleet/fleet_sim.h"
 
 namespace aer {
@@ -17,7 +18,18 @@ TraceDataset GenerateTrace(const TraceConfig& config) {
   return dataset;
 }
 
+namespace {
+
+void CheckScale(std::string_view scale) {
+  AER_CHECK(scale == "small" || scale == "default" || scale == "large")
+      << "unknown scale \"" << scale
+      << "\"; the scales are small, default and large";
+}
+
+}  // namespace
+
 TraceConfig TraceConfigForScale(std::string_view scale) {
+  CheckScale(scale);
   TraceConfig config;
   if (scale == "small") {
     config.sim.num_machines = 400;
@@ -29,9 +41,13 @@ TraceConfig TraceConfigForScale(std::string_view scale) {
   return config;
 }
 
-TraceConfig TraceConfigFromEnv() {
-  const char* scale = std::getenv("AER_SCALE");
-  return TraceConfigForScale(scale != nullptr ? scale : "default");
+std::string ScaleFromEnv() {
+  const char* env = std::getenv("AER_SCALE");
+  std::string scale = env != nullptr ? env : "default";
+  CheckScale(scale);
+  return scale;
 }
+
+TraceConfig TraceConfigFromEnv() { return TraceConfigForScale(ScaleFromEnv()); }
 
 }  // namespace aer

@@ -5,6 +5,7 @@
 #ifndef AER_FLEET_TRACE_H_
 #define AER_FLEET_TRACE_H_
 
+#include <string>
 #include <string_view>
 
 #include "cluster/fault_catalog.h"
@@ -28,10 +29,15 @@ struct TraceDataset {
 TraceDataset GenerateTrace(const TraceConfig& config = {});
 
 // Scales the simulated fleet/time: "small" for unit tests (~2k processes),
-// "default" for benches (~18k), "large" for overnight runs (~45k).
+// "default" for benches (~18k), "large" for overnight runs (~45k). Any other
+// scale CHECK-fails, naming these three.
 TraceConfig TraceConfigForScale(std::string_view scale);
 
-// Reads AER_SCALE from the environment ("default" if unset/unknown).
+// AER_SCALE from the environment, "default" if unset; an unknown value
+// CHECK-fails, so a record is never labelled with a scale it did not run.
+std::string ScaleFromEnv();
+
+// TraceConfigForScale(ScaleFromEnv()).
 TraceConfig TraceConfigFromEnv();
 
 }  // namespace aer

@@ -1,9 +1,11 @@
 #include "rl/boltzmann.h"
 
+#include <array>
 #include <cmath>
 #include <vector>
 
 #include "common/check.h"
+#include "log/action.h"
 
 namespace aer {
 
@@ -19,7 +21,15 @@ std::size_t SampleBoltzmann(std::span<const double> costs, double temperature,
   AER_CHECK_GT(temperature, 0.0);
   double min_cost = costs[0];
   for (double c : costs) min_cost = c < min_cost ? c : min_cost;
-  std::vector<double> weights(costs.size());
+  // The weights live on the stack for up to one weight per action; a longer
+  // span falls back to the heap.
+  std::array<double, kNumActions> stack_weights = {};
+  std::vector<double> heap_weights;
+  if (costs.size() > stack_weights.size()) heap_weights.resize(costs.size());
+  const std::span<double> weights =
+      heap_weights.empty()
+          ? std::span<double>(stack_weights).first(costs.size())
+          : std::span<double>(heap_weights);
   for (std::size_t i = 0; i < costs.size(); ++i) {
     weights[i] = std::exp(-(costs[i] - min_cost) / temperature);
   }

@@ -120,19 +120,32 @@ void QLearningTrainer::RunSweep(ErrorTypeId type,
     init_q[static_cast<std::size_t>(ActionIndex(a))] =
         platform_.estimator().EstimateCost(type, a, /*success=*/true);
   }
-  const auto q_of = [&](const QTable& q, StateKey s, RepairAction a) {
-    return q.Has(s, a) ? q.Q(s, a)
-                       : init_q[static_cast<std::size_t>(ActionIndex(a))];
+  using Entries = std::array<QTable::Entry, kNumActions>;
+  const auto q_of = [&](const Entries* entries, RepairAction a) {
+    const auto i = static_cast<std::size_t>(ActionIndex(a));
+    return entries != nullptr && (*entries)[i].visits > 0 ? (*entries)[i].q
+                                                          : init_q[i];
   };
-  // Behaviour values: the single table, or the mean of both under Double Q.
-  const auto q_or_init = [&](StateKey s, RepairAction a) {
-    const double qa = q_of(table, s, a);
-    return table_b == nullptr ? qa : 0.5 * (qa + q_of(*table_b, s, a));
+  // Fills `values` with the behaviour values of the allowed actions in state
+  // `s`, one look-up per table: the single table, or the mean of both under
+  // Double Q.
+  AER_CHECK_LE(allowed.size(), static_cast<std::size_t>(kNumActions));
+  std::array<double, kNumActions> values = {};
+  const std::span<const double> allowed_values(values.data(), allowed.size());
+  const auto read_values = [&](StateKey s) {
+    const Entries* a_entries = table.Find(s);
+    const Entries* b_entries = table_b == nullptr ? nullptr : table_b->Find(s);
+    for (std::size_t i = 0; i < allowed.size(); ++i) {
+      const double qa = q_of(a_entries, allowed[i]);
+      values[i] =
+          table_b == nullptr ? qa : 0.5 * (qa + q_of(b_entries, allowed[i]));
+    }
   };
   const auto min_q_or_init = [&](StateKey s) {
-    double best = q_or_init(s, allowed.front());
+    read_values(s);
+    double best = values[0];
     for (std::size_t i = 1; i < allowed.size(); ++i) {
-      best = std::min(best, q_or_init(s, allowed[i]));
+      best = std::min(best, values[i]);
     }
     return best;
   };
@@ -146,6 +159,8 @@ void QLearningTrainer::RunSweep(ErrorTypeId type,
   };
   std::vector<Transition> episode;
   std::vector<RepairAction> tried;
+  episode.reserve(static_cast<std::size_t>(config_.max_actions));
+  tried.reserve(static_cast<std::size_t>(config_.max_actions));
 
   // Explore different recovery actions until the simulated machine is
   // healthy; the last slot is always manual repair.
@@ -155,11 +170,8 @@ void QLearningTrainer::RunSweep(ErrorTypeId type,
     if (static_cast<int>(tried.size()) >= config_.max_actions - 1) {
       a = RepairAction::kRma;
     } else {
-      std::vector<double> costs(allowed.size());
-      for (std::size_t i = 0; i < allowed.size(); ++i) {
-        costs[i] = q_or_init(s, allowed[i]);
-      }
-      a = allowed[SampleBoltzmann(costs, temperature, rng)];
+      read_values(s);
+      a = allowed[SampleBoltzmann(allowed_values, temperature, rng)];
     }
     const ProcessReplay::StepResult step = replay.Step(a);
     tried.push_back(a);
@@ -195,16 +207,17 @@ void QLearningTrainer::RunSweep(ErrorTypeId type,
       QTable& value_table = &update_table == &table ? *table_b : table;
       double future = 0.0;
       if (!episode[t].terminal) {
+        const Entries* update_entries = update_table.Find(episode[t].next);
         RepairAction chosen = allowed.front();
-        double chosen_q = q_of(update_table, episode[t].next, chosen);
+        double chosen_q = q_of(update_entries, chosen);
         for (std::size_t i = 1; i < allowed.size(); ++i) {
-          const double q = q_of(update_table, episode[t].next, allowed[i]);
+          const double q = q_of(update_entries, allowed[i]);
           if (q < chosen_q) {
             chosen_q = q;
             chosen = allowed[i];
           }
         }
-        future = q_of(value_table, episode[t].next, chosen);
+        future = q_of(value_table.Find(episode[t].next), chosen);
       }
       const double delta =
           update_table.Update(episode[t].state, episode[t].action,

@@ -35,6 +35,11 @@ std::int64_t QTable::Visits(StateKey s, RepairAction a) const {
   return it->second[static_cast<std::size_t>(ActionIndex(a))].visits;
 }
 
+const std::array<QTable::Entry, kNumActions>* QTable::Find(StateKey s) const {
+  const auto it = table_.find(s);
+  return it == table_.end() ? nullptr : &it->second;
+}
+
 double QTable::Update(StateKey s, RepairAction a, double target) {
   Entry& e = table_[s][static_cast<std::size_t>(ActionIndex(a))];
   // α = 1/(1+visits): the very first update adopts the target wholesale, so

@@ -33,6 +33,12 @@ class QTable {
 
   std::int64_t Visits(StateKey s, RepairAction a) const;
 
+  // All of a state's entries, indexed by ActionIndex (an entry with no
+  // visits is unexplored); nullptr if the state has none. One look-up for a
+  // caller that reads several actions of a state. The pointer stays valid
+  // until the table is destroyed or assigned.
+  const std::array<Entry, kNumActions>* Find(StateKey s) const;
+
   // One Q-learning update toward `target` (= step cost + min over next
   // state): q ← (1-α) q + α target with α = 1/(1+visits); increments visits.
   // Returns the signed change in q (new − old) — the trainers' telemetry

@@ -1,8 +1,6 @@
 #include "rl/selection_tree.h"
 
 #include <limits>
-#include <set>
-#include <unordered_map>
 
 #include "common/check.h"
 
@@ -65,92 +63,127 @@ SelectionTreeTrainer::SelectionTreeTrainer(const QLearningTrainer& base,
   AER_CHECK_GT(config_.stable_checks, 0);
 }
 
+SelectionTreeScan::SelectionTreeScan(const QLearningTrainer& base,
+                                     const SelectionTreeConfig& config,
+                                     ErrorTypeId type)
+    : base_(base), config_(config), type_(type), nodes_(1) {
+  if (config_.seed_escalation_candidates) {
+    const std::vector<RepairAction>& allowed =
+        base_.platform().estimator().ObservedActions(type);
+    for (std::size_t start = 0; start < allowed.size(); ++start) {
+      // Escalate from allowed[start] upward, trying each level twice
+      // (covering repeated-requirement incidents).
+      ActionSequence seq;
+      for (std::size_t i = start; i < allowed.size(); ++i) {
+        seq.push_back(allowed[i]);
+        if (allowed[i] != RepairAction::kRma) seq.push_back(allowed[i]);
+      }
+      seeds_.push_back(std::move(seq));
+    }
+  }
+}
+
+void SelectionTreeScan::Mark(const ActionSequence& candidate) {
+  std::int32_t node = 0;
+  for (std::size_t len = 1; len <= candidate.size(); ++len) {
+    const RepairAction a = candidate[len - 1];
+    const auto i = static_cast<std::size_t>(ActionIndex(a));
+    std::int32_t next = nodes_[static_cast<std::size_t>(node)].child[i];
+    if (next < 0) {
+      next = static_cast<std::int32_t>(nodes_.size());
+      nodes_[static_cast<std::size_t>(node)].child[i] = next;
+      Node& added = nodes_.emplace_back();
+      added.parent = node;
+      added.action = a;
+    }
+    node = next;
+    Node& n = nodes_[static_cast<std::size_t>(node)];
+    if (n.marked_at == checks_) continue;
+    n.marked_at = checks_;
+    if (!n.priced) {
+      unpriced_.emplace_back(
+          candidate.begin(),
+          candidate.begin() + static_cast<std::ptrdiff_t>(len));
+      unpriced_nodes_.push_back(node);
+    }
+  }
+}
+
+struct SelectionTreeScan::Best {
+  std::int32_t node = 0;
+  std::size_t length = 0;
+  double cost = std::numeric_limits<double>::infinity();
+  std::int64_t cured = -1;
+};
+
+void SelectionTreeScan::PickBelow(std::int32_t node, std::size_t depth,
+                                  Best& best) const {
+  const Node& parent = nodes_[static_cast<std::size_t>(node)];
+  for (const std::int32_t child : parent.child) {
+    if (child < 0) continue;
+    const Node& n = nodes_[static_cast<std::size_t>(child)];
+    if (n.marked_at != checks_) continue;
+    const SequenceEvaluation& eval = n.eval;
+    // Strictly better cost wins; on a near-tie prefer more self-contained
+    // cures, then the shorter sequence, so dead tails (actions past the
+    // point where every training process is already cured) are dropped
+    // while genuinely-curing tails are kept.
+    const bool better =
+        eval.mean_cost < best.cost - 1e-9 ||
+        (eval.mean_cost < best.cost + 1e-9 &&
+         (eval.cured_by_sequence > best.cured ||
+          (eval.cured_by_sequence == best.cured && depth + 1 < best.length)));
+    if (better) {
+      best = {child, depth + 1, eval.mean_cost, eval.cured_by_sequence};
+    }
+    PickBelow(child, depth + 1, best);
+  }
+}
+
+ActionSequence SelectionTreeScan::Pick(const QTable& view) {
+  const TrainerConfig& tc = base_.config();
+  ++checks_;
+  unpriced_.clear();
+  unpriced_nodes_.clear();
+  // Score every *prefix* of every candidate too: a path's tail may only
+  // ever execute for a handful of incidents and still drag the whole
+  // sequence down (e.g. wandering into the manual-repair cap for the one
+  // process the prefix already failed on cheaply).
+  for (const ActionSequence& candidate :
+       BuildCandidateSequences(view, type_, tc.max_actions, config_)) {
+    Mark(candidate);
+  }
+  for (const ActionSequence& seed : seeds_) Mark(seed);
+
+  // Priced under the platform's relation, the one the sweeps train under.
+  const std::vector<SequenceEvaluation> evals = EvaluateSequences(
+      unpriced_, base_.processes_of(type_), type_,
+      base_.platform().estimator(), tc.max_actions,
+      Terminalization::kEscalate, base_.platform().capabilities());
+  for (std::size_t i = 0; i < unpriced_nodes_.size(); ++i) {
+    Node& n = nodes_[static_cast<std::size_t>(unpriced_nodes_[i])];
+    n.eval = evals[i];
+    n.priced = true;
+  }
+
+  // The tie-break keeps the first of equals, in lexicographic order.
+  Best best;
+  PickBelow(0, 0, best);
+  ActionSequence sequence(best.length);
+  for (std::int32_t node = best.node; node > 0;
+       node = nodes_[static_cast<std::size_t>(node)].parent) {
+    sequence[--best.length] = nodes_[static_cast<std::size_t>(node)].action;
+  }
+  return sequence;
+}
+
 TypeTrainingResult SelectionTreeTrainer::TrainType(ErrorTypeId type,
                                                    QTable* table_out) const {
-  const auto processes = base_.processes_of(type);
-  const TrainerConfig& tc = base_.config();
-
-  // A candidate's price depends only on the sequence: the processes,
-  // estimator, max_actions and capability model are fixed for this call.
-  // So each distinct sequence is priced once, and a check pays only for the
-  // sequences no earlier check has seen. The key is injective here: the
-  // type is fixed and the length is packed.
-  std::unordered_map<StateKey, SequenceEvaluation> priced;
-  std::vector<ActionSequence> unpriced;
-
-  const auto scan_tree = [&](const QTable& view) -> ActionSequence {
-    std::vector<ActionSequence> candidates =
-        BuildCandidateSequences(view, type, tc.max_actions, config_);
-    if (config_.seed_escalation_candidates) {
-      const std::vector<RepairAction>& allowed =
-          base_.platform().estimator().ObservedActions(type);
-      for (std::size_t start = 0; start < allowed.size(); ++start) {
-        // Escalate from allowed[start] upward, trying each level twice
-        // (covering repeated-requirement incidents).
-        ActionSequence seq;
-        for (std::size_t i = start; i < allowed.size(); ++i) {
-          seq.push_back(allowed[i]);
-          if (allowed[i] != RepairAction::kRma) seq.push_back(allowed[i]);
-        }
-        candidates.push_back(std::move(seq));
-      }
-    }
-
-    // Score every *prefix* of every candidate too: a path's tail may only
-    // ever execute for a handful of incidents and still drag the whole
-    // sequence down (e.g. wandering into the manual-repair cap for the one
-    // process the prefix already failed on cheaply).
-    std::set<ActionSequence> scored;
-    for (const ActionSequence& candidate : candidates) {
-      for (std::size_t len = 1; len <= candidate.size(); ++len) {
-        scored.insert(
-            ActionSequence(candidate.begin(),
-                           candidate.begin() + static_cast<std::ptrdiff_t>(len)));
-      }
-    }
-
-    unpriced.clear();
-    for (const ActionSequence& seq : scored) {
-      if (!priced.contains(EncodeState(type, seq))) unpriced.push_back(seq);
-    }
-    // Priced under the platform's relation, the one the sweeps train under.
-    const std::vector<SequenceEvaluation> evals = EvaluateSequences(
-        unpriced, processes, type, base_.platform().estimator(),
-        tc.max_actions, Terminalization::kEscalate,
-        base_.platform().capabilities());
-    for (std::size_t i = 0; i < unpriced.size(); ++i) {
-      priced.emplace(EncodeState(type, unpriced[i]), evals[i]);
-    }
-
-    // Lexicographic order: the tie-break below keeps the first of equals.
-    ActionSequence best;
-    double best_cost = std::numeric_limits<double>::infinity();
-    std::int64_t best_cured = -1;
-    for (const ActionSequence& seq : scored) {
-      const SequenceEvaluation& eval =
-          priced.find(EncodeState(type, seq))->second;
-      // Strictly better cost wins; on a near-tie prefer more self-contained
-      // cures, then the shorter sequence, so dead tails (actions past the
-      // point where every training process is already cured) are dropped
-      // while genuinely-curing tails are kept.
-      const bool better =
-          eval.mean_cost < best_cost - 1e-9 ||
-          (eval.mean_cost < best_cost + 1e-9 &&
-           (eval.cured_by_sequence > best_cured ||
-            (eval.cured_by_sequence == best_cured &&
-             seq.size() < best.size())));
-      if (better) {
-        best_cost = eval.mean_cost;
-        best_cured = eval.cured_by_sequence;
-        best = seq;
-      }
-    }
-    return best;
-  };
-
-  return base_.TrainTypeWith(type, scan_tree, config_.stable_checks,
-                             QLearningTrainer::FinalSequence::kLastCheck,
-                             table_out);
+  SelectionTreeScan scan(base_, config_, type);
+  return base_.TrainTypeWith(
+      type, [&scan](const QTable& view) { return scan.Pick(view); },
+      config_.stable_checks, QLearningTrainer::FinalSequence::kLastCheck,
+      table_out);
 }
 
 QLearningTrainer::TrainingOutput SelectionTreeTrainer::TrainAll(

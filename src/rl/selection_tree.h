@@ -13,6 +13,10 @@
 #ifndef AER_RL_SELECTION_TREE_H_
 #define AER_RL_SELECTION_TREE_H_
 
+#include <array>
+#include <cstdint>
+#include <vector>
+
 #include "rl/qlearning.h"
 
 namespace aer {
@@ -46,6 +50,53 @@ struct SelectionTreeConfig {
 std::vector<ActionSequence> BuildCandidateSequences(
     const QTable& table, ErrorTypeId type, int max_actions,
     const SelectionTreeConfig& config);
+
+// The tree scan of one SelectionTreeTrainer::TrainType call: the policy
+// generator its sweeps call at every check. A candidate's price depends only
+// on the sequence (the processes, estimator, max_actions and capability
+// model are fixed for the type), so every sequence the scan prices stays
+// priced, in one trie that lives as long as the scan; a check pays only for
+// the sequences no earlier check has seen.
+class SelectionTreeScan {
+ public:
+  // `base` and the type's processes must outlive the scan.
+  SelectionTreeScan(const QLearningTrainer& base,
+                    const SelectionTreeConfig& config, ErrorTypeId type);
+
+  // The check under the Q values in `view`: the best of the tree's
+  // candidates and all their prefixes, priced exactly. Empty when there is
+  // no candidate step.
+  ActionSequence Pick(const QTable& view);
+
+ private:
+  struct Node {
+    Node() { child.fill(-1); }
+    std::array<std::int32_t, kNumActions> child;  // -1: no child
+    std::int32_t parent = -1;
+    RepairAction action = RepairAction::kTryNop;
+    // The check that last marked the node as a prefix of a candidate.
+    std::int64_t marked_at = -1;
+    bool priced = false;
+    SequenceEvaluation eval;
+  };
+  struct Best;
+
+  // Marks every non-empty prefix of `candidate`, queueing the unpriced ones.
+  void Mark(const ActionSequence& candidate);
+  // The tie-break over the marked nodes below `node`, in pre-order with
+  // children in action-index order: the lexicographic order of sequences.
+  void PickBelow(std::int32_t node, std::size_t depth, Best& best) const;
+
+  const QLearningTrainer& base_;
+  SelectionTreeConfig config_;
+  ErrorTypeId type_;
+  // The "start the escalation at level a" candidates, the same every check.
+  std::vector<ActionSequence> seeds_;
+  std::vector<Node> nodes_;  // nodes_[0] is the empty sequence
+  std::int64_t checks_ = 0;
+  std::vector<ActionSequence> unpriced_;
+  std::vector<std::int32_t> unpriced_nodes_;
+};
 
 class SelectionTreeTrainer {
  public:

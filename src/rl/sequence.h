@@ -63,9 +63,11 @@ double SequenceCostOnReplay(std::span<const RepairAction> sequence,
                             bool* cured_by_sequence = nullptr);
 
 // Prices each of `sequences` against every process (all must be of `type`)
-// in one pass over the processes, reusing one replay per process. Element i
-// equals EvaluateSequence(sequences[i], ...) field for field: each total is
-// accumulated in process order.
+// in one pass over the processes. The batch is built into a trie once (equal
+// sequences share a node), and each process walks it depth-first with one
+// replay, stepping every edge once and branching through Save()/Restore().
+// Element i equals EvaluateSequence(sequences[i], ...) field for field: each
+// total is accumulated in process order.
 std::vector<SequenceEvaluation> EvaluateSequences(
     std::span<const ActionSequence> sequences,
     std::span<const RecoveryProcess* const> processes, ErrorTypeId type,

@@ -23,38 +23,35 @@ ProcessReplay::ProcessReplay(const RecoveryProcess& process, ErrorTypeId type,
 }
 
 void ProcessReplay::Reset() {
-  consumed_ = {};
-  executed_ = {};
-  steps_ = 0;
-  cured_ = false;
-  total_cost_ = static_cast<double>(process_.detection_delay());
+  state_ = State{};
+  state_.total_cost = static_cast<double>(process_.detection_delay());
 }
 
 ProcessReplay::StepResult ProcessReplay::Step(RepairAction action) {
-  AER_CHECK(!cured_) << "Step(" << ActionName(action)
-                     << ") after the process was already cured";
+  AER_CHECK(!state_.cured) << "Step(" << ActionName(action)
+                           << ") after the process was already cured";
   const auto idx = static_cast<std::size_t>(ActionIndex(action));
-  ++executed_[idx];
-  ++steps_;
+  ++state_.executed[idx];
+  ++state_.steps;
 
   // Cure check first, so the cost estimate can be outcome-conditional.
   const bool cured =
       action == RepairAction::kRma ||
-      (steps_ >= required_total_ &&
-       capabilities_.CoversCounts(executed_, required_));
+      (state_.steps >= required_total_ &&
+       capabilities_.CoversCounts(state_.executed, required_));
 
   // Price the step: actual logged cost when this occurrence of the action
   // exists in the process, per-type average otherwise.
   double cost;
-  if (consumed_[idx] < occurrence_costs_[idx].size()) {
-    cost = occurrence_costs_[idx][consumed_[idx]];
-    ++consumed_[idx];
+  if (state_.consumed[idx] < occurrence_costs_[idx].size()) {
+    cost = occurrence_costs_[idx][state_.consumed[idx]];
+    ++state_.consumed[idx];
   } else {
     cost = estimator_.EstimateCost(type_, action, cured);
   }
 
-  cured_ = cured;
-  total_cost_ += cost;
+  state_.cured = cured;
+  state_.total_cost += cost;
   return {cost, cured};
 }
 

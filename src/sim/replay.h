@@ -43,16 +43,29 @@ class ProcessReplay {
   // Must not be called after the process is cured.
   StepResult Step(RepairAction action);
 
-  bool cured() const { return cured_; }
-  int steps() const { return steps_; }
+  bool cured() const { return state_.cured; }
+  int steps() const { return state_.steps; }
 
   // Detection delay + all step costs so far: the simulated downtime, on the
   // same footing as RecoveryProcess::downtime().
-  double total_cost() const { return total_cost_; }
+  double total_cost() const { return state_.total_cost; }
 
   // Restarts the replay of the same process. Neither Reset() nor Step()
   // allocates, so one replay can price many sequences.
   void Reset();
+
+  // Everything Step() changes, so a walk over a tree of sequences can branch
+  // from a replay and come back without copying the occurrence costs.
+  struct State {
+    std::array<std::size_t, kNumActions> consumed = {};
+    ActionCounts executed = {};
+    int steps = 0;
+    bool cured = false;
+    double total_cost = 0.0;
+  };
+  State Save() const { return state_; }
+  // Returns the replay to a state Save() took from this replay.
+  void Restore(const State& state) { state_ = state; }
 
  private:
   const RecoveryProcess& process_;
@@ -66,12 +79,8 @@ class ProcessReplay {
   // Actual costs of each action's occurrences in the logged process, in
   // order; consumed as the replay executes matching actions.
   std::array<std::vector<double>, kNumActions> occurrence_costs_;
-  std::array<std::size_t, kNumActions> consumed_ = {};
 
-  ActionCounts executed_ = {};
-  int steps_ = 0;
-  bool cured_ = false;
-  double total_cost_ = 0.0;
+  State state_;
 };
 
 }  // namespace aer

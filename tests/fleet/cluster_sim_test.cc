@@ -293,8 +293,7 @@ TEST(ClusterSimTest, TraceScalesAffectVolume) {
   const TraceConfig large = TraceConfigForScale("large");
   EXPECT_LT(small.sim.num_machines, def.sim.num_machines);
   EXPECT_LT(def.sim.num_machines, large.sim.num_machines);
-  EXPECT_EQ(TraceConfigForScale("unknown").sim.num_machines,
-            def.sim.num_machines);
+  EXPECT_DEATH(TraceConfigForScale("unknown"), "unknown scale");
 }
 
 TEST(ClusterSimTest, RecurringFailureShortcutAppearsInLog) {

@@ -33,6 +33,32 @@ TEST(TraceTest, ConfigFromEnvRespectsScale) {
             TraceConfigForScale("default").sim.num_machines);
 }
 
+// An unknown scale must not run the default scale under its own label (a
+// default-size record stamped "smoke"): both the config and the environment
+// read fail, naming the known scales.
+TEST(TraceTest, UnknownScaleFailsNamingTheKnownOnes) {
+  EXPECT_DEATH(TraceConfigForScale("smoke"),
+               "unknown scale \"smoke\"; the scales are small, default and "
+               "large");
+  EXPECT_DEATH(
+      {
+        setenv("AER_SCALE", "smoke", 1);
+        TraceConfigFromEnv();
+      },
+      "unknown scale \"smoke\"");
+  EXPECT_DEATH(
+      {
+        setenv("AER_SCALE", "", 1);
+        ScaleFromEnv();
+      },
+      "unknown scale \"\"");
+  unsetenv("AER_SCALE");
+  EXPECT_EQ(ScaleFromEnv(), "default");
+  setenv("AER_SCALE", "large", 1);
+  EXPECT_EQ(ScaleFromEnv(), "large");
+  unsetenv("AER_SCALE");
+}
+
 TEST(TraceTest, VolumeScalesWithFleetAndHorizon) {
   TraceConfig small = TraceConfigForScale("small");
   small.sim.num_machines = 100;

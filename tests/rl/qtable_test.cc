@@ -93,6 +93,35 @@ TEST(QTableTest, BestTwoWithSingleActionHasNoSecond) {
   EXPECT_FALSE(best2->second.has_value());
 }
 
+// Find() is the one-look-up read of a state: it must agree with Has(), Q()
+// and Visits() on every action of explored and unexplored states alike.
+TEST(QTableTest, FindAgreesWithHasQAndVisits) {
+  QTable table;
+  Rng rng(5);
+  for (int i = 0; i < 400; ++i) {
+    table.Update(rng.NextBounded(16),
+                 kAllActions[rng.NextBounded(kAllActions.size())],
+                 rng.NextDouble() * 1000.0);
+  }
+  int explored = 0;
+  for (StateKey s = 0; s < 20; ++s) {
+    const auto* entries = table.Find(s);
+    EXPECT_EQ(entries != nullptr, table.raw().contains(s)) << "state " << s;
+    for (RepairAction a : kAllActions) {
+      const auto i = static_cast<std::size_t>(ActionIndex(a));
+      const std::int64_t visits = entries != nullptr ? (*entries)[i].visits : 0;
+      EXPECT_EQ(visits, table.Visits(s, a));
+      EXPECT_EQ(visits > 0, table.Has(s, a));
+      if (table.Has(s, a)) {
+        EXPECT_EQ((*entries)[i].q, table.Q(s, a));
+        ++explored;
+      }
+    }
+  }
+  EXPECT_GT(explored, 20);
+  EXPECT_EQ(table.Find(12345), nullptr);
+}
+
 TEST(QTableTest, StatesAreIndependent) {
   QTable table;
   table.Update(1, RepairAction::kTryNop, 10.0);

@@ -1,0 +1,211 @@
+// Differential test of EvaluateSequences' trie walk against the pricer it
+// replaced: one replay per process, Reset() before every sequence, each
+// sequence stepped from the root. Every field must match bit for bit, on
+// seeded random batches that exercise what the walk shares between
+// sequences — prefixes, duplicates, the empty sequence, actions after manual
+// repair, sequences longer than the action cap — under both terminalizations
+// and both capability models.
+#include <cstddef>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/rng.h"
+#include "fleet/trace.h"
+#include "log/recovery_process.h"
+#include "mining/error_type.h"
+#include "rl/sequence.h"
+
+namespace aer {
+namespace {
+
+std::vector<SequenceEvaluation> ResetPerSequence(
+    std::span<const ActionSequence> sequences,
+    std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
+    const CostEstimator& estimator, int max_actions,
+    Terminalization terminalization, const CapabilityModel& capabilities) {
+  std::vector<SequenceEvaluation> evals(sequences.size());
+  for (const RecoveryProcess* p : processes) {
+    ProcessReplay replay(*p, type, estimator, capabilities);
+    for (std::size_t i = 0; i < sequences.size(); ++i) {
+      replay.Reset();
+      bool cured = false;
+      SequenceEvaluation& eval = evals[i];
+      eval.total_cost +=
+          SequenceCostOnReplay(sequences[i], replay, type, estimator,
+                               max_actions, terminalization, &cured);
+      (cured ? eval.cured_by_sequence : eval.terminalized) += 1;
+      ++eval.processes;
+    }
+  }
+  for (SequenceEvaluation& eval : evals) {
+    eval.mean_cost = eval.processes > 0
+                         ? eval.total_cost / static_cast<double>(eval.processes)
+                         : 0.0;
+  }
+  return evals;
+}
+
+ActionSequence RandomSequence(Rng& rng, std::size_t max_length) {
+  ActionSequence seq(rng.NextBounded(max_length + 1));
+  for (RepairAction& a : seq) {
+    a = kAllActions[rng.NextBounded(kAllActions.size())];
+  }
+  return seq;
+}
+
+// A few random sequences and every prefix of each, the empty one included:
+// the shape of a selection-tree batch.
+std::vector<ActionSequence> PrefixClosedBatch(Rng& rng, std::size_t length) {
+  std::vector<ActionSequence> batch;
+  for (int n = 0; n < 5; ++n) {
+    const ActionSequence seq = RandomSequence(rng, length);
+    for (std::size_t len = 0; len <= seq.size(); ++len) {
+      batch.emplace_back(seq.begin(),
+                         seq.begin() + static_cast<std::ptrdiff_t>(len));
+    }
+  }
+  return batch;
+}
+
+// Unrelated sequences plus duplicates of some of them and of the empty one.
+std::vector<ActionSequence> ArbitraryBatch(Rng& rng, std::size_t length) {
+  std::vector<ActionSequence> batch;
+  for (int n = 0; n < 24; ++n) batch.push_back(RandomSequence(rng, length));
+  batch.emplace_back();
+  for (int n = 0; n < 6; ++n) {
+    batch.push_back(batch[rng.NextBounded(batch.size())]);
+  }
+  return batch;
+}
+
+class TrieWalkTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    TraceConfig config = TraceConfigForScale("small");
+    config.sim.num_machines = 120;
+    config.sim.duration = 30 * kDay;
+    const TraceDataset trace = GenerateTrace(config);
+    storage_ = new std::vector<RecoveryProcess>(
+        SegmentIntoProcesses(trace.result.log).processes);
+    catalog_ = new ErrorTypeCatalog(*storage_, 20);
+    estimator_ = new CostEstimator(*storage_, *catalog_);
+  }
+  static void TearDownTestSuite() {
+    delete estimator_;
+    delete catalog_;
+    delete storage_;
+  }
+
+  static std::vector<const RecoveryProcess*> ProcessesOf(ErrorTypeId type) {
+    std::vector<const RecoveryProcess*> out;
+    for (const RecoveryProcess& p : *storage_) {
+      if (!p.attempts().empty() && catalog_->Classify(p) == type) {
+        out.push_back(&p);
+      }
+    }
+    return out;
+  }
+
+  // Prices `batch` both ways under every action cap, terminalization and
+  // capability model; returns the number of sequences compared.
+  static int Compare(const std::vector<ActionSequence>& batch,
+                     const std::vector<const RecoveryProcess*>& processes,
+                     ErrorTypeId type) {
+    int compared = 0;
+    for (const int max_actions : {2, 3, 20}) {
+      for (const Terminalization term :
+           {Terminalization::kEscalate, Terminalization::kManualRepair}) {
+        for (const CapabilityModel* model :
+             {&CapabilityModel::TotalOrder(),
+              &CapabilityModel::IdentityOnly()}) {
+          const auto got = EvaluateSequences(batch, processes, type,
+                                             *estimator_, max_actions, term,
+                                             *model);
+          const auto want = ResetPerSequence(batch, processes, type,
+                                             *estimator_, max_actions, term,
+                                             *model);
+          EXPECT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < got.size() && i < want.size(); ++i) {
+            SCOPED_TRACE(::testing::Message()
+                         << "type " << type << ", max_actions " << max_actions
+                         << ", sequence " << i << " of length "
+                         << batch[i].size());
+            EXPECT_EQ(got[i].total_cost, want[i].total_cost);
+            EXPECT_EQ(got[i].mean_cost, want[i].mean_cost);
+            EXPECT_EQ(got[i].processes, want[i].processes);
+            EXPECT_EQ(got[i].cured_by_sequence, want[i].cured_by_sequence);
+            EXPECT_EQ(got[i].terminalized, want[i].terminalized);
+            ++compared;
+          }
+        }
+      }
+    }
+    return compared;
+  }
+
+  static std::vector<RecoveryProcess>* storage_;
+  static ErrorTypeCatalog* catalog_;
+  static CostEstimator* estimator_;
+};
+
+std::vector<RecoveryProcess>* TrieWalkTest::storage_ = nullptr;
+ErrorTypeCatalog* TrieWalkTest::catalog_ = nullptr;
+CostEstimator* TrieWalkTest::estimator_ = nullptr;
+
+TEST_F(TrieWalkTest, PrefixClosedBatchesMatchResetPerSequence) {
+  ASSERT_GE(catalog_->num_types(), 3u);
+  Rng rng(21);
+  int compared = 0;
+  for (ErrorTypeId type = 0; type < 3; ++type) {
+    const auto processes = ProcessesOf(type);
+    ASSERT_FALSE(processes.empty());
+    for (int round = 0; round < 4; ++round) {
+      // Lengths up to 24 run past every cap above.
+      compared += Compare(PrefixClosedBatch(rng, round < 2 ? 6 : 24),
+                          processes, type);
+    }
+  }
+  EXPECT_GT(compared, 1000);
+}
+
+TEST_F(TrieWalkTest, ArbitraryBatchesMatchResetPerSequence) {
+  Rng rng(22);
+  int compared = 0;
+  for (ErrorTypeId type = 0; type < 3; ++type) {
+    const auto processes = ProcessesOf(type);
+    for (int round = 0; round < 4; ++round) {
+      compared += Compare(ArbitraryBatch(rng, round < 2 ? 5 : 24), processes,
+                          type);
+    }
+  }
+  EXPECT_GT(compared, 1000);
+}
+
+TEST_F(TrieWalkTest, EmptyAndDuplicateSequencesShareOneNode) {
+  const auto processes = ProcessesOf(0);
+  constexpr auto Y = RepairAction::kTryNop;
+  constexpr auto A = RepairAction::kRma;
+  const std::vector<ActionSequence> batch = {
+      {}, {Y, A, Y}, {}, {Y, A, Y}, {Y, A}, {A, A, A, A}, {Y}};
+  EXPECT_EQ(Compare(batch, processes, 0), 12 * static_cast<int>(batch.size()));
+  const auto evals = EvaluateSequences(batch, processes, 0, *estimator_, 20);
+  EXPECT_EQ(evals[0].total_cost, evals[2].total_cost);
+  EXPECT_EQ(evals[1].total_cost, evals[3].total_cost);
+  // Manual repair always cures, so nothing after it runs.
+  EXPECT_EQ(evals[1].total_cost, evals[4].total_cost);
+}
+
+TEST_F(TrieWalkTest, NoProcessesPricesZero) {
+  const std::vector<ActionSequence> batch = {{}, {RepairAction::kReboot}};
+  const auto evals = EvaluateSequences(batch, {}, 0, *estimator_, 20);
+  ASSERT_EQ(evals.size(), 2u);
+  for (const SequenceEvaluation& eval : evals) {
+    EXPECT_EQ(eval.processes, 0);
+    EXPECT_EQ(eval.total_cost, 0.0);
+    EXPECT_EQ(eval.mean_cost, 0.0);
+  }
+}
+
+}  // namespace
+}  // namespace aer
