@@ -128,6 +128,24 @@ bool CheckClaim(bool held, const std::string& claim) {
   return held;
 }
 
+bool CheckSavingsClaim(const std::vector<double>& relative_costs) {
+  double sum = 0.0;
+  bool each_below = true;
+  for (const double cost : relative_costs) {
+    sum += cost;
+    each_below = each_below && cost < 0.90;
+  }
+  const bool mean_below =
+      sum < 0.90 * static_cast<double>(relative_costs.size());
+  if (ScaleFromEnv() == "small") {
+    return CheckClaim(mean_below,
+                      "the mean relative cost over tests 1-4 is below 90%");
+  }
+  return CheckClaim(mean_below && each_below,
+                    "the relative cost is below 90% in every test and on "
+                    "average");
+}
+
 std::vector<std::string> TypeLabels(std::size_t n) {
   std::vector<std::string> labels;
   labels.reserve(n);

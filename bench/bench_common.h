@@ -64,6 +64,12 @@ void Report(const std::string& csv_name, const std::string& x_name,
 // nothing here enters the checksum.
 bool CheckClaim(bool held, const std::string& claim);
 
+// The paper's >10% savings claim (Figures 9 and 12) over the relative costs
+// of tests 1-4: their mean is below 90% at every scale, and each one is at
+// the default and large scales. A small trace is too short for every test
+// to hold (its trained test 2 reads 90.45%).
+bool CheckSavingsClaim(const std::vector<double>& relative_costs);
+
 // "1".."40" style labels for per-error-type series (1-based like the paper).
 std::vector<std::string> TypeLabels(std::size_t n);
 

@@ -11,7 +11,7 @@
 namespace aer::bench {
 namespace {
 
-void Run() {
+bool Run() {
   Header("fig09_trained_total_cost", "Figure 9",
          "Total downtime, user-defined vs trained, tests 1-4 (handled "
          "processes only).");
@@ -27,7 +27,9 @@ void Run() {
   }
   Report("fig09_trained_total_cost", "test (Msec)", labels, {user, trained});
 
+  std::vector<double> relative_costs;
   for (std::size_t i = 0; i < results.size(); ++i) {
+    relative_costs.push_back(results[i].trained.overall_relative_cost);
     const BootstrapInterval ci =
         BootstrapRatioCI(results[i].trained.samples);
     std::printf("test %zu (train %.0f%%): trained policy costs %.2f%% of the "
@@ -39,12 +41,12 @@ void Run() {
   std::printf("paper: >10%% savings in all four tests; 89.02%% at 40%% "
               "training.\n");
   Footer();
+  return CheckSavingsClaim(relative_costs);
 }
 
 }  // namespace
 }  // namespace aer::bench
 
 int main() {
-  aer::bench::Run();
-  return 0;
+  return aer::bench::Run() ? 0 : 1;
 }

@@ -10,7 +10,7 @@
 namespace aer::bench {
 namespace {
 
-void Run() {
+bool Run() {
   Header("fig12_hybrid_total_cost", "Figure 12",
          "Total downtime, user-defined vs hybrid, tests 1-4 (all "
          "processes).");
@@ -26,7 +26,9 @@ void Run() {
   }
   Report("fig12_hybrid_total_cost", "test (Msec)", labels, {user, hybrid});
 
+  std::vector<double> relative_costs;
   for (std::size_t i = 0; i < results.size(); ++i) {
+    relative_costs.push_back(results[i].hybrid.overall_relative_cost);
     const BootstrapInterval ci = BootstrapRatioCI(results[i].hybrid.samples);
     std::printf("test %zu (train %.0f%%): hybrid costs %.2f%% of the "
                 "user-defined policy (95%% CI %.2f-%.2f%%, coverage "
@@ -39,12 +41,12 @@ void Run() {
   std::printf("paper: >10%% average improvement; 89.18%% at 40%% training, "
               "with guaranteed full coverage.\n");
   Footer();
+  return CheckSavingsClaim(relative_costs);
 }
 
 }  // namespace
 }  // namespace aer::bench
 
 int main() {
-  aer::bench::Run();
-  return 0;
+  return aer::bench::Run() ? 0 : 1;
 }

@@ -14,11 +14,13 @@
 // through ordinary files, the way an operator would wire the system into
 // cron.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -46,6 +48,11 @@ using namespace aer;
 
 // --- tiny flag parser -------------------------------------------------------
 
+// A flag value that does not parse; main() prints it and exits 1.
+struct FlagError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 class Flags {
  public:
   Flags(int argc, char** argv, int first) {
@@ -72,15 +79,37 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
   double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    return GetNumber(key, fallback);
   }
   long long GetInt(const std::string& key, long long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoll(it->second);
+    return GetNumber(key, fallback);
+  }
+  // --scale, defaulting to "small"; TraceConfigForScale would CHECK-fail on
+  // an unknown name.
+  std::string GetScale() const {
+    std::string scale = Get("scale", "small");
+    if (!IsKnownScale(scale)) {
+      throw FlagError("--scale must be small, default or large, got \"" +
+                      scale + "\"");
+    }
+    return scale;
   }
 
  private:
+  template <typename T>
+  T GetNumber(const std::string& key, T fallback) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    const char* end = text.data() + text.size();
+    T value{};
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc() || stop != end) {
+      throw FlagError("--" + key + " expects a number, got \"" + text + "\"");
+    }
+    return value;
+  }
+
   std::map<std::string, std::string> values_;
   bool ok_ = true;
 };
@@ -143,7 +172,7 @@ int Generate(const Flags& flags) {
     std::fprintf(stderr, "generate: --out is required\n");
     return 1;
   }
-  TraceConfig config = TraceConfigForScale(flags.Get("scale", "small"));
+  TraceConfig config = TraceConfigForScale(flags.GetScale());
   config.sim.seed = static_cast<std::uint64_t>(
       flags.GetInt("seed", static_cast<long long>(config.sim.seed)));
   const TraceDataset dataset = GenerateTrace(config);
@@ -495,6 +524,9 @@ int Trace(const Flags& flags) {
 }
 
 int Simulate(const Flags& flags) {
+  TraceConfig config = TraceConfigForScale(flags.GetScale());
+  config.sim.seed = static_cast<std::uint64_t>(
+      flags.GetInt("seed", static_cast<long long>(config.sim.seed) + 1));
   TrainedPolicy policy;
   {
     std::ifstream is(flags.Get("policy", ""));
@@ -503,9 +535,6 @@ int Simulate(const Flags& flags) {
       return 1;
     }
   }
-  TraceConfig config = TraceConfigForScale(flags.Get("scale", "small"));
-  config.sim.seed = static_cast<std::uint64_t>(
-      flags.GetInt("seed", static_cast<long long>(config.sim.seed) + 1));
   const FaultCatalog catalog = MakeDefaultCatalog(config.catalog);
 
   const fleet::FleetSimConfig sim_config{.sim = config.sim};
@@ -538,17 +567,22 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   const Flags flags(argc, argv, 2);
   if (!flags.ok()) return 1;
-  if (command == "generate") return Generate(flags);
-  if (command == "summarize") return Summarize(flags);
-  if (command == "mine") return Mine(flags);
-  if (command == "train") return Train(flags);
-  if (command == "evaluate") return Evaluate(flags);
-  if (command == "simulate") return Simulate(flags);
-  if (command == "diff") return Diff(flags);
-  if (command == "metrics") return Metrics(flags);
-  if (command == "trace") return Trace(flags);
-  if (command == "timeseries") return Timeseries(flags);
-  if (command == "profile") return Profile(flags);
+  try {
+    if (command == "generate") return Generate(flags);
+    if (command == "summarize") return Summarize(flags);
+    if (command == "mine") return Mine(flags);
+    if (command == "train") return Train(flags);
+    if (command == "evaluate") return Evaluate(flags);
+    if (command == "simulate") return Simulate(flags);
+    if (command == "diff") return Diff(flags);
+    if (command == "metrics") return Metrics(flags);
+    if (command == "trace") return Trace(flags);
+    if (command == "timeseries") return Timeseries(flags);
+    if (command == "profile") return Profile(flags);
+  } catch (const FlagError& error) {
+    std::fprintf(stderr, "%s: %s\n", command.c_str(), error.what());
+    return 1;
+  }
   std::fprintf(stderr, "unknown command: %s\n\n", command.c_str());
   Usage();
   return 1;

@@ -18,7 +18,6 @@
 #ifndef AER_COMMON_CHECK_H_
 #define AER_COMMON_CHECK_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -26,27 +25,6 @@
 #include <sstream>
 #include <string>
 #include <utility>
-
-namespace aer {
-
-// Last-gasp hook: called with the fully formatted failure message after it
-// is printed to stderr and just before the failed AER_CHECK aborts. The
-// flight recorder (obs/flight_recorder.h) installs itself here to dump
-// recent trace records and metrics next to the crash. The hook must be
-// reentrancy-safe (a CHECK failing inside the hook must not recurse) and
-// must return; the abort always happens. Pass nullptr to uninstall.
-using CheckFailureHook = void (*)(const char* message);
-
-inline std::atomic<CheckFailureHook>& CheckFailureHookSlot() {
-  static std::atomic<CheckFailureHook> slot{nullptr};
-  return slot;
-}
-
-inline void SetCheckFailureHook(CheckFailureHook hook) {
-  CheckFailureHookSlot().store(hook, std::memory_order_release);
-}
-
-}  // namespace aer
 
 namespace aer::internal {
 
@@ -96,8 +74,8 @@ CheckOpResult CheckOp(const A& a, const B& b, Op op) {
   return {os.str()};
 }
 
-// Accumulates the failure message; the destructor emits it and aborts. Only
-// ever constructed on the (cold) failure path.
+// Accumulates the failure message; the destructor prints it to stderr,
+// flushes, and aborts. Only ever constructed on the (cold) failure path.
 class CheckFailureStream {
  public:
   CheckFailureStream(const char* macro, const char* expr, const char* file,
@@ -109,13 +87,8 @@ class CheckFailureStream {
   CheckFailureStream& operator=(const CheckFailureStream&) = delete;
 
   [[noreturn]] ~CheckFailureStream() {
-    const std::string message = stream_.str();
-    std::fprintf(stderr, "%s\n", message.c_str());
+    std::fprintf(stderr, "%s\n", stream_.str().c_str());
     std::fflush(stderr);
-    if (CheckFailureHook hook =
-            CheckFailureHookSlot().load(std::memory_order_acquire)) {
-      hook(message.c_str());
-    }
     std::abort();
   }
 

@@ -15,12 +15,7 @@ TrainTestSplit SplitByTime(std::span<const RecoveryProcess> processes,
   }
   const std::size_t cut = static_cast<std::size_t>(
       std::llround(train_fraction * static_cast<double>(processes.size())));
-  TrainTestSplit split;
-  split.train.assign(processes.begin(),
-                     processes.begin() + static_cast<std::ptrdiff_t>(cut));
-  split.test.assign(processes.begin() + static_cast<std::ptrdiff_t>(cut),
-                    processes.end());
-  return split;
+  return {processes.first(cut), processes.subspan(cut)};
 }
 
 }  // namespace aer

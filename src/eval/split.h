@@ -5,15 +5,15 @@
 #define AER_EVAL_SPLIT_H_
 
 #include <span>
-#include <vector>
 
 #include "log/recovery_process.h"
 
 namespace aer {
 
+// A prefix cut: both halves view the input, which must outlive the split.
 struct TrainTestSplit {
-  std::vector<RecoveryProcess> train;
-  std::vector<RecoveryProcess> test;
+  std::span<const RecoveryProcess> train;
+  std::span<const RecoveryProcess> test;
 };
 
 // `processes` must be ordered by start time (SegmentIntoProcesses output

@@ -18,10 +18,14 @@ TraceDataset GenerateTrace(const TraceConfig& config) {
   return dataset;
 }
 
+bool IsKnownScale(std::string_view scale) {
+  return scale == "small" || scale == "default" || scale == "large";
+}
+
 namespace {
 
 void CheckScale(std::string_view scale) {
-  AER_CHECK(scale == "small" || scale == "default" || scale == "large")
+  AER_CHECK(IsKnownScale(scale))
       << "unknown scale \"" << scale
       << "\"; the scales are small, default and large";
 }

@@ -33,6 +33,10 @@ TraceDataset GenerateTrace(const TraceConfig& config = {});
 // scale CHECK-fails, naming these three.
 TraceConfig TraceConfigForScale(std::string_view scale);
 
+// True for exactly the scales TraceConfigForScale accepts, so a caller can
+// reject an unknown one instead of CHECK-failing on it.
+bool IsKnownScale(std::string_view scale);
+
 // AER_SCALE from the environment, "default" if unset; an unknown value
 // CHECK-fails, so a record is never labelled with a scale it did not run.
 std::string ScaleFromEnv();

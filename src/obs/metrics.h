@@ -108,8 +108,8 @@ class StatMetric {
 enum class MetricKind { kCounter, kGauge, kHistogram, kStat };
 
 // A point-in-time copy of every metric, each section sorted by name — the
-// substrate shared by MergeFrom, the TimeSeriesRecorder's windowed deltas,
-// and the flight recorder's crash dump.
+// substrate shared by MergeFrom and the TimeSeriesRecorder's windowed
+// deltas.
 struct MetricsSnapshot {
   struct CounterValue {
     std::string name;

@@ -62,13 +62,25 @@ CASES = [
      ["profile", "--incidents", "24", "--seed", "7"]),
 ]
 
-# (aerctl argv, stderr substring) for inputs aerctl must refuse: a non-zero
-# exit, the message on stderr, and no file written at {out}.
+# (aerctl argv, stderr substring) for inputs aerctl must refuse: exit code 1
+# (not a crash), the message on stderr, and no file written at {out}.
 REJECTED_CASES = [
     (["train", "--log", "{trace}", "--out", "{out}", "--sweeps", "0"],
      "train: --sweeps must be at least 1"),
     (["train", "--log", "{trace}", "--out", "{out}", "--sweeps", "-5"],
      "train: --sweeps must be at least 1"),
+    (["train", "--log", "{trace}", "--out", "{out}", "--sweeps", "many"],
+     'train: --sweeps expects a number, got "many"'),
+    (["generate", "--out", "{out}", "--scale", "bogus"],
+     'generate: --scale must be small, default or large, got "bogus"'),
+    (["generate", "--out", "{out}", "--seed", "notanumber"],
+     'generate: --seed expects a number, got "notanumber"'),
+    (["simulate", "--policy", "{out}", "--scale", "bogus"],
+     'simulate: --scale must be small, default or large, got "bogus"'),
+    (["simulate", "--policy", "{out}", "--seed", "7x"],
+     'simulate: --seed expects a number, got "7x"'),
+    (["mine", "--log", "{trace}", "--minp", "high"],
+     'mine: --minp expects a number, got "high"'),
 ]
 
 PROFILING_OFF_NOTICE = b"profiling disabled"
@@ -149,8 +161,8 @@ def main() -> int:
             label = " ".join(args)
             proc = subprocess.run([binary] + argv, capture_output=True)
             errors = []
-            if proc.returncode == 0:
-                errors.append("exited 0, expected a rejection")
+            if proc.returncode != 1:
+                errors.append(f"exited {proc.returncode}, expected 1")
             if message not in proc.stderr.decode(errors="replace"):
                 errors.append(f"stderr lacks {message!r}")
             if out_path.exists():

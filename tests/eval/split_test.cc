@@ -42,13 +42,10 @@ TEST(SplitByTimeTest, TrainPrecedesTestInTime) {
 TEST(SplitByTimeTest, ContentsArePreservedInOrder) {
   const auto processes = TenProcesses();
   const TrainTestSplit split = SplitByTime(processes, 0.3);
-  for (std::size_t i = 0; i < split.train.size(); ++i) {
-    EXPECT_EQ(split.train[i].start_time(), processes[i].start_time());
-  }
-  for (std::size_t i = 0; i < split.test.size(); ++i) {
-    EXPECT_EQ(split.test[i].start_time(),
-              processes[split.train.size() + i].start_time());
-  }
+  // Both halves view the input: no process is copied.
+  EXPECT_EQ(split.train.data(), processes.data());
+  EXPECT_EQ(split.test.data(), processes.data() + split.train.size());
+  EXPECT_EQ(split.train.size() + split.test.size(), processes.size());
 }
 
 TEST(SplitByTimeDeathTest, RejectsUnsortedInput) {

@@ -37,6 +37,11 @@ TEST(TraceTest, ConfigFromEnvRespectsScale) {
 // default-size record stamped "smoke"): both the config and the environment
 // read fail, naming the known scales.
 TEST(TraceTest, UnknownScaleFailsNamingTheKnownOnes) {
+  for (const char* scale : {"small", "default", "large"}) {
+    EXPECT_TRUE(IsKnownScale(scale)) << scale;
+  }
+  EXPECT_FALSE(IsKnownScale("smoke"));
+  EXPECT_FALSE(IsKnownScale(""));
   EXPECT_DEATH(TraceConfigForScale("smoke"),
                "unknown scale \"smoke\"; the scales are small, default and "
                "large");

@@ -16,7 +16,6 @@
 #include "ctrl/harness.h"
 #include "fleet/fleet_sim.h"
 #include "fleet/trace.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace_collector.h"
@@ -110,9 +109,9 @@ TEST(ObsDeterminismTest, ClusterSimMetricsDeterministic) {
 }
 
 // The second half of the contract: observability must be *passive*. A
-// policy trained with the flight recorder installed, a time-series recorder
-// closing windows, and the wall-clock profiler recording is byte-identical
-// to one trained with none of them.
+// policy trained with a time-series recorder closing windows and the
+// wall-clock profiler recording is byte-identical to one trained with
+// neither.
 TEST(ObsDeterminismTest, PolicyBytesUnaffectedByObservability) {
   TraceConfig trace_config = TraceConfigForScale("small");
   trace_config.sim.num_machines = 150;
@@ -132,11 +131,6 @@ TEST(ObsDeterminismTest, PolicyBytesUnaffectedByObservability) {
 
   obs::MetricsRegistry registry;
   obs::TimeSeriesRecorder recorder(registry, {.window_width = 1});
-  obs::TraceCollector traces;
-  const std::string dump_path =
-      ::testing::TempDir() + "/aer_obs_determinism_flight.json";
-  obs::FlightRecorder::Install({.path = dump_path}, &registry, &recorder,
-                               &traces);
   ProfileRegistry::Global().Reset();
   std::string observed;
   {
@@ -146,7 +140,6 @@ TEST(ObsDeterminismTest, PolicyBytesUnaffectedByObservability) {
     registry.GetCounter("aer_test_total").Inc();
     recorder.AdvanceTo(1);
   }
-  obs::FlightRecorder::Uninstall();
 
   EXPECT_EQ(plain, observed);
   EXPECT_EQ(recorder.windows_closed(), 1);
