@@ -20,13 +20,9 @@ std::unique_ptr<BenchDataset> BuildDataset() {
   MPatternConfig mining;  // minp = 0.1, the paper's setting
   const SymptomClustering clustering(dataset->all, mining);
   dataset->clusters = clustering.clusters().size();
-  const NoiseFilterResult filtered =
-      FilterNoisyProcesses(dataset->all, clustering);
-  dataset->cohesive_fraction = filtered.clean_fraction;
-  dataset->clean.reserve(filtered.clean.size());
-  for (std::size_t i : filtered.clean) {
-    dataset->clean.push_back(dataset->all[i]);
-  }
+  dataset->clean = KeepCohesive(dataset->all, clustering);
+  dataset->cohesive_fraction = static_cast<double>(dataset->clean.size()) /
+                               static_cast<double>(dataset->all.size());
   return dataset;
 }
 

@@ -124,8 +124,9 @@ void Run() {
   const QLearningTrainer telemetry_trainer(platform, dataset.clean,
                                            telemetry_config);
   obs::MetricsRegistry registry;
-  obs::TimeSeriesRecorder recorder(
-      registry, {.window_width = episodes >= 8 ? episodes / 8 : 1});
+  obs::TimeSeriesConfig window_config;
+  window_config.window_width = episodes >= 8 ? episodes / 8 : 1;
+  obs::TimeSeriesRecorder recorder(registry, window_config);
   QLearningTrainer::TrainingOutput telemetry;
   std::int64_t telemetry_episodes = 0;
   const auto telemetry_start = std::chrono::steady_clock::now();

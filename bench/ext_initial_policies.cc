@@ -48,15 +48,11 @@ void Run() {
     config.escalation = baseline.escalation;
     const TraceDataset trace = GenerateTrace(config);
 
-    const auto segmented = SegmentIntoProcesses(trace.result.log);
+    auto segmented = SegmentIntoProcesses(trace.result.log);
     MPatternConfig mining;
     const SymptomClustering clustering(segmented.processes, mining);
-    const auto filtered =
-        FilterNoisyProcesses(segmented.processes, clustering);
-    std::vector<RecoveryProcess> clean;
-    for (std::size_t i : filtered.clean) {
-      clean.push_back(segmented.processes[i]);
-    }
+    const std::vector<RecoveryProcess> clean =
+        KeepCohesive(std::move(segmented.processes), clustering);
 
     ExperimentConfig experiment = DefaultExperimentConfig();
     experiment.user_policy = baseline.escalation;

@@ -26,12 +26,10 @@ void Run() {
   ChartSeries hybrid_rel{"hybrid rel cost", {}};
   for (std::size_t m = 0; m < minps.size(); ++m) {
     const double minp = minps[m];
-    const NoiseFilterResult filtered =
-        FilterNoisyProcesses(dataset.all, sweep[m]);
-    std::vector<RecoveryProcess> clean;
-    for (std::size_t i : filtered.clean) {
-      clean.push_back(dataset.all[i]);
-    }
+    const std::vector<RecoveryProcess> clean =
+        KeepCohesive(dataset.all, sweep[m]);
+    const double clean_fraction = static_cast<double>(clean.size()) /
+                                  static_cast<double>(dataset.all.size());
     const ErrorTypeCatalog types(clean, 1000);
 
     const ExperimentRunner runner(
@@ -40,11 +38,11 @@ void Run() {
     const ExperimentResult result = runner.RunOne(0.4, &GetPool());
 
     labels.push_back(StrFormat("minp %.2f", minp));
-    clean_frac.values.push_back(filtered.clean_fraction);
+    clean_frac.values.push_back(clean_fraction);
     types_found.values.push_back(static_cast<double>(types.num_types()));
     hybrid_rel.values.push_back(result.hybrid.overall_relative_cost);
     std::printf("  minp %.2f: clean %.3f, %zu types, hybrid rel %.4f\n",
-                minp, filtered.clean_fraction, types.num_types(),
+                minp, clean_fraction, types.num_types(),
                 result.hybrid.overall_relative_cost);
   }
   Report("ext_minp_sensitivity", "minp", labels,

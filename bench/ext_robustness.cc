@@ -16,6 +16,7 @@
 #include "bench_common.h"
 #include "cluster/user_policy.h"
 #include "common/rng.h"
+#include "eval/evaluator.h"
 #include "inject/event_perturber.h"
 #include "inject/file_corruptor.h"
 #include "mining/error_type.h"
@@ -91,24 +92,24 @@ void Run() {
             : static_cast<double>(log.size()) /
                   static_cast<double>(original_entries);
 
-    const auto segmented = SegmentIntoProcesses(log);
+    auto segmented = SegmentIntoProcesses(log);
+    const std::size_t total = segmented.processes.size();
     MPatternConfig mining;
     const SymptomClustering clustering(segmented.processes, mining);
-    const auto filtered =
-        FilterNoisyProcesses(segmented.processes, clustering);
-    std::vector<RecoveryProcess> clean;
-    for (std::size_t i : filtered.clean) {
-      clean.push_back(segmented.processes[i]);
-    }
+    const std::vector<RecoveryProcess> clean =
+        KeepCohesive(std::move(segmented.processes), clustering);
+    const double clean_fraction =
+        static_cast<double>(clean.size()) / static_cast<double>(total);
 
     // Figure-7-style validation on this arm's data.
     const ErrorTypeCatalog types(clean, 40);
     const SimulationPlatform platform(clean, types, log.symptoms());
     UserDefinedPolicy user(config.escalation);
     double worst = 0.0;
-    for (const auto& row : platform.ValidateAgainstLog(clean, user)) {
-      if (row.process_count < 20) continue;
-      worst = std::max(worst, std::abs(row.ratio - 1.0));
+    for (const TypeEvalRow& row :
+         PolicyEvaluator(platform).EvaluateFull(user, clean).rows) {
+      if (row.processes < 20) continue;
+      worst = std::max(worst, std::abs(row.relative_cost - 1.0));
     }
 
     // End-to-end savings.
@@ -119,13 +120,13 @@ void Run() {
 
     labels.push_back(arm.name);
     entries_kept.values.push_back(kept);
-    clean_frac.values.push_back(filtered.clean_fraction);
+    clean_frac.values.push_back(clean_fraction);
     fig7_dev.values.push_back(worst);
     hybrid_rel.values.push_back(result.hybrid.overall_relative_cost);
     std::printf("  %-24s kept %.3f (skipped %zu, repaired %zu), clean %.3f, "
                 "fig7 worst dev %.3f, hybrid rel %.4f\n",
                 arm.name.c_str(), kept, parse.skipped, parse.repaired,
-                filtered.clean_fraction, worst,
+                clean_fraction, worst,
                 result.hybrid.overall_relative_cost);
   }
   Report("ext_robustness", "arm", labels,

@@ -17,7 +17,7 @@ void Run() {
 
   const BenchDataset& dataset = GetDataset();
   const std::vector<ErrorTypeStat> ranked = RankErrorTypes(dataset.clean);
-  const TopTypesSelection top40 = SelectTopTypes(dataset.clean, 40);
+  const ErrorTypeCatalog top40(dataset.clean, 40);
 
   const std::size_t n = std::min<std::size_t>(40, ranked.size());
   ChartSeries counts{"count", {}};
@@ -30,7 +30,7 @@ void Run() {
               "98.68%% of processes.\n");
   std::printf("ours:  %zu error types after noise filtering; top 40 cover "
               "%.2f%% of processes.\n",
-              ranked.size(), 100.0 * top40.process_coverage);
+              ranked.size(), 100.0 * top40.coverage());
   Footer();
 }
 

@@ -7,6 +7,7 @@
 
 #include "bench_common.h"
 #include "cluster/user_policy.h"
+#include "eval/evaluator.h"
 #include "mining/error_type.h"
 #include "sim/platform.h"
 
@@ -23,18 +24,19 @@ bool Run() {
   const SimulationPlatform platform(dataset.clean, types,
                                     dataset.trace.result.log.symptoms());
   UserDefinedPolicy policy;
-  const auto rows = platform.ValidateAgainstLog(dataset.clean, policy);
+  const std::vector<TypeEvalRow> rows =
+      PolicyEvaluator(platform).EvaluateFull(policy, dataset.clean).rows;
 
   ChartSeries ratio{"est/actual", {}};
   std::vector<std::string> labels;
   double worst = 0.0;
   int below_one = 0;
-  for (const auto& row : rows) {
+  for (const TypeEvalRow& row : rows) {
     labels.push_back(StrFormat("%2d", row.type + 1));
-    ratio.values.push_back(row.ratio);
-    if (row.process_count == 0) continue;
-    worst = std::max(worst, std::abs(row.ratio - 1.0));
-    if (row.ratio < 1.0) ++below_one;
+    ratio.values.push_back(row.relative_cost);
+    if (row.processes == 0) continue;
+    worst = std::max(worst, std::abs(row.relative_cost - 1.0));
+    if (row.relative_cost < 1.0) ++below_one;
   }
   Report("fig07_platform_validation", "type", labels, {ratio});
 

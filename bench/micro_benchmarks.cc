@@ -232,8 +232,7 @@ void BM_EvaluateSequencesTree(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(EvaluateSequences(
         batch, processes, 0, data.platform.estimator(),
-        trainer_config.max_actions, Terminalization::kEscalate,
-        data.platform.capabilities()));
+        trainer_config.max_actions, data.platform.capabilities()));
   }
   state.counters["sequences"] = static_cast<double>(batch.size());
   state.SetItemsProcessed(state.iterations() *

@@ -84,6 +84,15 @@ class Flags {
   long long GetInt(const std::string& key, long long fallback) const {
     return GetNumber(key, fallback);
   }
+  // GetInt for a count or width that must be at least 1.
+  long long GetPositiveInt(const std::string& key, long long fallback) const {
+    const long long value = GetInt(key, fallback);
+    if (value < 1) {
+      throw FlagError("--" + key + " must be at least 1 (got " +
+                      std::to_string(value) + ")");
+    }
+    return value;
+  }
   // --scale, defaulting to "small"; TraceConfigForScale would CHECK-fail on
   // an unknown name.
   std::string GetScale() const {
@@ -196,11 +205,15 @@ int Summarize(const Flags& flags) {
 }
 
 int Mine(const Flags& flags) {
+  MPatternConfig config;
+  config.minp = flags.GetDouble("minp", 0.1);
+  if (!(config.minp > 0.0 && config.minp <= 1.0)) {
+    throw FlagError("--minp must be in (0, 1] (got " + flags.Get("minp", "") +
+                    ")");
+  }
   const auto log = LoadLog(flags.Get("log", ""));
   if (!log.has_value()) return 1;
   const SegmentationResult segmented = SegmentIntoProcesses(*log);
-  MPatternConfig config;
-  config.minp = flags.GetDouble("minp", 0.1);
   const SymptomClustering clustering(segmented.processes, config);
   const NoiseFilterResult filtered =
       FilterNoisyProcesses(segmented.processes, clustering);
@@ -226,12 +239,7 @@ int Mine(const Flags& flags) {
 }
 
 int Train(const Flags& flags) {
-  const long long sweeps = flags.GetInt("sweeps", 40000);
-  if (sweeps < 1) {
-    std::fprintf(stderr, "train: --sweeps must be at least 1 (got %lld)\n",
-                 sweeps);
-    return 1;
-  }
+  const long long sweeps = flags.GetPositiveInt("sweeps", 40000);
   const auto log = LoadLog(flags.Get("log", ""));
   if (!log.has_value()) return 1;
   const std::string out = flags.Get("out", "");
@@ -258,6 +266,11 @@ int Train(const Flags& flags) {
 }
 
 int Evaluate(const Flags& flags) {
+  const double fraction = flags.GetDouble("train-fraction", 0.4);
+  if (!(fraction > 0.0 && fraction < 1.0)) {
+    throw FlagError("--train-fraction must be in (0, 1) (got " +
+                    flags.Get("train-fraction", "") + ")");
+  }
   const auto log = LoadLog(flags.Get("log", ""));
   if (!log.has_value()) return 1;
   TrainedPolicy policy;
@@ -268,17 +281,12 @@ int Evaluate(const Flags& flags) {
       return 1;
     }
   }
-  const double fraction = flags.GetDouble("train-fraction", 0.4);
 
-  const SegmentationResult segmented = SegmentIntoProcesses(*log);
+  SegmentationResult segmented = SegmentIntoProcesses(*log);
   MPatternConfig mining;
   const SymptomClustering clustering(segmented.processes, mining);
-  const NoiseFilterResult filtered =
-      FilterNoisyProcesses(segmented.processes, clustering);
-  std::vector<RecoveryProcess> clean;
-  for (std::size_t i : filtered.clean) {
-    clean.push_back(segmented.processes[i]);
-  }
+  const std::vector<RecoveryProcess> clean =
+      KeepCohesive(std::move(segmented.processes), clustering);
   const ErrorTypeCatalog types(clean, 40);
   const TrainTestSplit split = SplitByTime(clean, fraction);
   const SimulationPlatform platform(split.test, types, log->symptoms());
@@ -386,8 +394,9 @@ void RunObservedPipeline(const Flags& flags, obs::MetricsRegistry& metrics,
 int Timeseries(const Flags& flags) {
   obs::MetricsRegistry metrics;
   obs::TimeSeriesConfig config;
-  config.window_width = flags.GetInt("window", kHour);
-  config.capacity = static_cast<std::size_t>(flags.GetInt("capacity", 256));
+  config.window_width = flags.GetPositiveInt("window", kHour);
+  config.capacity =
+      static_cast<std::size_t>(flags.GetPositiveInt("capacity", 256));
   obs::TimeSeriesRecorder recorder(metrics, config);
   RunObservedPipeline(flags, metrics, &recorder);
   if (flags.Has("json")) {
@@ -453,7 +462,7 @@ int Metrics(const Flags& flags) {
 void RunTracedControlPipeline(const Flags& flags,
                               obs::TraceCollector& traces) {
   ctrl::ControlHarnessConfig config;
-  config.cluster_size = static_cast<int>(flags.GetInt("cluster", 3));
+  config.cluster_size = static_cast<int>(flags.GetPositiveInt("cluster", 3));
   config.tick_interval = 5;
   config.net_latency = 1;
   config.reemit_interval = 60;

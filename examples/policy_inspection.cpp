@@ -33,13 +33,11 @@ int main() {
   // Data + pipeline front end.
   const aer::TraceDataset dataset =
       aer::GenerateTrace(aer::TraceConfigForScale("small"));
-  const auto segmented = aer::SegmentIntoProcesses(dataset.result.log);
+  auto segmented = aer::SegmentIntoProcesses(dataset.result.log);
   aer::MPatternConfig mining;
   const aer::SymptomClustering clustering(segmented.processes, mining);
-  const auto filtered =
-      aer::FilterNoisyProcesses(segmented.processes, clustering);
-  std::vector<aer::RecoveryProcess> clean;
-  for (std::size_t i : filtered.clean) clean.push_back(segmented.processes[i]);
+  const std::vector<aer::RecoveryProcess> clean =
+      aer::KeepCohesive(std::move(segmented.processes), clustering);
 
   const aer::ErrorTypeCatalog types(clean, 40);
   const aer::SimulationPlatform platform(clean, types,

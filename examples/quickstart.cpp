@@ -53,13 +53,11 @@ int main() {
 
   // --- 4. How much downtime would it save? --------------------------------
   // Evaluate on the latest 60% of the log (train/test split by time).
-  const auto segmented = aer::SegmentIntoProcesses(dataset.result.log);
+  auto segmented = aer::SegmentIntoProcesses(dataset.result.log);
   aer::MPatternConfig mining;
   const aer::SymptomClustering clustering(segmented.processes, mining);
-  const auto filtered =
-      aer::FilterNoisyProcesses(segmented.processes, clustering);
-  std::vector<aer::RecoveryProcess> clean;
-  for (std::size_t i : filtered.clean) clean.push_back(segmented.processes[i]);
+  const std::vector<aer::RecoveryProcess> clean =
+      aer::KeepCohesive(std::move(segmented.processes), clustering);
 
   aer::ExperimentConfig experiment;
   const aer::ExperimentRunner runner(clean, dataset.result.log.symptoms(),

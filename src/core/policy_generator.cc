@@ -10,18 +10,14 @@ PolicyGenerator::PolicyGenerator(PolicyGeneratorConfig config)
 TrainedPolicy PolicyGenerator::Generate(const RecoveryLog& log,
                                         PolicyGenerationReport* report) const {
   // 1. Segment the log into recovery processes.
-  const SegmentationResult segmented = SegmentIntoProcesses(log);
+  SegmentationResult segmented = SegmentIntoProcesses(log);
   AER_CHECK(!segmented.processes.empty());
+  const std::size_t total = segmented.processes.size();
 
   // 2. Cluster symptoms and drop noisy (multi-error) processes.
   const SymptomClustering clustering(segmented.processes, config_.mining);
-  const NoiseFilterResult filtered =
-      FilterNoisyProcesses(segmented.processes, clustering);
-  std::vector<RecoveryProcess> clean;
-  clean.reserve(filtered.clean.size());
-  for (std::size_t i : filtered.clean) {
-    clean.push_back(segmented.processes[i]);
-  }
+  const std::vector<RecoveryProcess> clean =
+      KeepCohesive(std::move(segmented.processes), clustering);
   AER_CHECK(!clean.empty());
 
   // 3. Induce error types from initial symptoms; keep the frequent ones.
@@ -37,9 +33,9 @@ TrainedPolicy PolicyGenerator::Generate(const RecoveryLog& log,
           : trainer.TrainAll();
 
   if (report != nullptr) {
-    report->total_processes = segmented.processes.size();
-    report->clean_processes = filtered.clean.size();
-    report->noisy_processes = filtered.noisy.size();
+    report->total_processes = total;
+    report->clean_processes = clean.size();
+    report->noisy_processes = total - clean.size();
     report->symptom_clusters = clustering.clusters().size();
     report->error_types = types.num_types();
     report->type_coverage = types.coverage();

@@ -1,20 +1,12 @@
 #include "log/log_stats.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace aer {
 
-std::unordered_map<SymptomId, std::vector<std::size_t>> GroupByErrorType(
-    const std::vector<RecoveryProcess>& processes) {
-  std::unordered_map<SymptomId, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < processes.size(); ++i) {
-    groups[processes[i].initial_symptom()].push_back(i);
-  }
-  return groups;
-}
-
 std::vector<ErrorTypeStat> RankErrorTypes(
-    const std::vector<RecoveryProcess>& processes) {
+    std::span<const RecoveryProcess> processes) {
   std::unordered_map<SymptomId, ErrorTypeStat> stats;
   for (const RecoveryProcess& p : processes) {
     ErrorTypeStat& s = stats[p.initial_symptom()];
@@ -33,22 +25,6 @@ std::vector<ErrorTypeStat> RankErrorTypes(
               return a.type < b.type;
             });
   return out;
-}
-
-TopTypesSelection SelectTopTypes(const std::vector<RecoveryProcess>& processes,
-                                 std::size_t k) {
-  const std::vector<ErrorTypeStat> ranked = RankErrorTypes(processes);
-  TopTypesSelection sel;
-  std::int64_t covered = 0;
-  for (std::size_t i = 0; i < ranked.size() && i < k; ++i) {
-    sel.types.push_back(ranked[i].type);
-    covered += ranked[i].process_count;
-  }
-  sel.process_coverage =
-      processes.empty()
-          ? 0.0
-          : static_cast<double>(covered) / static_cast<double>(processes.size());
-  return sel;
 }
 
 SimTime TotalDowntime(const std::vector<RecoveryProcess>& processes) {

@@ -1,19 +1,16 @@
 // Per-error-type statistics over an ensemble of recovery processes: process
-// counts and total downtime (the data behind the paper's Figures 5 and 6) and
-// the top-K frequent-type selection of Section 4.1.
+// counts and total downtime, the data behind the paper's Figures 5 and 6.
+// The ranking is also the one the error-type catalog keeps the top K of
+// (Section 4.1, mining/error_type.h).
 #ifndef AER_LOG_LOG_STATS_H_
 #define AER_LOG_LOG_STATS_H_
 
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "log/recovery_process.h"
 
 namespace aer {
-
-// Groups process indices by error type (initial symptom).
-std::unordered_map<SymptomId, std::vector<std::size_t>> GroupByErrorType(
-    const std::vector<RecoveryProcess>& processes);
 
 struct ErrorTypeStat {
   SymptomId type = kInvalidSymptom;
@@ -25,17 +22,7 @@ struct ErrorTypeStat {
 // by symptom id so the ranking is deterministic). This ordering defines the
 // "error type 1..40" x-axis used throughout the paper's figures.
 std::vector<ErrorTypeStat> RankErrorTypes(
-    const std::vector<RecoveryProcess>& processes);
-
-struct TopTypesSelection {
-  std::vector<SymptomId> types;   // the K most frequent error types, in rank order
-  double process_coverage = 0.0;  // fraction of processes they account for
-};
-
-// Selects the `k` most frequent types (Section 4.1 keeps the top 40, which
-// cover 98.68% of the paper's processes).
-TopTypesSelection SelectTopTypes(const std::vector<RecoveryProcess>& processes,
-                                 std::size_t k);
+    std::span<const RecoveryProcess> processes);
 
 // Sum of downtime over all processes.
 SimTime TotalDowntime(const std::vector<RecoveryProcess>& processes);

@@ -1,9 +1,6 @@
 #include "mining/error_type.h"
 
-#include <algorithm>
-
 #include "common/check.h"
-#include "log/log_stats.h"
 
 namespace aer {
 
@@ -26,28 +23,23 @@ NoiseFilterResult FilterNoisyProcesses(
   return result;
 }
 
-ErrorTypeCatalog::ErrorTypeCatalog(
-    std::span<const RecoveryProcess> processes, std::size_t max_types) {
-  std::unordered_map<SymptomId, std::int64_t> counts;
-  for (const RecoveryProcess& p : processes) {
-    ++counts[p.initial_symptom()];
-  }
-  std::vector<TypeInfo> all;
-  all.reserve(counts.size());
-  for (const auto& [symptom, count] : counts) {
-    all.push_back({symptom, count});
-  }
-  std::sort(all.begin(), all.end(), [](const TypeInfo& a, const TypeInfo& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.symptom < b.symptom;
+std::vector<RecoveryProcess> KeepCohesive(
+    std::vector<RecoveryProcess> processes,
+    const SymptomClustering& clustering) {
+  std::erase_if(processes, [&](const RecoveryProcess& p) {
+    return !clustering.IsCohesive(p);
   });
-  if (all.size() > max_types) all.resize(max_types);
-  types_ = std::move(all);
+  return processes;
+}
 
+ErrorTypeCatalog::ErrorTypeCatalog(
+    std::span<const RecoveryProcess> processes, std::size_t max_types)
+    : types_(RankErrorTypes(processes)) {
+  if (types_.size() > max_types) types_.resize(max_types);
   std::int64_t covered = 0;
   for (std::size_t i = 0; i < types_.size(); ++i) {
-    by_symptom_[types_[i].symptom] = static_cast<ErrorTypeId>(i);
-    covered += types_[i].count;
+    by_symptom_[types_[i].type] = static_cast<ErrorTypeId>(i);
+    covered += types_[i].process_count;
   }
   coverage_ = processes.empty()
                   ? 0.0
@@ -64,16 +56,10 @@ ErrorTypeId ErrorTypeCatalog::ClassifySymptom(SymptomId initial_symptom) const {
   return it == by_symptom_.end() ? kInvalidErrorType : it->second;
 }
 
-SymptomId ErrorTypeCatalog::symptom_of(ErrorTypeId t) const {
+const ErrorTypeStat& ErrorTypeCatalog::stat(ErrorTypeId t) const {
   AER_CHECK_GE(t, 0);
   AER_CHECK_LT(static_cast<std::size_t>(t), types_.size());
-  return types_[static_cast<std::size_t>(t)].symptom;
-}
-
-std::int64_t ErrorTypeCatalog::count_of(ErrorTypeId t) const {
-  AER_CHECK_GE(t, 0);
-  AER_CHECK_LT(static_cast<std::size_t>(t), types_.size());
-  return types_[static_cast<std::size_t>(t)].count;
+  return types_[static_cast<std::size_t>(t)];
 }
 
 }  // namespace aer

@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "log/log_stats.h"
 #include "mining/symptom_clusters.h"
 
 namespace aer {
@@ -31,8 +32,15 @@ NoiseFilterResult FilterNoisyProcesses(
     std::span<const RecoveryProcess> processes,
     const SymptomClustering& clustering);
 
-// The error-type catalog induced from a (noise-filtered) training log: maps
-// initial symptoms to dense rank-ordered type ids and remembers counts.
+// The cohesive processes of `processes`, in their input order. The vector
+// is compacted in place, so a caller that moves it in copies no process.
+std::vector<RecoveryProcess> KeepCohesive(
+    std::vector<RecoveryProcess> processes,
+    const SymptomClustering& clustering);
+
+// The error-type catalog induced from a (noise-filtered) training log: the
+// first `max_types` entries of RankErrorTypes, with initial symptoms mapped
+// to dense rank-ordered type ids.
 class ErrorTypeCatalog {
  public:
   // `processes` should already be noise-filtered; `max_types` keeps only the
@@ -46,18 +54,16 @@ class ErrorTypeCatalog {
   ErrorTypeId ClassifySymptom(SymptomId initial_symptom) const;
 
   std::size_t num_types() const { return types_.size(); }
-  SymptomId symptom_of(ErrorTypeId t) const;
-  std::int64_t count_of(ErrorTypeId t) const;
+  SymptomId symptom_of(ErrorTypeId t) const { return stat(t).type; }
+  std::int64_t count_of(ErrorTypeId t) const { return stat(t).process_count; }
 
   // Fraction of input processes covered by the kept types.
   double coverage() const { return coverage_; }
 
  private:
-  struct TypeInfo {
-    SymptomId symptom = kInvalidSymptom;
-    std::int64_t count = 0;
-  };
-  std::vector<TypeInfo> types_;  // rank order
+  const ErrorTypeStat& stat(ErrorTypeId t) const;
+
+  std::vector<ErrorTypeStat> types_;  // rank order
   std::unordered_map<SymptomId, ErrorTypeId> by_symptom_;
   double coverage_ = 0.0;
 };

@@ -52,7 +52,7 @@ struct TimeSeriesConfig {
   // Static labels prepended to every exported sample's label set (job,
   // cluster, scenario, ...). Values may contain arbitrary bytes; the text
   // exporter escapes them per the Prometheus exposition format.
-  std::vector<std::pair<std::string, std::string>> labels;
+  std::vector<std::pair<std::string, std::string>> labels = {};
 };
 
 // One closed window. Delta lists hold only metrics that changed during the

@@ -203,7 +203,7 @@ ActionSequence ApproxQLearningTrainer::ExtractSequence(
                                 greedy.begin() + static_cast<std::ptrdiff_t>(len));
     const SequenceEvaluation eval = EvaluateSequence(
         prefix, processes, type, platform_.estimator(), config_.max_actions,
-        Terminalization::kEscalate, platform_.capabilities());
+        platform_.capabilities());
     const bool better =
         best_cured < 0 || eval.mean_cost < best_cost - 1e-9 ||
         (eval.mean_cost < best_cost + 1e-9 &&

@@ -84,7 +84,6 @@ PolicyDiff DiffPolicies(const TrainedPolicy& old_policy,
           EvaluateSequence(entry.old_sequence, it->second, type,
                            platform.estimator(),
                            platform.max_actions_per_process(),
-                           Terminalization::kEscalate,
                            platform.capabilities())
               .mean_cost;
     }
@@ -93,7 +92,6 @@ PolicyDiff DiffPolicies(const TrainedPolicy& old_policy,
           EvaluateSequence(entry.new_sequence, it->second, type,
                            platform.estimator(),
                            platform.max_actions_per_process(),
-                           Terminalization::kEscalate,
                            platform.capabilities())
               .mean_cost;
     }

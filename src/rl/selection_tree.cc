@@ -159,7 +159,7 @@ ActionSequence SelectionTreeScan::Pick(const QTable& view) {
   const std::vector<SequenceEvaluation> evals = EvaluateSequences(
       unpriced_, base_.processes_of(type_), type_,
       base_.platform().estimator(), tc.max_actions,
-      Terminalization::kEscalate, base_.platform().capabilities());
+      base_.platform().capabilities());
   for (std::size_t i = 0; i < unpriced_nodes_.size(); ++i) {
     Node& n = nodes_[static_cast<std::size_t>(unpriced_nodes_[i])];
     n.eval = evals[i];

@@ -13,12 +13,11 @@ namespace aer {
 double SequenceCostOnProcess(std::span<const RepairAction> sequence,
                              const RecoveryProcess& process, ErrorTypeId type,
                              const CostEstimator& estimator, int max_actions,
-                             Terminalization terminalization,
                              bool* cured_by_sequence,
                              const CapabilityModel& capabilities) {
   ProcessReplay replay(process, type, estimator, capabilities);
   return SequenceCostOnReplay(sequence, replay, type, estimator, max_actions,
-                              terminalization, cured_by_sequence);
+                              cured_by_sequence);
 }
 
 namespace {
@@ -36,9 +35,8 @@ bool CanStep(const ProcessReplay& replay, int max_actions) {
 // of each action.
 void Terminalize(ProcessReplay& replay, ErrorTypeId type,
                  const CostEstimator& estimator, int max_actions,
-                 Terminalization terminalization, RepairAction strongest,
-                 const ActionUses& used) {
-  if (!replay.cured() && terminalization == Terminalization::kEscalate) {
+                 RepairAction strongest, const ActionUses& used) {
+  if (!replay.cured()) {
     // Keep escalating from the strongest level the sequence reached, with
     // each level tried up to twice overall (counting the sequence's own
     // uses of it), manual repair once.
@@ -98,13 +96,11 @@ class TrieWalk {
  public:
   TrieWalk(const SequenceTrie& trie, ErrorTypeId type,
            const CostEstimator& estimator, int max_actions,
-           Terminalization terminalization,
            std::vector<SequenceEvaluation>& node_evals)
       : trie_(trie),
         type_(type),
         estimator_(estimator),
         max_actions_(max_actions),
-        terminalization_(terminalization),
         node_evals_(node_evals) {}
 
   // Adds the process's price of each sequence to its node's evaluation.
@@ -144,8 +140,7 @@ class TrieWalk {
   std::pair<double, bool> Price(RepairAction strongest) {
     const ProcessReplay::State saved = replay_->Save();
     const bool cured = replay_->cured();
-    Terminalize(*replay_, type_, estimator_, max_actions_, terminalization_,
-                strongest, used_);
+    Terminalize(*replay_, type_, estimator_, max_actions_, strongest, used_);
     const double cost = replay_->total_cost();
     replay_->Restore(saved);
     return {cost, cured};
@@ -170,7 +165,6 @@ class TrieWalk {
   ErrorTypeId type_;
   const CostEstimator& estimator_;
   int max_actions_;
-  Terminalization terminalization_;
   std::vector<SequenceEvaluation>& node_evals_;
   ProcessReplay* replay_ = nullptr;
   ActionUses used_ = {};
@@ -181,7 +175,6 @@ class TrieWalk {
 double SequenceCostOnReplay(std::span<const RepairAction> sequence,
                             ProcessReplay& replay, ErrorTypeId type,
                             const CostEstimator& estimator, int max_actions,
-                            Terminalization terminalization,
                             bool* cured_by_sequence) {
   AER_CHECK_GE(max_actions, 1);
   AER_CHECK_EQ(replay.steps(), 0) << "the replay must be fresh or Reset()";
@@ -194,8 +187,7 @@ double SequenceCostOnReplay(std::span<const RepairAction> sequence,
     strongest = Stronger(a, strongest);
   }
   if (cured_by_sequence != nullptr) *cured_by_sequence = replay.cured();
-  Terminalize(replay, type, estimator, max_actions, terminalization, strongest,
-              used);
+  Terminalize(replay, type, estimator, max_actions, strongest, used);
   return replay.total_cost();
 }
 
@@ -203,7 +195,6 @@ std::vector<SequenceEvaluation> EvaluateSequences(
     std::span<const ActionSequence> sequences,
     std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
     const CostEstimator& estimator, int max_actions,
-    Terminalization terminalization,
     const CapabilityModel& capabilities) {
   AER_CHECK_GE(max_actions, 1);
   SequenceTrie trie;
@@ -214,8 +205,7 @@ std::vector<SequenceEvaluation> EvaluateSequences(
   }
   // Each node's total is accumulated in process order.
   std::vector<SequenceEvaluation> node_evals(trie.nodes.size());
-  TrieWalk walk(trie, type, estimator, max_actions, terminalization,
-                node_evals);
+  TrieWalk walk(trie, type, estimator, max_actions, node_evals);
   for (const RecoveryProcess* p : processes) {
     ProcessReplay replay(*p, type, estimator, capabilities);
     walk.Run(replay);
@@ -236,11 +226,10 @@ SequenceEvaluation EvaluateSequence(
     std::span<const RepairAction> sequence,
     std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
     const CostEstimator& estimator, int max_actions,
-    Terminalization terminalization,
     const CapabilityModel& capabilities) {
   const ActionSequence one(sequence.begin(), sequence.end());
   return EvaluateSequences({&one, 1}, processes, type, estimator, max_actions,
-                           terminalization, capabilities)
+                           capabilities)
       .front();
 }
 
@@ -293,8 +282,7 @@ class ExactSearcher {
     for (const RecoveryProcess* p : processes_) {
       bool cured_by_seq = false;
       total += SequenceCostOnProcess(prefix, *p, type_, estimator_,
-                                     max_actions_, config_.terminalization,
-                                     &cured_by_seq);
+                                     max_actions_, &cured_by_seq);
       cured += cured_by_seq ? 1 : 0;
     }
     // Order: cost, then self-contained cures (more is better — the policy

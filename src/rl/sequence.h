@@ -19,20 +19,14 @@ namespace aer {
 
 using ActionSequence = std::vector<RepairAction>;
 
-// What happens when a sequence runs out before the process is cured.
-enum class Terminalization {
-  // Request manual repair immediately (the paper's N-cap semantics).
-  kManualRepair,
-  // Continue escalating: try each observed action at least as strong as the
-  // sequence's strongest, in ascending order (twice each), then manual
-  // repair at the cap. This matches what actually happens in deployment —
-  // the hybrid policy falls back and keeps escalating — and what Q-learning
-  // episodes experience, so it is the scoring used when *generating*
-  // policies: pricing every miss at a full manual repair would push the
-  // generator toward cure-everything sequences that waste time on the
-  // common cases.
-  kEscalate,
-};
+// When a sequence runs out before the process is cured, the process keeps
+// escalating (its *terminalization*): each observed action at least as
+// strong as the sequence's strongest is tried in ascending order (twice
+// each), then manual repair at the cap. This matches what actually happens
+// in deployment — the hybrid policy falls back and keeps escalating — and
+// what Q-learning episodes experience. Pricing every miss at a full manual
+// repair instead would push the generator toward cure-everything sequences
+// that waste time on the common cases.
 
 struct SequenceEvaluation {
   double mean_cost = 0.0;
@@ -49,7 +43,6 @@ struct SequenceEvaluation {
 double SequenceCostOnProcess(std::span<const RepairAction> sequence,
                              const RecoveryProcess& process, ErrorTypeId type,
                              const CostEstimator& estimator, int max_actions,
-                             Terminalization terminalization,
                              bool* cured_by_sequence = nullptr,
                              const CapabilityModel& capabilities =
                                  CapabilityModel::TotalOrder());
@@ -59,7 +52,6 @@ double SequenceCostOnProcess(std::span<const RepairAction> sequence,
 double SequenceCostOnReplay(std::span<const RepairAction> sequence,
                             ProcessReplay& replay, ErrorTypeId type,
                             const CostEstimator& estimator, int max_actions,
-                            Terminalization terminalization,
                             bool* cured_by_sequence = nullptr);
 
 // Prices each of `sequences` against every process (all must be of `type`)
@@ -72,7 +64,6 @@ std::vector<SequenceEvaluation> EvaluateSequences(
     std::span<const ActionSequence> sequences,
     std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
     const CostEstimator& estimator, int max_actions,
-    Terminalization terminalization = Terminalization::kEscalate,
     const CapabilityModel& capabilities = CapabilityModel::TotalOrder());
 
 // Prices `sequence` against every process (all must be of `type`): the
@@ -81,7 +72,6 @@ SequenceEvaluation EvaluateSequence(
     std::span<const RepairAction> sequence,
     std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
     const CostEstimator& estimator, int max_actions,
-    Terminalization terminalization = Terminalization::kEscalate,
     const CapabilityModel& capabilities = CapabilityModel::TotalOrder());
 
 struct ExactSearchConfig {
@@ -89,7 +79,6 @@ struct ExactSearchConfig {
   // short in practice: appending actions only pays while uncured processes
   // remain.
   int max_length = 6;
-  Terminalization terminalization = Terminalization::kEscalate;
 };
 
 // Exact minimum-mean-cost sequence over the type's *observed* actions

@@ -62,27 +62,4 @@ void SimulationPlatform::SetMetrics(obs::MetricsRegistry* metrics) {
   obs_.cost = &metrics->GetHistogram("aer_replay_cost_seconds");
 }
 
-std::vector<SimulationPlatform::ValidationRow>
-SimulationPlatform::ValidateAgainstLog(
-    std::span<const RecoveryProcess> processes, RecoveryPolicy& policy) const {
-  std::vector<ValidationRow> rows(types_.num_types());
-  for (std::size_t t = 0; t < rows.size(); ++t) {
-    rows[t].type = static_cast<ErrorTypeId>(t);
-  }
-  for (const RecoveryProcess& p : processes) {
-    if (p.attempts().empty()) continue;  // nothing to replay
-    const ErrorTypeId type = types_.Classify(p);
-    if (type == kInvalidErrorType) continue;
-    ValidationRow& row = rows[static_cast<std::size_t>(type)];
-    row.actual_cost += static_cast<double>(p.downtime());
-    row.estimated_cost += ReplayPolicy(p, policy).cost;
-    ++row.process_count;
-  }
-  for (ValidationRow& row : rows) {
-    row.ratio = row.actual_cost > 0 ? row.estimated_cost / row.actual_cost
-                                    : 0.0;
-  }
-  return rows;
-}
-
 }  // namespace aer

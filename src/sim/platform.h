@@ -1,6 +1,8 @@
 // The simulation platform facade (Section 4.2): cost estimation plus whole-
-// policy replay over logged processes, and the self-validation experiment of
-// Figure 7.
+// policy replay over logged processes. The self-validation experiment of
+// Figure 7 is PolicyEvaluator::EvaluateFull (eval/evaluator.h) with the
+// user-defined policy that produced the log: its per-type relative cost is
+// the ratio of replayed to logged downtime.
 //
 // Holds references to the processes' symptom table and the error-type
 // catalog; both must outlive the platform.
@@ -54,22 +56,6 @@ class SimulationPlatform {
   // replays) yields byte-identical snapshots. The registry must outlive
   // the platform.
   void SetMetrics(obs::MetricsRegistry* metrics);
-
-  struct ValidationRow {
-    ErrorTypeId type = kInvalidErrorType;
-    double actual_cost = 0.0;     // summed logged downtime
-    double estimated_cost = 0.0;  // summed replayed cost
-    double ratio = 0.0;           // estimated / actual
-    std::int64_t process_count = 0;
-  };
-
-  // The Figure 7 experiment: replays `policy` (the user-defined policy that
-  // produced the log) over `processes` and reports the per-type ratio of
-  // estimated to actual total cost. Ratios near 1.0 validate the platform's
-  // hypotheses; the paper's biggest deviation is below 5%.
-  std::vector<ValidationRow> ValidateAgainstLog(
-      std::span<const RecoveryProcess> processes,
-      RecoveryPolicy& policy) const;
 
  private:
   // Cached handles resolved once in SetMetrics so the (const) replay path

@@ -81,6 +81,24 @@ REJECTED_CASES = [
      'simulate: --seed expects a number, got "7x"'),
     (["mine", "--log", "{trace}", "--minp", "high"],
      'mine: --minp expects a number, got "high"'),
+    (["mine", "--log", "{trace}", "--minp", "0"],
+     "mine: --minp must be in (0, 1] (got 0)"),
+    (["mine", "--log", "{trace}", "--minp", "1.5"],
+     "mine: --minp must be in (0, 1] (got 1.5)"),
+    (["evaluate", "--log", "{trace}", "--policy", "{out}",
+      "--train-fraction", "1.5"],
+     "evaluate: --train-fraction must be in (0, 1) (got 1.5)"),
+    (["evaluate", "--log", "{trace}", "--policy", "{out}",
+      "--train-fraction", "0"],
+     "evaluate: --train-fraction must be in (0, 1) (got 0)"),
+    (["timeseries", "--window", "0"],
+     "timeseries: --window must be at least 1 (got 0)"),
+    (["timeseries", "--capacity", "0"],
+     "timeseries: --capacity must be at least 1 (got 0)"),
+    (["timeseries", "--capacity", "-1"],
+     "timeseries: --capacity must be at least 1 (got -1)"),
+    (["trace", "--dag", "--cluster", "0"],
+     "trace: --cluster must be at least 1 (got 0)"),
 ]
 
 PROFILING_OFF_NOTICE = b"profiling disabled"

@@ -118,7 +118,9 @@ TEST(ControlHarnessTest, LeaderCrashMidRecoveryFollowerResumesNotRestarts) {
   EXPECT_EQ(ExecutedOn(result, 9), (std::vector<int>{0, 1}));
   // The crashed node issued nothing after its death.
   for (const DispatchRecord& record : result.dispatch_log) {
-    if (record.issuer == 0) EXPECT_LT(record.time, 72);
+    if (record.issuer == 0) {
+      EXPECT_LT(record.time, 72);
+    }
   }
 }
 

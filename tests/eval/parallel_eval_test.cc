@@ -62,15 +62,11 @@ class ParallelExperimentTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     dataset_ = new TraceDataset(GenerateTrace(TraceConfigForScale("small")));
-    const auto segmented = SegmentIntoProcesses(dataset_->result.log);
+    auto segmented = SegmentIntoProcesses(dataset_->result.log);
     MPatternConfig mining;
     const SymptomClustering clustering(segmented.processes, mining);
-    const NoiseFilterResult filtered =
-        FilterNoisyProcesses(segmented.processes, clustering);
-    clean_ = new std::vector<RecoveryProcess>();
-    for (std::size_t i : filtered.clean) {
-      clean_->push_back(segmented.processes[i]);
-    }
+    clean_ = new std::vector<RecoveryProcess>(
+        KeepCohesive(std::move(segmented.processes), clustering));
   }
   static void TearDownTestSuite() {
     delete clean_;

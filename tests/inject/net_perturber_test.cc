@@ -100,7 +100,9 @@ TEST(NetPerturberTest, ProbabilisticArmsFireAndAreCounted) {
     ++delivered;
     EXPECT_GE(routing.at, i + 1);
     EXPECT_LE(routing.at, i + 1 + config.max_delay);
-    if (routing.duplicated) EXPECT_GT(routing.duplicate_at, routing.at);
+    if (routing.duplicated) {
+      EXPECT_GT(routing.duplicate_at, routing.at);
+    }
   }
   const NetPerturber::Stats& stats = perturber.stats();
   EXPECT_GT(stats.random_drops, 0);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/user_policy.h"
+#include "eval/evaluator.h"
 #include "eval/experiment.h"
 #include "fleet/trace.h"
 #include "mining/symptom_clusters.h"
@@ -18,15 +19,14 @@ class CalibrationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     dataset_ = new TraceDataset(GenerateTrace(TraceConfigForScale("default")));
-    const auto segmented = SegmentIntoProcesses(dataset_->result.log);
-    all_ = new std::vector<RecoveryProcess>(segmented.processes);
+    auto segmented = SegmentIntoProcesses(dataset_->result.log);
+    const std::size_t total = segmented.processes.size();
     MPatternConfig mining;
-    clustering_ = new SymptomClustering(*all_, mining);
-    const NoiseFilterResult filtered =
-        FilterNoisyProcesses(*all_, *clustering_);
-    clean_fraction_ = filtered.clean_fraction;
-    clean_ = new std::vector<RecoveryProcess>();
-    for (std::size_t i : filtered.clean) clean_->push_back((*all_)[i]);
+    const SymptomClustering clustering(segmented.processes, mining);
+    clean_ = new std::vector<RecoveryProcess>(
+        KeepCohesive(std::move(segmented.processes), clustering));
+    clean_fraction_ =
+        static_cast<double>(clean_->size()) / static_cast<double>(total);
 
     ExperimentConfig config;
     config.trainer.max_sweeps = 40000;
@@ -38,20 +38,14 @@ class CalibrationTest : public ::testing::Test {
     delete result_;
     delete runner_;
     delete clean_;
-    delete clustering_;
-    delete all_;
     delete dataset_;
     result_ = nullptr;
     runner_ = nullptr;
     clean_ = nullptr;
-    clustering_ = nullptr;
-    all_ = nullptr;
     dataset_ = nullptr;
   }
 
   static TraceDataset* dataset_;
-  static std::vector<RecoveryProcess>* all_;
-  static SymptomClustering* clustering_;
   static double clean_fraction_;
   static std::vector<RecoveryProcess>* clean_;
   static ExperimentRunner* runner_;
@@ -59,8 +53,6 @@ class CalibrationTest : public ::testing::Test {
 };
 
 TraceDataset* CalibrationTest::dataset_ = nullptr;
-std::vector<RecoveryProcess>* CalibrationTest::all_ = nullptr;
-SymptomClustering* CalibrationTest::clustering_ = nullptr;
 double CalibrationTest::clean_fraction_ = 0.0;
 std::vector<RecoveryProcess>* CalibrationTest::clean_ = nullptr;
 ExperimentRunner* CalibrationTest::runner_ = nullptr;
@@ -88,10 +80,11 @@ TEST_F(CalibrationTest, Figure7Band) {
                                     dataset_->result.log.symptoms());
   UserDefinedPolicy user;
   double worst = 0.0;
-  for (const auto& row : platform.ValidateAgainstLog(*clean_, user)) {
-    if (row.process_count < 20) continue;
-    EXPECT_GE(row.ratio, 0.99) << "type " << row.type;
-    worst = std::max(worst, std::abs(row.ratio - 1.0));
+  for (const TypeEvalRow& row :
+       PolicyEvaluator(platform).EvaluateFull(user, *clean_).rows) {
+    if (row.processes < 20) continue;
+    EXPECT_GE(row.relative_cost, 0.99) << "type " << row.type;
+    worst = std::max(worst, std::abs(row.relative_cost - 1.0));
   }
   EXPECT_LT(worst, 0.05);
 }

@@ -15,15 +15,11 @@ class PipelineTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     dataset_ = new TraceDataset(GenerateTrace(TraceConfigForScale("small")));
-    const auto segmented = SegmentIntoProcesses(dataset_->result.log);
+    auto segmented = SegmentIntoProcesses(dataset_->result.log);
     MPatternConfig mining;
     const SymptomClustering clustering(segmented.processes, mining);
-    const NoiseFilterResult filtered =
-        FilterNoisyProcesses(segmented.processes, clustering);
-    clean_ = new std::vector<RecoveryProcess>();
-    for (std::size_t i : filtered.clean) {
-      clean_->push_back(segmented.processes[i]);
-    }
+    clean_ = new std::vector<RecoveryProcess>(
+        KeepCohesive(std::move(segmented.processes), clustering));
     ExperimentConfig config;
     config.trainer.max_sweeps = 15000;
     config.trainer.min_sweeps = 2500;

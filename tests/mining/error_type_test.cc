@@ -1,6 +1,8 @@
 #include "mining/error_type.h"
 
+#include <algorithm>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -37,6 +39,36 @@ TEST(FilterNoisyProcessesTest, SplitsCleanAndNoisy) {
   EXPECT_NEAR(result.clean_fraction, 20.0 / 21.0, 1e-12);
 }
 
+TEST(FilterNoisyProcessesTest, KeepCohesiveKeepsTheCleanIndicesInOrder) {
+  // Noisy processes interleaved with clean ones; each process carries its
+  // input index as its machine id so the order is observable.
+  std::vector<RecoveryProcess> processes;
+  for (int i = 0; i < 21; ++i) {
+    const std::vector<SymptomId> symptoms =
+        i % 7 == 3 ? std::vector<SymptomId>{0, 2}
+                   : (i % 2 == 0 ? std::vector<SymptomId>{0, 1}
+                                 : std::vector<SymptomId>{2});
+    processes.push_back(MakeProcess(symptoms, i, 10 * i));
+  }
+  MPatternConfig config;
+  config.minp = 0.5;
+  const SymptomClustering clustering(processes, config);
+  const NoiseFilterResult filtered =
+      FilterNoisyProcesses(processes, clustering);
+  ASSERT_FALSE(filtered.noisy.empty());
+
+  const std::vector<RecoveryProcess> kept =
+      KeepCohesive(processes, clustering);
+  ASSERT_EQ(kept.size(), filtered.clean.size());
+  for (std::size_t k = 0; k < kept.size(); ++k) {
+    const RecoveryProcess& want = processes[filtered.clean[k]];
+    EXPECT_EQ(kept[k].machine(), want.machine()) << "position " << k;
+    EXPECT_EQ(kept[k].symptoms(), want.symptoms()) << "position " << k;
+    EXPECT_EQ(kept[k].attempts(), want.attempts()) << "position " << k;
+  }
+  EXPECT_TRUE(KeepCohesive({}, clustering).empty());
+}
+
 TEST(ErrorTypeCatalogTest, RanksByFrequency) {
   std::vector<RecoveryProcess> processes;
   for (int i = 0; i < 3; ++i) processes.push_back(MakeProcess({5}));
@@ -63,6 +95,40 @@ TEST(ErrorTypeCatalogTest, MaxTypesTruncatesAndReportsCoverage) {
   EXPECT_EQ(catalog.ClassifySymptom(2), kInvalidErrorType);
 }
 
+TEST(ErrorTypeCatalogTest, EmptyInputHasNoTypesAndNoCoverage) {
+  const ErrorTypeCatalog catalog({}, 5);
+  EXPECT_EQ(catalog.num_types(), 0u);
+  EXPECT_EQ(catalog.coverage(), 0.0);
+}
+
+TEST(ErrorTypeCatalogTest, TypeOrderIsThePrefixOfRankErrorTypes) {
+  std::vector<RecoveryProcess> processes;
+  // Counts 4, 4, 3, 2, 1 over symptoms given out of rank order; the tie
+  // between 8 and 6 is broken by symptom id.
+  const std::vector<std::pair<SymptomId, int>> counts = {
+      {3, 2}, {8, 4}, {1, 1}, {6, 4}, {5, 3}};
+  for (const auto& [symptom, count] : counts) {
+    for (int i = 0; i < count; ++i) processes.push_back(MakeProcess({symptom}));
+  }
+  const std::vector<ErrorTypeStat> ranked = RankErrorTypes(processes);
+  for (std::size_t max_types = 0; max_types <= ranked.size() + 1;
+       ++max_types) {
+    const ErrorTypeCatalog catalog(processes, max_types);
+    ASSERT_EQ(catalog.num_types(), std::min(max_types, ranked.size()));
+    std::int64_t covered = 0;
+    for (std::size_t t = 0; t < catalog.num_types(); ++t) {
+      const auto id = static_cast<ErrorTypeId>(t);
+      EXPECT_EQ(catalog.symptom_of(id), ranked[t].type) << "rank " << t;
+      EXPECT_EQ(catalog.count_of(id), ranked[t].process_count);
+      EXPECT_EQ(catalog.ClassifySymptom(ranked[t].type), id);
+      covered += ranked[t].process_count;
+    }
+    EXPECT_DOUBLE_EQ(catalog.coverage(),
+                     static_cast<double>(covered) /
+                         static_cast<double>(processes.size()));
+  }
+}
+
 TEST(ErrorTypeCatalogTest, ClassifyUsesInitialSymptom) {
   std::vector<RecoveryProcess> processes;
   processes.push_back(MakeProcess({4, 7}));
@@ -78,14 +144,12 @@ TEST(ErrorTypeCatalogTest, GeneratedTraceMatchesPaperShape) {
   const auto segmented = SegmentIntoProcesses(dataset.result.log);
   MPatternConfig mining;
   const SymptomClustering clustering(segmented.processes, mining);
-  const NoiseFilterResult filtered =
-      FilterNoisyProcesses(segmented.processes, clustering);
-  EXPECT_GT(filtered.clean_fraction, 0.93);
+  const std::vector<RecoveryProcess> clean =
+      KeepCohesive(segmented.processes, clustering);
+  EXPECT_GT(static_cast<double>(clean.size()) /
+                static_cast<double>(segmented.processes.size()),
+            0.93);
 
-  std::vector<RecoveryProcess> clean;
-  for (std::size_t i : filtered.clean) {
-    clean.push_back(segmented.processes[i]);
-  }
   const ErrorTypeCatalog catalog(clean, 40);
   EXPECT_EQ(catalog.num_types(), 40u);
   EXPECT_GT(catalog.coverage(), 0.97);

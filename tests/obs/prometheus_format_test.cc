@@ -165,7 +165,9 @@ TEST(PrometheusFormatTest, EveryRegistryLineRoundTrips) {
 
 TEST(PrometheusFormatTest, EveryTimeSeriesLineRoundTrips) {
   MetricsRegistry registry;
-  TimeSeriesRecorder recorder(registry, {.window_width = 50});
+  TimeSeriesConfig config;
+  config.window_width = 50;
+  TimeSeriesRecorder recorder(registry, config);
   for (int i = 1; i <= 3; ++i) {
     registry.GetCounter("aer_prop_total").Inc(i);
     registry.GetGauge("aer_prop_level").Set(0.3 * i);

@@ -54,7 +54,9 @@ TEST(TraceContextTest, SamplingIsMonotoneInProbability) {
     bool prev = false;
     for (const double p : rates) {
       const bool kept = SampleTrace(id, p);
-      if (prev) EXPECT_TRUE(kept) << "id kept at lower rate dropped at " << p;
+      if (prev) {
+        EXPECT_TRUE(kept) << "id kept at lower rate dropped at " << p;
+      }
       prev = kept;
       if (kept) ++kept_any;
     }

@@ -56,7 +56,7 @@ class SetAndMapScan {
     const std::vector<SequenceEvaluation> evals = EvaluateSequences(
         unpriced, base_.processes_of(type_), type_,
         base_.platform().estimator(), tc.max_actions,
-        Terminalization::kEscalate, base_.platform().capabilities());
+        base_.platform().capabilities());
     for (std::size_t i = 0; i < unpriced.size(); ++i) {
       priced_.emplace(EncodeState(type_, unpriced[i]), evals[i]);
     }
@@ -158,7 +158,6 @@ TEST(SelectionTreeScanTest, ExactTieGoesToTheLexicographicallyFirst) {
   const auto price = [&](const ActionSequence& seq) {
     return EvaluateSequence(seq, base.processes_of(0), 0,
                             platform.estimator(), 20,
-                            Terminalization::kEscalate,
                             platform.capabilities());
   };
   ASSERT_EQ(price(yb).mean_cost, price(by).mean_cost);

@@ -247,8 +247,7 @@ TEST(SelectionTreeTrainerTest, ScanPricesUnderThePlatformCapabilityModel) {
           ActionSequence seq = prefix;
           seq.push_back(a);
           const SequenceEvaluation eval = EvaluateSequence(
-              seq, base.processes_of(0), 0, platform.estimator(), 20,
-              Terminalization::kEscalate, model);
+              seq, base.processes_of(0), 0, platform.estimator(), 20, model);
           if (eval.mean_cost < best_eval.mean_cost - 1e-9 ||
               (eval.mean_cost < best_eval.mean_cost + 1e-9 &&
                eval.cured_by_sequence > best_eval.cured_by_sequence)) {

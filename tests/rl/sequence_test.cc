@@ -74,22 +74,11 @@ TEST(EvaluateSequenceTest, RebootFirstSavesTheWastedWatch) {
   EXPECT_DOUBLE_EQ(eval.mean_cost, 50 + 2400);
 }
 
-TEST(EvaluateSequenceTest, ManualRepairTerminalizationChargesRma) {
+TEST(EvaluateSequenceTest, ExhaustedSequenceContinuesEscalation) {
   Fixture fx = StuckServiceFixture();
   const SequenceEvaluation eval = EvaluateSequence(
-      ActionSequence{Y}, fx.processes, fx.type, fx.estimator, 20,
-      Terminalization::kManualRepair);
+      ActionSequence{Y}, fx.processes, fx.type, fx.estimator, 20);
   EXPECT_EQ(eval.cured_by_sequence, 0);
-  EXPECT_EQ(eval.terminalized, 10);
-  const ActionDurationDefaults priors;  // RMA unobserved -> prior
-  EXPECT_DOUBLE_EQ(eval.mean_cost, 50 + 900 + priors.rma_s);
-}
-
-TEST(EvaluateSequenceTest, EscalateTerminalizationContinuesEscalation) {
-  Fixture fx = StuckServiceFixture();
-  const SequenceEvaluation eval = EvaluateSequence(
-      ActionSequence{Y}, fx.processes, fx.type, fx.estimator, 20,
-      Terminalization::kEscalate);
   EXPECT_EQ(eval.terminalized, 10);
   // After the exhausted [Y], escalation continues with Y (already used once
   // more... strongest is Y so it retries Y then B): Y(avg fail) then B cures.
@@ -99,10 +88,9 @@ TEST(EvaluateSequenceTest, EscalateTerminalizationContinuesEscalation) {
 
 TEST(EvaluateSequenceTest, CapForcesManualRepair) {
   Fixture fx = StuckServiceFixture();
-  // Cap of 2 actions: [Y] then forced RMA even under kEscalate.
+  // Cap of 2 actions: [Y] then forced RMA although escalation would go on.
   const SequenceEvaluation eval = EvaluateSequence(
-      ActionSequence{Y}, fx.processes, fx.type, fx.estimator, 2,
-      Terminalization::kEscalate);
+      ActionSequence{Y}, fx.processes, fx.type, fx.estimator, 2);
   const ActionDurationDefaults priors;
   // Step 1 = Y (actual 900); escalation would continue but the cap says the
   // 2nd slot must be manual repair.
@@ -250,34 +238,30 @@ TEST(EvaluateSequencesTest, BatchEqualsSeparateCalls) {
       const std::vector<ActionSequence> reversed(batch.rbegin(),
                                                  batch.rend());
 
-      for (Terminalization term :
-           {Terminalization::kEscalate, Terminalization::kManualRepair}) {
-        const auto evals = EvaluateSequences(batch, processes, type,
-                                             estimator, 20, term, *model);
-        const auto evals_reversed = EvaluateSequences(
-            reversed, processes, type, estimator, 20, term, *model);
-        ASSERT_EQ(evals.size(), batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          SCOPED_TRACE(::testing::Message() << "type " << type << ", "
-                                            << "sequence " << i);
-          SequenceEvaluation alone;
-          for (const RecoveryProcess* p : processes) {
-            bool cured = false;
-            alone.total_cost +=
-                SequenceCostOnProcess(batch[i], *p, type, estimator, 20,
-                                      term, &cured, *model);
-            (cured ? alone.cured_by_sequence : alone.terminalized) += 1;
-            ++alone.processes;
-          }
-          alone.mean_cost =
-              alone.total_cost / static_cast<double>(alone.processes);
-          ExpectSameEvaluation(evals[i], alone);
-          ExpectSameEvaluation(
-              evals[i], EvaluateSequence(batch[i], processes, type, estimator,
-                                         20, term, *model));
-          ExpectSameEvaluation(evals_reversed[batch.size() - 1 - i], alone);
-          ++priced;
+      const auto evals =
+          EvaluateSequences(batch, processes, type, estimator, 20, *model);
+      const auto evals_reversed = EvaluateSequences(
+          reversed, processes, type, estimator, 20, *model);
+      ASSERT_EQ(evals.size(), batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "type " << type << ", "
+                                          << "sequence " << i);
+        SequenceEvaluation alone;
+        for (const RecoveryProcess* p : processes) {
+          bool cured = false;
+          alone.total_cost += SequenceCostOnProcess(
+              batch[i], *p, type, estimator, 20, &cured, *model);
+          (cured ? alone.cured_by_sequence : alone.terminalized) += 1;
+          ++alone.processes;
         }
+        alone.mean_cost =
+            alone.total_cost / static_cast<double>(alone.processes);
+        ExpectSameEvaluation(evals[i], alone);
+        ExpectSameEvaluation(evals[i],
+                             EvaluateSequence(batch[i], processes, type,
+                                              estimator, 20, *model));
+        ExpectSameEvaluation(evals_reversed[batch.size() - 1 - i], alone);
+        ++priced;
       }
     }
   }

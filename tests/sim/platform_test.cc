@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/user_policy.h"
+#include "eval/evaluator.h"
 #include "fleet/trace.h"
 #include "mining/error_type.h"
 
@@ -37,10 +38,10 @@ TEST(PlatformTest, ExactValidationWithoutHiddenState) {
   const SimulationPlatform platform(pipe.processes, pipe.catalog,
                                     pipe.dataset.result.log.symptoms());
   UserDefinedPolicy policy(config.escalation);
-  for (const auto& row :
-       platform.ValidateAgainstLog(pipe.processes, policy)) {
-    if (row.process_count == 0) continue;
-    EXPECT_NEAR(row.ratio, 1.0, 1e-9) << "type " << row.type;
+  for (const TypeEvalRow& row :
+       PolicyEvaluator(platform).EvaluateFull(policy, pipe.processes).rows) {
+    if (row.processes == 0) continue;
+    EXPECT_NEAR(row.relative_cost, 1.0, 1e-9) << "type " << row.type;
   }
 }
 
@@ -52,11 +53,11 @@ TEST(PlatformTest, ValidationWithHiddenStateIsConservativeAndTight) {
                                     pipe.dataset.result.log.symptoms());
   UserDefinedPolicy policy;
   double worst = 0.0;
-  for (const auto& row :
-       platform.ValidateAgainstLog(pipe.processes, policy)) {
-    if (row.process_count < 20) continue;  // skip tiny-sample types
-    EXPECT_GE(row.ratio, 0.97) << "type " << row.type;
-    worst = std::max(worst, std::abs(row.ratio - 1.0));
+  for (const TypeEvalRow& row :
+       PolicyEvaluator(platform).EvaluateFull(policy, pipe.processes).rows) {
+    if (row.processes < 20) continue;  // skip tiny-sample types
+    EXPECT_GE(row.relative_cost, 0.97) << "type " << row.type;
+    worst = std::max(worst, std::abs(row.relative_cost - 1.0));
   }
   EXPECT_LT(worst, 0.08);
 }
@@ -105,15 +106,16 @@ TEST(PlatformTest, ReplayCostsArePositiveAndFinite) {
   EXPECT_GE(checked, 100);
 }
 
-TEST(PlatformTest, ValidationRowsCoverAllCatalogTypes) {
+TEST(PlatformTest, Figure7RowsCoverAllCatalogTypes) {
   Pipeline pipe(SmallTrace());
   const SimulationPlatform platform(pipe.processes, pipe.catalog,
                                     pipe.dataset.result.log.symptoms());
   UserDefinedPolicy policy;
-  const auto rows = platform.ValidateAgainstLog(pipe.processes, policy);
+  const std::vector<TypeEvalRow> rows =
+      PolicyEvaluator(platform).EvaluateFull(policy, pipe.processes).rows;
   EXPECT_EQ(rows.size(), pipe.catalog.num_types());
   std::int64_t total = 0;
-  for (const auto& row : rows) total += row.process_count;
+  for (const TypeEvalRow& row : rows) total += row.processes;
   // All classified processes are accounted for.
   std::int64_t classified = 0;
   for (const RecoveryProcess& p : pipe.processes) {
