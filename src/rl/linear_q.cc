@@ -194,27 +194,26 @@ ActionSequence ApproxQLearningTrainer::ExtractSequence(
   }
 
   // ...then exact prefix pruning, as in the selection-tree scan: linear Q
-  // tails can wander once every process is effectively cured.
-  ActionSequence best_seq;
-  double best_cost = 0.0;
-  std::int64_t best_cured = -1;
+  // tails can wander once every process is effectively cured. All the
+  // non-empty prefixes are priced in one trie walk.
+  std::vector<ActionSequence> prefixes;
   for (std::size_t len = 1; len <= greedy.size(); ++len) {
-    const ActionSequence prefix(greedy.begin(),
-                                greedy.begin() + static_cast<std::ptrdiff_t>(len));
-    const SequenceEvaluation eval = EvaluateSequence(
-        prefix, processes, type, platform_.estimator(), config_.max_actions,
-        platform_.capabilities());
-    const bool better =
-        best_cured < 0 || eval.mean_cost < best_cost - 1e-9 ||
-        (eval.mean_cost < best_cost + 1e-9 &&
-         eval.cured_by_sequence > best_cured);
-    if (better) {
-      best_cost = eval.mean_cost;
-      best_cured = eval.cured_by_sequence;
-      best_seq = prefix;
-    }
+    prefixes.emplace_back(greedy.begin(),
+                          greedy.begin() + static_cast<std::ptrdiff_t>(len));
   }
-  return best_seq;
+  const std::vector<SequenceEvaluation> evals = EvaluateSequences(
+      prefixes, processes, type, platform_.estimator(), config_.max_actions,
+      platform_.capabilities());
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < prefixes.size(); ++i) {
+    const SequenceEvaluation& e = evals[i];
+    const SequenceEvaluation& b = evals[best];
+    const bool better = e.mean_cost < b.mean_cost - 1e-9 ||
+                        (e.mean_cost < b.mean_cost + 1e-9 &&
+                         e.cured_by_sequence > b.cured_by_sequence);
+    if (better) best = i;
+  }
+  return prefixes[best];
 }
 
 ApproxQLearningTrainer::Output ApproxQLearningTrainer::Train() const {

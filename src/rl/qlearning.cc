@@ -229,34 +229,29 @@ void QLearningTrainer::RunSweep(ErrorTypeId type,
   }
 
   for (std::size_t t = 0; t < T; ++t) {
-    double target;
-    if (lambda == 0.0) {
-      const double future =
-          episode[t].terminal ? 0.0 : min_q_or_init(episode[t].next);
-      target = episode[t].cost + gamma * future;
-    } else {
-      // G_t^{(n)} accumulated incrementally: costs of steps t..t+n-1 plus
-      // the bootstrapped value at t+n (0 at the terminal). Weights:
-      // (1-λ)·λ^{n-1} for the interior returns, λ^{T-t-1} for the final one
-      // (the remaining mass, so they sum to exactly 1 — and λ = 1 cleanly
-      // degenerates to the Monte-Carlo return).
-      double discounted_costs = 0.0;
-      double discount = 1.0;
-      double lambda_pow = 1.0;  // λ^{n-1}
-      target = 0.0;
-      for (std::size_t n = 1; t + n <= T; ++n) {
-        const Transition& step = episode[t + n - 1];
-        discounted_costs += discount * step.cost;
-        discount *= gamma;
-        const double bootstrap =
-            step.terminal ? 0.0 : min_q_or_init(step.next);
-        const double g_n = discounted_costs + discount * bootstrap;
-        if (t + n == T) {
-          target += lambda_pow * g_n;
-        } else {
-          target += (1.0 - lambda) * lambda_pow * g_n;
-          lambda_pow *= lambda;
-        }
+    // G_t^{(n)} accumulated incrementally: costs of steps t..t+n-1 plus the
+    // bootstrapped value at t+n (0 at the terminal). Weights: (1-λ)·λ^{n-1}
+    // for the interior returns, λ^{T-t-1} for the final one (the remaining
+    // mass, so they sum to exactly 1 — and λ = 1 cleanly degenerates to the
+    // Monte-Carlo return). Once λ^{n-1} is 0 the later returns weigh
+    // nothing: λ = 0 stops after G_t^{(1)} = cost + γ·min-Q, the same double
+    // as the paper's one-step target.
+    double discounted_costs = 0.0;
+    double discount = 1.0;
+    double lambda_pow = 1.0;  // λ^{n-1}
+    double target = 0.0;
+    for (std::size_t n = 1; t + n <= T; ++n) {
+      const Transition& step = episode[t + n - 1];
+      discounted_costs += discount * step.cost;
+      discount *= gamma;
+      const double bootstrap = step.terminal ? 0.0 : min_q_or_init(step.next);
+      const double g_n = discounted_costs + discount * bootstrap;
+      if (t + n == T) {
+        target += lambda_pow * g_n;
+      } else {
+        target += (1.0 - lambda) * lambda_pow * g_n;
+        lambda_pow *= lambda;
+        if (lambda_pow == 0.0) break;
       }
     }
     const double delta =

@@ -56,16 +56,6 @@ double QTable::Update(StateKey s, RepairAction a, double target) {
   return e.q - old_q;
 }
 
-std::optional<double> QTable::MinQ(StateKey s) const {
-  const auto it = table_.find(s);
-  if (it == table_.end()) return std::nullopt;
-  std::optional<double> best;
-  for (const Entry& e : it->second) {
-    if (e.visits > 0 && (!best.has_value() || e.q < *best)) best = e.q;
-  }
-  return best;
-}
-
 std::optional<RepairAction> QTable::BestAction(StateKey s) const {
   const auto it = table_.find(s);
   if (it == table_.end()) return std::nullopt;

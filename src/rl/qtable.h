@@ -45,9 +45,6 @@ class QTable {
   // hook for convergence monitoring, free to compute in place.
   double Update(StateKey s, RepairAction a, double target);
 
-  // Minimum Q over the state's explored actions; nullopt if none explored.
-  std::optional<double> MinQ(StateKey s) const;
-
   // The explored action with minimal Q (ties: weaker action first, so the
   // generated policy deterministically prefers the cheaper side of a tie).
   std::optional<RepairAction> BestAction(StateKey s) const;

@@ -3,22 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <utility>
 
 #include "common/check.h"
 
 namespace aer {
-
-double SequenceCostOnProcess(std::span<const RepairAction> sequence,
-                             const RecoveryProcess& process, ErrorTypeId type,
-                             const CostEstimator& estimator, int max_actions,
-                             bool* cured_by_sequence,
-                             const CapabilityModel& capabilities) {
-  ProcessReplay replay(process, type, estimator, capabilities);
-  return SequenceCostOnReplay(sequence, replay, type, estimator, max_actions,
-                              cured_by_sequence);
-}
 
 namespace {
 
@@ -235,108 +224,56 @@ SequenceEvaluation EvaluateSequence(
 
 namespace {
 
-class ExactSearcher {
- public:
-  ExactSearcher(std::span<const RecoveryProcess* const> processes,
-                ErrorTypeId type, const CostEstimator& estimator,
-                int max_actions, const ExactSearchConfig& config)
-      : processes_(processes),
-        type_(type),
-        estimator_(estimator),
-        max_actions_(max_actions),
-        config_(config),
-        allowed_(estimator.ObservedActions(type)) {}
-
-  ActionSequence Run() {
-    best_cost_ = std::numeric_limits<double>::infinity();
-    best_cured_ = -1;
-    ActionSequence prefix;
-    Consider(prefix);  // the empty sequence (immediate terminalization)
-    Descend(prefix);
-    return best_;
+// Appends `prefix` and each of its extensions over `actions` up to
+// `max_length` actions, in depth-first (lexicographic) order.
+void AppendSequences(ActionSequence& prefix,
+                     std::span<const RepairAction> actions,
+                     std::size_t max_length,
+                     std::vector<ActionSequence>& out) {
+  out.push_back(prefix);
+  if (prefix.size() == max_length) return;
+  for (RepairAction a : actions) {
+    prefix.push_back(a);
+    AppendSequences(prefix, actions, max_length, out);
+    prefix.pop_back();
   }
-
- private:
-  // Cost of the bare prefix: no terminalization, uncured processes pay only
-  // what the prefix spent on them. A lower bound for every extension.
-  double PrefixLowerBound(std::span<const RepairAction> prefix,
-                          bool* all_cured) const {
-    double total = 0.0;
-    bool cured_all = true;
-    for (const RecoveryProcess* p : processes_) {
-      ProcessReplay replay(*p, type_, estimator_);
-      for (RepairAction a : prefix) {
-        if (!CanStep(replay, max_actions_)) break;
-        replay.Step(a);
-      }
-      cured_all = cured_all && replay.cured();
-      total += replay.total_cost();
-    }
-    *all_cured = cured_all;
-    return total;
-  }
-
-  void Consider(std::span<const RepairAction> prefix) {
-    double total = 0.0;
-    std::int64_t cured = 0;
-    for (const RecoveryProcess* p : processes_) {
-      bool cured_by_seq = false;
-      total += SequenceCostOnProcess(prefix, *p, type_, estimator_,
-                                     max_actions_, &cured_by_seq);
-      cured += cured_by_seq ? 1 : 0;
-    }
-    // Order: cost, then self-contained cures (more is better — the policy
-    // should not rely on terminalization for incidents it can finish), then
-    // shorter (dead tails never appear in the optimum).
-    const bool better =
-        total < best_cost_ - 1e-9 ||
-        (total < best_cost_ + 1e-9 &&
-         (cured > best_cured_ ||
-          (cured == best_cured_ && prefix.size() < best_.size())));
-    if (better) {
-      best_cost_ = total;
-      best_cured_ = cured;
-      best_.assign(prefix.begin(), prefix.end());
-    }
-  }
-
-  void Descend(ActionSequence& prefix) {
-    if (static_cast<int>(prefix.size()) >= config_.max_length ||
-        static_cast<int>(prefix.size()) >= max_actions_ - 1) {
-      return;
-    }
-    bool all_cured = false;
-    const double lower_bound = PrefixLowerBound(prefix, &all_cured);
-    if (all_cured || lower_bound >= best_cost_) return;
-
-    for (RepairAction a : allowed_) {
-      prefix.push_back(a);
-      Consider(prefix);
-      Descend(prefix);
-      prefix.pop_back();
-    }
-  }
-
-  std::span<const RecoveryProcess* const> processes_;
-  ErrorTypeId type_;
-  const CostEstimator& estimator_;
-  int max_actions_;
-  ExactSearchConfig config_;
-  std::vector<RepairAction> allowed_;
-
-  double best_cost_ = 0.0;
-  std::int64_t best_cured_ = -1;
-  ActionSequence best_;
-};
+}
 
 }  // namespace
 
 ActionSequence ExactBestSequence(
     std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
-    const CostEstimator& estimator, int max_actions,
-    const ExactSearchConfig& config) {
+    const CostEstimator& estimator, int max_actions) {
   AER_CHECK(!processes.empty());
-  return ExactSearcher(processes, type, estimator, max_actions, config).Run();
+  AER_CHECK_GE(max_actions, 1);
+  // The optimum is short in practice: appending actions only pays while
+  // uncured processes remain.
+  constexpr int kMaxLength = 6;
+  const auto max_length =
+      static_cast<std::size_t>(std::min(kMaxLength, max_actions - 1));
+  std::vector<ActionSequence> sequences;
+  ActionSequence prefix;
+  AppendSequences(prefix, estimator.ObservedActions(type), max_length,
+                  sequences);
+  const std::vector<SequenceEvaluation> evals =
+      EvaluateSequences(sequences, processes, type, estimator, max_actions);
+  // The first best in enumeration order. Order: total cost, then
+  // self-contained cures (more is better — the policy should not rely on
+  // terminalization for incidents it can finish), then shorter (dead tails
+  // never appear in the optimum).
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < sequences.size(); ++i) {
+    const SequenceEvaluation& e = evals[i];
+    const SequenceEvaluation& b = evals[best];
+    const bool better =
+        e.total_cost < b.total_cost - 1e-9 ||
+        (e.total_cost < b.total_cost + 1e-9 &&
+         (e.cured_by_sequence > b.cured_by_sequence ||
+          (e.cured_by_sequence == b.cured_by_sequence &&
+           sequences[i].size() < sequences[best].size())));
+    if (better) best = i;
+  }
+  return sequences[best];
 }
 
 }  // namespace aer

@@ -3,10 +3,10 @@
 // Because the only feedback during a recovery is "cured / not cured" and a
 // cure ends the process, a deterministic policy for one error type is
 // exactly an action *sequence* (the states reachable under the policy are
-// its own prefixes). This file evaluates a sequence against logged processes
-// under the simulation platform, and computes the exact cost-optimal
-// sequence by branch-and-bound — the reference optimum used by the
-// selection-tree experiments (Figures 13/14) and by the property tests.
+// its own prefixes). This file evaluates sequences against logged processes
+// under the simulation platform, and computes the exact cost-optimal short
+// sequence by pricing every candidate — the reference optimum that
+// examples/policy_inspection prints and the property tests check.
 #ifndef AER_RL_SEQUENCE_H_
 #define AER_RL_SEQUENCE_H_
 
@@ -37,18 +37,10 @@ struct SequenceEvaluation {
   std::int64_t terminalized = 0;
 };
 
-// Simulated downtime of executing `sequence` against one process; appends
-// the terminalization steps if the sequence is exhausted uncured. Sets
-// *cured_by_sequence accordingly if non-null.
-double SequenceCostOnProcess(std::span<const RepairAction> sequence,
-                             const RecoveryProcess& process, ErrorTypeId type,
-                             const CostEstimator& estimator, int max_actions,
-                             bool* cured_by_sequence = nullptr,
-                             const CapabilityModel& capabilities =
-                                 CapabilityModel::TotalOrder());
-
-// SequenceCostOnProcess on an existing replay of the process, which must be
-// fresh or Reset(); the replay's capability model applies.
+// Simulated downtime of executing `sequence` on an existing replay of one
+// process, which must be fresh or Reset(); the replay's capability model
+// applies. Appends the terminalization steps if the sequence is exhausted
+// uncured, and sets *cured_by_sequence accordingly if non-null.
 double SequenceCostOnReplay(std::span<const RepairAction> sequence,
                             ProcessReplay& replay, ErrorTypeId type,
                             const CostEstimator& estimator, int max_actions,
@@ -74,21 +66,17 @@ SequenceEvaluation EvaluateSequence(
     const CostEstimator& estimator, int max_actions,
     const CapabilityModel& capabilities = CapabilityModel::TotalOrder());
 
-struct ExactSearchConfig {
-  // Longest sequence considered (before terminalization). The optimum is
-  // short in practice: appending actions only pays while uncured processes
-  // remain.
-  int max_length = 6;
-};
-
-// Exact minimum-mean-cost sequence over the type's *observed* actions
-// (the paper's local-optimality restriction), by depth-first search with
-// cost-based pruning. Deterministic; exponential in max_length but heavily
-// pruned, intended for tests and reference experiments, not the hot path.
+// Exact minimum-total-cost sequence over the type's *observed* actions (the
+// paper's local-optimality restriction): every sequence of at most
+// min(6, max_actions - 1) actions is priced in one EvaluateSequences call.
+// Ties within 1e-9 go to more self-contained cures, then to the shorter
+// sequence, then to the first in lexicographic order of ObservedActions.
+// Deterministic; exponential in the length bound (at most 5,461 sequences
+// over four actions), intended for tests and reference experiments, not the
+// hot path.
 ActionSequence ExactBestSequence(
     std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
-    const CostEstimator& estimator, int max_actions,
-    const ExactSearchConfig& config = {});
+    const CostEstimator& estimator, int max_actions);
 
 }  // namespace aer
 

@@ -78,11 +78,6 @@ double CostEstimator::EstimateCost(ErrorTypeId type, RepairAction action,
   return priors_[static_cast<std::size_t>(ActionIndex(action))];
 }
 
-bool CostEstimator::ObservedForType(ErrorTypeId type,
-                                    RepairAction action) const {
-  return type_model(type).Observed(action);
-}
-
 const std::vector<RepairAction>& CostEstimator::ObservedActions(
     ErrorTypeId type) const {
   AER_CHECK_GE(type, 0);

@@ -57,14 +57,11 @@ class CostEstimator {
   double EstimateCost(ErrorTypeId type, RepairAction action,
                       bool success) const;
 
-  // True if the action was observed at least once for this type — the
-  // paper's restriction that makes the learned policy only *locally*
-  // optimal: actions never tried by the original policy have no cost data
-  // and cannot be explored.
-  bool ObservedForType(ErrorTypeId type, RepairAction action) const;
-
-  // The explorable action set of a type, ascending strength. Built once in
-  // the constructor.
+  // The explorable action set of a type, ascending strength: the actions
+  // observed at least once for it. This is the paper's restriction that
+  // makes the learned policy only *locally* optimal: actions never tried by
+  // the original policy have no cost data and cannot be explored. Built once
+  // in the constructor.
   const std::vector<RepairAction>& ObservedActions(ErrorTypeId type) const;
 
   const TypeCostModel& type_model(ErrorTypeId type) const;

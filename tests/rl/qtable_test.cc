@@ -15,7 +15,6 @@ TEST(QTableTest, EmptyHasNothing) {
   QTable table;
   EXPECT_FALSE(table.Has(kState, RepairAction::kTryNop));
   EXPECT_EQ(table.Visits(kState, RepairAction::kTryNop), 0);
-  EXPECT_FALSE(table.MinQ(kState).has_value());
   EXPECT_FALSE(table.BestAction(kState).has_value());
   EXPECT_FALSE(table.BestTwoActions(kState).has_value());
   EXPECT_EQ(table.num_states(), 0u);
@@ -54,12 +53,11 @@ TEST(QTableTest, ActionsAreIndependent) {
   EXPECT_FALSE(table.Has(kState, RepairAction::kReimage));
 }
 
-TEST(QTableTest, MinQAndBestAction) {
+TEST(QTableTest, BestActionHasTheLowestQ) {
   QTable table;
   table.Update(kState, RepairAction::kTryNop, 300.0);
   table.Update(kState, RepairAction::kReboot, 100.0);
   table.Update(kState, RepairAction::kRma, 900.0);
-  EXPECT_DOUBLE_EQ(*table.MinQ(kState), 100.0);
   EXPECT_EQ(*table.BestAction(kState), RepairAction::kReboot);
 }
 

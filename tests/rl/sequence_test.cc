@@ -1,7 +1,10 @@
 #include "rl/sequence.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
+#include "../fleet/sim_checksum.h"
 #include "cluster/fault_catalog.h"
 #include "common/rng.h"
 #include "fleet/trace.h"
@@ -184,6 +187,59 @@ TEST(ExactBestSequenceTest, RespectsObservedActionRestriction) {
   }
 }
 
+// Pins the whole search surface: every type of five generated traces
+// (60 days each) at action caps 2, 3, 5 and 20. The returned sequences fold
+// into one FNV-1a fingerprint, recorded with the branch-and-bound searcher
+// that the enumeration replaced. The 2000-machine trace has a type whose
+// optimum takes all six actions, so the length bound binds; the
+// 8000-machine one has a near-tie at cap 2 that comparing mean instead of
+// total cost within 1e-9 would settle the other way.
+TEST(ExactBestSequenceTest, GeneratedTracesPinEveryTypeAtEveryCap) {
+  struct TraceSpec {
+    int machines;
+    std::uint64_t seed;
+  };
+  fleet::Fnv1a64 h;
+  int cases = 0;
+  for (const TraceSpec spec :
+       {TraceSpec{300, 1}, TraceSpec{300, 2}, TraceSpec{300, 3},
+        TraceSpec{2000, 1}, TraceSpec{8000, 5}}) {
+    TraceConfig config = TraceConfigForScale("small");
+    config.sim.num_machines = spec.machines;
+    config.sim.duration = 60 * kDay;
+    config.sim.seed = spec.seed;
+    config.catalog.seed = spec.seed;
+    const TraceDataset trace = GenerateTrace(config);
+    const std::vector<RecoveryProcess> storage =
+        SegmentIntoProcesses(trace.result.log).processes;
+    const ErrorTypeCatalog catalog(storage, 40);
+    const CostEstimator estimator(storage, catalog);
+    std::vector<std::vector<const RecoveryProcess*>> by_type(
+        catalog.num_types());
+    for (const RecoveryProcess& p : storage) {
+      const ErrorTypeId type = catalog.Classify(p);
+      if (!p.attempts().empty() && type != kInvalidErrorType) {
+        by_type[static_cast<std::size_t>(type)].push_back(&p);
+      }
+    }
+    for (std::size_t t = 0; t < by_type.size(); ++t) {
+      if (by_type[t].empty()) continue;
+      for (const int cap : {2, 3, 5, 20}) {
+        const ActionSequence best = ExactBestSequence(
+            by_type[t], static_cast<ErrorTypeId>(t), estimator, cap);
+        h.Int(static_cast<std::int64_t>(spec.seed));
+        h.Int(static_cast<std::int64_t>(t));
+        h.Int(cap);
+        h.Int(static_cast<std::int64_t>(best.size()));
+        for (const RepairAction a : best) h.Int(ActionIndex(a));
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 800);  // 40 types per trace
+  EXPECT_EQ(h.value(), 0x4597011935a61ba5ULL) << std::hex << h.value();
+}
+
 void ExpectSameEvaluation(const SequenceEvaluation& got,
                           const SequenceEvaluation& want) {
   EXPECT_EQ(got.total_cost, want.total_cost);
@@ -249,8 +305,9 @@ TEST(EvaluateSequencesTest, BatchEqualsSeparateCalls) {
         SequenceEvaluation alone;
         for (const RecoveryProcess* p : processes) {
           bool cured = false;
-          alone.total_cost += SequenceCostOnProcess(
-              batch[i], *p, type, estimator, 20, &cured, *model);
+          ProcessReplay replay(*p, type, estimator, *model);
+          alone.total_cost += SequenceCostOnReplay(batch[i], replay, type,
+                                                   estimator, 20, &cured);
           (cured ? alone.cured_by_sequence : alone.terminalized) += 1;
           ++alone.processes;
         }

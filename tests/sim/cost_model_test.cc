@@ -1,5 +1,8 @@
 #include "sim/cost_model.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cluster/fault_catalog.h"
@@ -81,7 +84,10 @@ TEST(CostEstimatorTest, GlobalFallbackAcrossTypes) {
   const auto catalog = MakeCatalog(processes);
   const CostEstimator estimator(processes, catalog);
   const ErrorTypeId t0 = catalog.ClassifySymptom(0);
-  EXPECT_FALSE(estimator.ObservedForType(t0, RepairAction::kReimage));
+  const std::vector<RepairAction>& observed = estimator.ObservedActions(t0);
+  EXPECT_EQ(std::find(observed.begin(), observed.end(),
+                      RepairAction::kReimage),
+            observed.end());
   EXPECT_DOUBLE_EQ(
       estimator.EstimateCost(t0, RepairAction::kReimage, /*success=*/true),
       900.0);
