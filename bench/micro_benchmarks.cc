@@ -1,8 +1,8 @@
 // google-benchmark micro-benchmarks for the hot paths: Q-table operations,
-// Boltzmann sampling, process replay steps, trainer sweeps, selection-tree
-// training and pricing, log segmentation, m-pattern mining, log
-// (de)serialization throughput and the online manager's open/decide/close
-// cycle.
+// Boltzmann sampling, process replay construction and steps, trainer
+// sweeps, selection-tree training and pricing, log segmentation, m-pattern
+// mining, log (de)serialization throughput, profiler scope entry and the
+// online manager's open/decide/close cycle.
 #include <cstdint>
 #include <iterator>
 #include <set>
@@ -15,6 +15,7 @@
 #include "bench_common.h"
 #include "bench_json.h"
 #include "cluster/user_policy.h"
+#include "common/profiler.h"
 #include "common/string_util.h"
 #include "core/recovery_manager.h"
 #include "mining/error_type.h"
@@ -96,6 +97,33 @@ void BM_ProcessReplayEpisode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ProcessReplayEpisode);
+
+// Replay construction alone, over a rotating set of generated processes:
+// what every training episode and every priced process pays before its
+// first step.
+void BM_ProcessReplayConstruct(benchmark::State& state) {
+  const BenchDataset& dataset = GetDataset();
+  const ErrorTypeCatalog types(dataset.clean, 40);
+  const CostEstimator estimator(dataset.clean, types);
+  std::vector<const RecoveryProcess*> processes;
+  std::vector<ErrorTypeId> process_types;
+  for (const RecoveryProcess& p : dataset.clean) {
+    if (processes.size() == 512) break;
+    const ErrorTypeId type = types.Classify(p);
+    if (type == kInvalidErrorType) continue;
+    processes.push_back(&p);
+    process_types.push_back(type);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const ProcessReplay replay(*processes[next], process_types[next],
+                               estimator);
+    benchmark::DoNotOptimize(replay.total_cost());
+    next = (next + 1) % processes.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ProcessReplayConstruct);
 
 // Self-replay of generated processes on reused replays: one iteration
 // replays one process's logged actions from Reset() to its cure, so the
@@ -354,6 +382,18 @@ void BM_ObsHistogramObserve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ObsHistogramObserve);
+
+// One enabled AER_PROFILE_SCOPE entry and exit nested under an open scope,
+// as the instrumented training and manager paths pay it (docs/
+// OBSERVABILITY.md "Profiler" quotes the per-scope cost).
+void BM_ProfileScope(benchmark::State& state) {
+  AER_PROFILE_SCOPE("bench_outer");
+  for (auto _ : state) {
+    AER_PROFILE_SCOPE("bench_inner");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ProfileScope);
 
 void BM_ObsRegistryLookup(benchmark::State& state) {
   obs::MetricsRegistry registry;

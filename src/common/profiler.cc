@@ -1,12 +1,23 @@
 #include "common/profiler.h"
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
 #include "common/check.h"
 #include "common/string_util.h"
 
 namespace aer {
+
+namespace {
+
+// Id 0 is never handed out: it marks an empty LocalShard cache.
+std::atomic<std::uint64_t> next_registry_id{1};
+
+}  // namespace
+
+ProfileRegistry::ProfileRegistry()
+    : id_(next_registry_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 ProfileRegistry& ProfileRegistry::Global() {
   // Leaked so shards referenced from thread_locals of detached threads stay
@@ -16,22 +27,23 @@ ProfileRegistry& ProfileRegistry::Global() {
 }
 
 void ProfileRegistry::Shard::Enter(std::string_view name) {
-  const Node* parent = stack_.empty() ? nullptr : stack_.back();
-  Node* node;
-  {
-    MutexLock lock(mu_);
-    const auto it = index_.find(std::make_pair(parent, std::string(name)));
-    if (it != index_.end()) {
-      node = it->second;
-    } else {
-      auto created = std::make_unique<Node>();
-      created->name = std::string(name);
-      created->parent = parent;
-      node = created.get();
-      nodes_.push_back(std::move(created));
-      index_.emplace(std::make_pair(parent, std::string(name)), node);
+  Node* parent = stack_.empty() ? nullptr : stack_.back();
+  std::vector<Node*>& siblings = parent == nullptr ? roots_ : parent->children;
+  for (Node* node : siblings) {
+    if (node->name == name) {
+      stack_.push_back(node);
+      return;
     }
   }
+  auto created = std::make_unique<Node>();
+  created->name = std::string(name);
+  created->parent = parent;
+  Node* node = created.get();
+  {
+    MutexLock lock(mu_);
+    nodes_.push_back(std::move(created));
+  }
+  siblings.push_back(node);
   stack_.push_back(node);
 }
 
@@ -48,16 +60,23 @@ void ProfileRegistry::Shard::Exit(std::int64_t elapsed_ns) {
 }
 
 ProfileRegistry::Shard& ProfileRegistry::LocalShard() {
+  // The shard this thread used last: a scope's entry then skips the map.
+  struct Cached {
+    std::uint64_t registry = 0;
+    Shard* shard = nullptr;
+  };
+  thread_local constinit Cached cached;
+  if (cached.registry == id_) return *cached.shard;
   // One shard per (thread, registry). The registry keeps a shared_ptr so
   // snapshots taken after a worker thread exits still see its data.
-  thread_local std::map<const ProfileRegistry*, std::shared_ptr<Shard>>
-      shards;
-  std::shared_ptr<Shard>& slot = shards[this];
+  thread_local std::map<std::uint64_t, std::shared_ptr<Shard>> shards;
+  std::shared_ptr<Shard>& slot = shards[id_];
   if (slot == nullptr) {
     slot = std::make_shared<Shard>();
     MutexLock lock(mu_);
     shards_.push_back(slot);
   }
+  cached = {id_, slot.get()};
   return *slot;
 }
 

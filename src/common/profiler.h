@@ -9,21 +9,23 @@
 // AER_PROFILE_SCOPE(name) opens an RAII timer on the calling thread. Scopes
 // nest: each thread keeps a stack of active scopes, and time is accumulated
 // into a *hierarchical* node keyed by the path of enclosing scope names
-// ("train_all/train_type/train_sweep"), so the profile reads like a flame
-// graph collapsed by path. `name` must be a string literal (or otherwise
-// outlive the process): nodes keep a copy, but the hot path compares by
-// content, and short stable names keep that cheap.
+// ("train_all/train_type"), so the profile reads like a flame graph
+// collapsed by path. `name` must be a string literal (or otherwise outlive
+// the process): nodes keep a copy, but the hot path compares by content,
+// and short stable names keep that cheap.
 //
 // Sharding and merge: every thread owns a private shard (node tree + scope
-// stack). The owner thread mutates structure under the shard mutex (only
-// ever contended by a concurrent snapshot) and bumps per-node atomic
-// counters lock-free on scope exit. ProfileRegistry::Snapshot() merges all
-// shards into one sorted-by-path list; addition of int64 call counts and
-// nanosecond totals is commutative, so the merged profile is independent of
-// thread count and registration order — the same deterministic-merge recipe
-// MetricsRegistry::MergeFrom uses. The *wall times* themselves are of course
-// nondeterministic; deterministic consumers (golden tests, `aerctl profile`
-// without --wall) format calls only.
+// stack). Re-entering a known scope path is lock-free: the owner thread
+// finds the node in its parent's child list. Only a path's first entry
+// adds a node, under the shard mutex (only ever contended by a concurrent
+// snapshot). Scope exit bumps per-node atomic counters lock-free.
+// ProfileRegistry::Snapshot() merges all shards into one sorted-by-path
+// list; addition of int64 call counts and nanosecond totals is commutative,
+// so the merged profile is independent of thread count and registration
+// order — the same deterministic-merge recipe MetricsRegistry::MergeFrom
+// uses. The *wall times* themselves are of course nondeterministic;
+// deterministic consumers (golden tests, `aerctl profile` without --wall)
+// format calls only.
 //
 // Zero-cost when compiled out: configuring with -DAER_PROFILING=OFF defines
 // AER_PROFILING_DISABLED globally and AER_PROFILE_SCOPE expands to nothing —
@@ -38,7 +40,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -64,7 +65,7 @@ class ProfileRegistry {
   // The process-wide registry AER_PROFILE_SCOPE records into.
   static ProfileRegistry& Global();
 
-  ProfileRegistry() = default;
+  ProfileRegistry();
   ProfileRegistry(const ProfileRegistry&) = delete;
   ProfileRegistry& operator=(const ProfileRegistry&) = delete;
 
@@ -96,9 +97,10 @@ class ProfileRegistry {
 
   class Shard {
    public:
-    // Finds or creates the child node of the current stack top, pushes it,
-    // and returns. Structure mutation is guarded by the shard mutex; the
-    // stack is owner-thread-only.
+    // Finds or creates the child node of the current stack top and pushes
+    // it. A (parent, name) pair already entered is found in the parent's
+    // owner-thread-only child list, without a lock; only the first entry
+    // creates the node, under the shard mutex.
     void Enter(std::string_view name);
     // Pops the current node, adding `elapsed_ns` and one call to it.
     // Lock-free: the popped Node* is stable (unique_ptr-owned, never freed
@@ -113,17 +115,20 @@ class ProfileRegistry {
       const Node* parent = nullptr;  // nullptr for roots
       std::atomic<std::int64_t> calls{0};
       std::atomic<std::int64_t> total_ns{0};
+      // The nodes created under this one, in creation order. Read and
+      // written only by the owner thread (Snapshot walks nodes_ instead).
+      std::vector<Node*> children;
     };
 
     mutable Mutex mu_;
-    // Creation-ordered node storage (parents precede children) plus the
-    // (parent, name) -> node lookup used by Enter. Only the structure is
-    // guarded; the atomic counters inside each node are written lock-free.
+    // Creation-ordered node storage (parents precede children). Only the
+    // structure is guarded; the atomic counters inside each node are
+    // written lock-free.
     std::vector<std::unique_ptr<Node>> nodes_ AER_GUARDED_BY(mu_);
-    std::map<std::pair<const Node*, std::string>, Node*, std::less<>> index_
-        AER_GUARDED_BY(mu_);
-    // Active-scope stack. Owner-thread-only by construction (LocalShard
-    // hands each thread its own shard), so deliberately unguarded.
+    // The root nodes and the active-scope stack. Owner-thread-only by
+    // construction (LocalShard hands each thread its own shard), so
+    // deliberately unguarded.
+    std::vector<Node*> roots_;
     std::vector<Node*> stack_;
   };
 
@@ -132,6 +137,10 @@ class ProfileRegistry {
   Shard& LocalShard();
 
  private:
+  // Unique per registry for the life of the process: threads find their
+  // shard by it, so a registry built where a destroyed one lived does not
+  // inherit the dead registry's shards.
+  const std::uint64_t id_;
   mutable Mutex mu_;
   std::vector<std::shared_ptr<Shard>> shards_ AER_GUARDED_BY(mu_);
 };

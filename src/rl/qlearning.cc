@@ -1,7 +1,9 @@
 #include "rl/qlearning.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 
 #include "common/check.h"
 #include "common/profiler.h"
@@ -99,7 +101,6 @@ void QLearningTrainer::RunSweep(ErrorTypeId type,
                                 std::int64_t sweep, QTable& table, Rng& rng,
                                 QTable* table_b,
                                 TypeTelemetry* telemetry) const {
-  AER_PROFILE_SCOPE("train_sweep");
   // SelectProcess: uniform over the type's training processes.
   const RecoveryProcess& p = *processes[rng.NextBounded(processes.size())];
   ProcessReplay replay(p, type, platform_.estimator(),
@@ -157,25 +158,27 @@ void QLearningTrainer::RunSweep(ErrorTypeId type,
     StateKey next;
     bool terminal;
   };
-  std::vector<Transition> episode;
-  std::vector<RepairAction> tried;
-  episode.reserve(static_cast<std::size_t>(config_.max_actions));
-  tried.reserve(static_cast<std::size_t>(config_.max_actions));
+  // An episode takes at most max_actions <= kMaxTriedActions steps (the
+  // constructor checks the bound), so both buffers live on the stack.
+  std::array<Transition, kMaxTriedActions> episode = {};
+  std::array<RepairAction, kMaxTriedActions> tried = {};
+  std::size_t T = 0;  // steps taken so far
 
   // Explore different recovery actions until the simulated machine is
   // healthy; the last slot is always manual repair.
   while (!replay.cured()) {
-    const StateKey s = EncodeState(type, tried);
+    const StateKey s = EncodeState(type, std::span(tried).first(T));
     RepairAction a;
-    if (static_cast<int>(tried.size()) >= config_.max_actions - 1) {
+    if (static_cast<int>(T) >= config_.max_actions - 1) {
       a = RepairAction::kRma;
     } else {
       read_values(s);
       a = allowed[SampleBoltzmann(allowed_values, temperature, rng)];
     }
     const ProcessReplay::StepResult step = replay.Step(a);
-    tried.push_back(a);
-    episode.push_back({s, a, step.cost, EncodeState(type, tried), step.cured});
+    tried[T] = a;
+    const StateKey next = EncodeState(type, std::span(tried).first(T + 1));
+    episode[T++] = {s, a, step.cost, next, step.cured};
   }
 
   // UpdateQfunction for every two successive states along the sequence
@@ -184,7 +187,6 @@ void QLearningTrainer::RunSweep(ErrorTypeId type,
   // λ-return mixes all n-step lookaheads of the episode.
   const double gamma = config_.gamma;
   const double lambda = config_.td_lambda;
-  const std::size_t T = episode.size();
 
   // Telemetry is observation-only: it reads the deltas Update() already
   // computes and draws nothing from the RNG, so collecting it cannot change

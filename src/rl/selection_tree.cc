@@ -156,14 +156,17 @@ ActionSequence SelectionTreeScan::Pick(const QTable& view) {
   for (const ActionSequence& seed : seeds_) Mark(seed);
 
   // Priced under the platform's relation, the one the sweeps train under.
-  const std::vector<SequenceEvaluation> evals = EvaluateSequences(
-      unpriced_, base_.processes_of(type_), type_,
-      base_.platform().estimator(), tc.max_actions,
-      base_.platform().capabilities());
-  for (std::size_t i = 0; i < unpriced_nodes_.size(); ++i) {
-    Node& n = nodes_[static_cast<std::size_t>(unpriced_nodes_[i])];
-    n.eval = evals[i];
-    n.priced = true;
+  // A check whose candidates are all priced already replays nothing.
+  if (!unpriced_.empty()) {
+    const std::vector<SequenceEvaluation> evals = EvaluateSequences(
+        unpriced_, base_.processes_of(type_), type_,
+        base_.platform().estimator(), tc.max_actions,
+        base_.platform().capabilities());
+    for (std::size_t i = 0; i < unpriced_nodes_.size(); ++i) {
+      Node& n = nodes_[static_cast<std::size_t>(unpriced_nodes_[i])];
+      n.eval = evals[i];
+      n.priced = true;
+    }
   }
 
   // The tie-break keeps the first of equals, in lexicographic order.

@@ -11,19 +11,28 @@ ProcessReplay::ProcessReplay(const RecoveryProcess& process, ErrorTypeId type,
       type_(type),
       estimator_(estimator),
       capabilities_(capabilities) {
-  for (RepairAction a : CorrectActions(process)) {
-    ++required_[static_cast<std::size_t>(ActionIndex(a))];
-    ++required_total_;
-  }
-  for (const ActionAttempt& attempt : process.attempts()) {
-    occurrence_costs_[static_cast<std::size_t>(ActionIndex(attempt.action))]
-        .push_back(static_cast<double>(attempt.cost));
+  // One reverse pass: the final action comes first, and each action's
+  // first occurrence is the last one seen.
+  const std::vector<ActionAttempt>& attempts = process.attempts();
+  AER_CHECK(!attempts.empty());
+  const int final_strength = ActionStrength(attempts.back().action);
+  first_.fill(attempts.size());
+  for (std::size_t i = attempts.size(); i-- > 0;) {
+    const RepairAction a = attempts[i].action;
+    const auto idx = static_cast<std::size_t>(ActionIndex(a));
+    // The correct-action multiset, as CorrectActions(process) counts it.
+    if (ActionStrength(a) >= final_strength) {
+      ++required_[idx];
+      ++required_total_;
+    }
+    first_[idx] = i;
   }
   Reset();
 }
 
 void ProcessReplay::Reset() {
   state_ = State{};
+  state_.next = first_;
   state_.total_cost = static_cast<double>(process_.detection_delay());
 }
 
@@ -42,10 +51,14 @@ ProcessReplay::StepResult ProcessReplay::Step(RepairAction action) {
 
   // Price the step: actual logged cost when this occurrence of the action
   // exists in the process, per-type average otherwise.
+  const std::vector<ActionAttempt>& attempts = process_.attempts();
+  std::size_t& next = state_.next[idx];
   double cost;
-  if (state_.consumed[idx] < occurrence_costs_[idx].size()) {
-    cost = occurrence_costs_[idx][state_.consumed[idx]];
-    ++state_.consumed[idx];
+  if (next < attempts.size()) {
+    cost = static_cast<double>(attempts[next].cost);
+    do {
+      ++next;
+    } while (next < attempts.size() && attempts[next].action != action);
   } else {
     cost = estimator_.EstimateCost(type_, action, cured);
   }

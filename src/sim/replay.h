@@ -11,15 +11,19 @@
 //     when the process contains an (unconsumed) occurrence of it, otherwise
 //     by the per-type average success / failing cost;
 //   - manual repair (RMA) always ends the process.
+//
+// A replay is a view over its process: it keeps a reference to the logged
+// attempts and a few per-action counters, so constructing, stepping,
+// Save()/Restore() and Reset() allocate nothing.
 #ifndef AER_SIM_REPLAY_H_
 #define AER_SIM_REPLAY_H_
 
 #include <array>
-#include <vector>
+#include <cstddef>
 
+#include "log/recovery_process.h"
 #include "sim/capability.h"
 #include "sim/cost_model.h"
-#include "sim/hypotheses.h"
 
 namespace aer {
 
@@ -28,7 +32,7 @@ class ProcessReplay {
   // `type` is the error type used for average-cost lookups; pass the
   // estimator's classification of `process`. `capabilities` chooses the
   // action-substitution relation (default: the paper's hypothesis-2 total
-  // order) and must outlive the replay.
+  // order) and must outlive the replay, as must `process` and `estimator`.
   ProcessReplay(const RecoveryProcess& process, ErrorTypeId type,
                 const CostEstimator& estimator,
                 const CapabilityModel& capabilities =
@@ -55,9 +59,11 @@ class ProcessReplay {
   void Reset();
 
   // Everything Step() changes, so a walk over a tree of sequences can branch
-  // from a replay and come back without copying the occurrence costs.
+  // from a replay and come back by copying a few counters.
   struct State {
-    std::array<std::size_t, kNumActions> consumed = {};
+    // Per action, the index into attempts() of its next unconsumed
+    // occurrence; attempts().size() once none is left.
+    std::array<std::size_t, kNumActions> next = {};
     ActionCounts executed = {};
     int steps = 0;
     bool cured = false;
@@ -75,10 +81,9 @@ class ProcessReplay {
   // The correct-action multiset (hypothesis 1) as per-kind counts.
   ActionCounts required_ = {};
   int required_total_ = 0;
-
-  // Actual costs of each action's occurrences in the logged process, in
-  // order; consumed as the replay executes matching actions.
-  std::array<std::vector<double>, kNumActions> occurrence_costs_;
+  // Per action, the index of its first occurrence in the logged process
+  // (attempts().size() if it never occurs): State::next after Reset().
+  std::array<std::size_t, kNumActions> first_ = {};
 
   State state_;
 };

@@ -28,36 +28,53 @@ constexpr int kIterations = 500;
 
 TEST(LockDisciplineTest, ProfilerScopesRaceSnapshotAndReset) {
   ProfileRegistry registry;
-  std::atomic<bool> stop{false};
 
-  // Reader thread: merged snapshots must stay well-formed while every
-  // worker mutates its shard structure (Enter) and counters (Exit).
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      for (const ProfileEntry& entry : registry.Snapshot()) {
-        ASSERT_FALSE(entry.path.empty());
-        ASSERT_GE(entry.calls, 1);
-      }
+  // Every worker enters the same three (parent, name) pairs over and over:
+  // the first entry of each adds a node under the shard mutex (Enter's slow
+  // path), every later one finds it in the owner-thread-only child list
+  // (the fast path). Exits bump the node counters lock-free.
+  const auto run_workers = [&registry] {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&registry] {
+        ProfileRegistry::Shard& shard = registry.LocalShard();
+        for (int i = 0; i < kIterations; ++i) {
+          shard.Enter("outer");
+          shard.Enter(i % 2 == 0 ? "even" : "odd");
+          shard.Exit(10);
+          shard.Exit(25);
+        }
+      });
     }
-  });
+    for (std::thread& worker : workers) worker.join();
+  };
 
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&registry] {
-      ProfileRegistry::Shard& shard = registry.LocalShard();
-      for (int i = 0; i < kIterations; ++i) {
-        shard.Enter("outer");
-        shard.Enter(i % 2 == 0 ? "even" : "odd");
-        shard.Exit(10);
-        shard.Exit(25);
+  // Reader thread: merged snapshots must stay well-formed while the workers
+  // mutate their shards; with `reset`, it also zeroes the counters under
+  // them every few snapshots.
+  const auto race = [&registry, &run_workers](bool reset) {
+    std::atomic<bool> stop{false};
+    std::thread reader([&] {
+      for (int round = 0; !stop.load(std::memory_order_acquire); ++round) {
+        for (const ProfileEntry& entry : registry.Snapshot()) {
+          ASSERT_FALSE(entry.path.empty());
+          ASSERT_GE(entry.calls, 1);
+        }
+        if (reset && round % 4 == 3) registry.Reset();
       }
     });
-  }
-  for (std::thread& worker : workers) worker.join();
-  stop.store(true, std::memory_order_release);
-  reader.join();
+    run_workers();
+    stop.store(true, std::memory_order_release);
+    reader.join();
+  };
 
-  // Every enter/exit pair is accounted for exactly once after the join.
+  race(/*reset=*/true);
+  registry.Reset();
+  EXPECT_EQ(registry.TotalCalls(), 0);
+
+  // Against snapshots alone, every enter/exit pair is accounted for exactly
+  // once after the join.
+  race(/*reset=*/false);
   EXPECT_EQ(registry.TotalCalls(), 2 * kThreads * kIterations);
 
   registry.Reset();

@@ -2,7 +2,9 @@
 // merge, Reset semantics, and the deterministic (counts-only) formatting.
 #include "common/profiler.h"
 
+#include <new>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -36,23 +38,75 @@ TEST(ProfilerTest, NestedScopesBuildHierarchicalPaths) {
   EXPECT_GE(entries[0].total_ns, entries[1].total_ns);  // parent ⊇ children
 }
 
+// Repeated entries find their nodes in the cached child lists; each parent
+// keeps its own, and a root of the same name is a third node.
 TEST(ProfilerTest, SameNameUnderDifferentParentsStaysDistinct) {
   ProfileRegistry::Global().Reset();
-  {
-    AER_PROFILE_SCOPE("alpha");
-    AER_PROFILE_SCOPE("step");
-  }
-  {
-    AER_PROFILE_SCOPE("beta");
-    AER_PROFILE_SCOPE("step");
+  for (int i = 0; i < 3; ++i) {
+    {
+      AER_PROFILE_SCOPE("alpha");
+      AER_PROFILE_SCOPE("step");
+    }
+    {
+      AER_PROFILE_SCOPE("beta");
+      AER_PROFILE_SCOPE("step");
+    }
+    {
+      AER_PROFILE_SCOPE("step");
+    }
   }
   const std::vector<ProfileEntry> entries =
       ProfileRegistry::Global().Snapshot();
-  ASSERT_EQ(entries.size(), 4u);
+  ASSERT_EQ(entries.size(), 5u);
   EXPECT_EQ(entries[0].path, "alpha");
   EXPECT_EQ(entries[1].path, "alpha/step");
   EXPECT_EQ(entries[2].path, "beta");
   EXPECT_EQ(entries[3].path, "beta/step");
+  EXPECT_EQ(entries[4].path, "step");
+  for (const ProfileEntry& entry : entries) EXPECT_EQ(entry.calls, 3);
+}
+
+// A known (parent, name) pair is found by comparing name contents, so a
+// name that reaches Enter through different storage is still one node.
+TEST(ProfilerTest, OneNameThroughDifferentStorageIsOneNode) {
+  ProfileRegistry registry;
+  ProfileRegistry::Shard& shard = registry.LocalShard();
+  const std::string heap_name = std::string("le") + "af";
+  const char array_name[] = {'l', 'e', 'a', 'f', '\0'};
+  shard.Enter("outer");
+  for (const std::string_view name :
+       {std::string_view("leaf"), std::string_view(heap_name),
+        std::string_view(array_name), std::string_view("leafy").substr(0, 4)}) {
+    shard.Enter(name);
+    shard.Exit(1);
+  }
+  shard.Exit(1);
+  const std::vector<ProfileEntry> entries = registry.Snapshot();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].path, "outer");
+  EXPECT_EQ(entries[1].path, "outer/leaf");
+  EXPECT_EQ(entries[1].calls, 4);
+}
+
+// A registry built at the address of a destroyed one, on the same thread,
+// records into a shard of its own, not into the dead registry's.
+TEST(ProfilerTest, RegistryAtADeadRegistrysAddressGetsItsOwnShard) {
+  alignas(ProfileRegistry) unsigned char storage[sizeof(ProfileRegistry)];
+  auto* first = new (storage) ProfileRegistry();
+  first->LocalShard().Enter("first");
+  first->LocalShard().Exit(1);
+  EXPECT_EQ(first->TotalCalls(), 1);
+  first->~ProfileRegistry();
+
+  auto* second = new (storage) ProfileRegistry();
+  ASSERT_EQ(static_cast<void*>(second), static_cast<void*>(first));
+  second->LocalShard().Enter("second");
+  second->LocalShard().Exit(1);
+  const std::vector<ProfileEntry> entries = second->Snapshot();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].path, "second");
+  EXPECT_EQ(second->TotalCalls(), 1);
+  second->~ProfileRegistry();
 }
 
 TEST(ProfilerTest, ShardsMergeAcrossThreads) {
