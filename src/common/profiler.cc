@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -13,6 +14,14 @@ namespace {
 
 // Id 0 is never handed out: it marks an empty LocalShard cache.
 std::atomic<std::uint64_t> next_registry_id{1};
+
+// The calling thread's shard of each registry it used, by registry id.
+using LocalShardMap =
+    std::map<std::uint64_t, std::weak_ptr<ProfileRegistry::Shard>>;
+LocalShardMap& LocalShards() {
+  thread_local LocalShardMap shards;
+  return shards;
+}
 
 }  // namespace
 
@@ -67,17 +76,29 @@ ProfileRegistry::Shard& ProfileRegistry::LocalShard() {
   };
   thread_local constinit Cached cached;
   if (cached.registry == id_) return *cached.shard;
-  // One shard per (thread, registry). The registry keeps a shared_ptr so
-  // snapshots taken after a worker thread exits still see its data.
-  thread_local std::map<std::uint64_t, std::shared_ptr<Shard>> shards;
-  std::shared_ptr<Shard>& slot = shards[id_];
-  if (slot == nullptr) {
-    slot = std::make_shared<Shard>();
+  // One shard per (thread, registry). The registry owns it, so snapshots
+  // taken after a worker thread exits still see its data. The thread only
+  // watches it: a destroyed registry's entry expires, and a miss prunes it.
+  LocalShardMap& shards = LocalShards();
+  Shard* shard = nullptr;
+  if (const auto it = shards.find(id_); it != shards.end()) {
+    shard = it->second.lock().get();
+  } else {
+    std::erase_if(shards, [](const auto& entry) {
+      return entry.second.expired();
+    });
+    auto owned = std::make_shared<Shard>();
+    shard = owned.get();
+    shards.emplace(id_, owned);
     MutexLock lock(mu_);
-    shards_.push_back(slot);
+    shards_.push_back(std::move(owned));
   }
-  cached = {id_, slot.get()};
-  return *slot;
+  cached = {id_, shard};
+  return *shard;
+}
+
+std::size_t ProfileRegistry::ThreadShardEntriesForTesting() {
+  return LocalShards().size();
 }
 
 std::vector<ProfileEntry> ProfileRegistry::Snapshot() const {

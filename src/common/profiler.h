@@ -133,8 +133,13 @@ class ProfileRegistry {
   };
 
   // The calling thread's shard of this registry (created and registered on
-  // first use; lives until process exit so late snapshots see all data).
+  // first use; the registry owns it, so snapshots taken after the thread
+  // exits still see its data).
   Shard& LocalShard();
+
+  // How many registries the calling thread's shard map holds entries for:
+  // the live ones it used, plus destroyed ones not yet pruned by a miss.
+  static std::size_t ThreadShardEntriesForTesting();
 
  private:
   // Unique per registry for the life of the process: threads find their

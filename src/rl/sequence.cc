@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <utility>
+#include <optional>
+#include <unordered_map>
 
 #include "common/check.h"
 
@@ -21,10 +22,12 @@ bool CanStep(const ProcessReplay& replay, int max_actions) {
 
 // The terminalization after a sequence ran out uncured. `strongest` is the
 // strongest action the sequence executed and `used` counts its executions
-// of each action.
-void Terminalize(ProcessReplay& replay, ErrorTypeId type,
+// of each action; `step(a)` executes `a` on `replay`.
+template <typename StepFn>
+void Terminalize(const ProcessReplay& replay, ErrorTypeId type,
                  const CostEstimator& estimator, int max_actions,
-                 RepairAction strongest, const ActionUses& used) {
+                 RepairAction strongest, const ActionUses& used,
+                 StepFn&& step) {
   if (!replay.cured()) {
     // Keep escalating from the strongest level the sequence reached, with
     // each level tried up to twice overall (counting the sequence's own
@@ -35,13 +38,13 @@ void Terminalize(ProcessReplay& replay, ErrorTypeId type,
       const int tries =
           budget - used[static_cast<std::size_t>(ActionIndex(a))];
       for (int i = 0; i < tries && CanStep(replay, max_actions); ++i) {
-        replay.Step(a);
+        step(a);
       }
       if (replay.cured()) break;
     }
   }
   if (!replay.cured()) {
-    replay.Step(RepairAction::kRma);  // forced manual repair at the cap
+    step(RepairAction::kRma);  // forced manual repair at the cap
   }
 }
 
@@ -76,11 +79,110 @@ struct SequenceTrie {
   std::vector<Node> nodes = std::vector<Node>(1);
 };
 
-// Prices every sequence of a trie against one process per Run(), stepping
-// each edge once: a node's replay branches into its children through
-// Save()/Restore(). Along any root-to-node path the replay executes exactly
-// the steps SequenceCostOnReplay executes for that node's sequence, so each
-// price is the same double.
+// The classes of EvaluateSequences: processes with the same attempt kinds,
+// in order. A key packs the kinds two bits each under the attempt count in
+// the top byte, so two processes share a key only if they share both. A
+// process with more attempts than a key holds gets a class of its own.
+constexpr std::size_t kMaxKeyedAttempts = 28;
+static_assert(kNumActions <= 4 && 2 * kMaxKeyedAttempts <= 56);
+
+std::optional<std::uint64_t> ClassKey(const RecoveryProcess& process) {
+  const std::vector<ActionAttempt>& attempts = process.attempts();
+  if (attempts.size() > kMaxKeyedAttempts) return std::nullopt;
+  std::uint64_t key = std::uint64_t{attempts.size()} << 56;
+  for (std::size_t i = 0; i < attempts.size(); ++i) {
+    key |= static_cast<std::uint64_t>(ActionIndex(attempts[i].action))
+           << (2 * i);
+  }
+  return key;
+}
+
+// The pricing of every sequence of a trie against any member of one class,
+// as straight-line code over the member's own numbers. A price is the
+// running total at a node (the detection delay plus one term per step on
+// the way down) plus the terms of its escalation tail, added in step order;
+// a term is a logged attempt's cost or an estimate. Running it adds the same
+// doubles in the same order as a replay of the member would.
+class ClassProgram {
+ public:
+  enum class Code : std::uint8_t {
+    kPush,   // running[d + 1] = running[d] + values[arg]; ++d
+    kPop,    // --d
+    kPrice,  // cost = running[d]; the price's kTerm ops follow
+    kTerm,   // cost += values[arg]
+    kAdd,    // totals[arg] += cost
+  };
+  struct Op {
+    Code code;
+    std::int32_t arg;
+  };
+
+  // `attempts` is the members' attempt count: values[0, attempts) hold the
+  // running member's logged costs, and each estimate gets a slot after
+  // them per (action, cured).
+  explicit ClassProgram(std::size_t attempts)
+      : attempts_(attempts), values_(attempts + 2 * kNumActions) {}
+
+  void Emit(Code code, std::int32_t arg = 0) { ops_.push_back({code, arg}); }
+
+  // The term of a step that found its action's State::next at `next`: that
+  // logged attempt's cost, or else the estimate the step used.
+  std::int32_t Term(std::size_t next, RepairAction action,
+                    const ProcessReplay::StepResult& step) {
+    if (next < attempts_) return static_cast<std::int32_t>(next);
+    const std::size_t slot =
+        attempts_ + 2 * static_cast<std::size_t>(ActionIndex(action)) +
+        (step.cured ? 1 : 0);
+    values_[slot] = step.cost;
+    return static_cast<std::int32_t>(slot);
+  }
+
+  // Adds `process`'s price of each priced node to totals[node]. `running`
+  // has a slot per step of the longest priced path, plus one.
+  void Run(const RecoveryProcess& process, std::span<double> running,
+           std::span<double> totals) {
+    const std::vector<ActionAttempt>& attempts = process.attempts();
+    for (std::size_t j = 0; j < attempts_; ++j) {
+      values_[j] = static_cast<double>(attempts[j].cost);
+    }
+    std::size_t d = 0;
+    running[0] = static_cast<double>(process.detection_delay());
+    double cost = 0.0;
+    for (const Op& op : ops_) {
+      const auto arg = static_cast<std::size_t>(op.arg);
+      switch (op.code) {
+        case Code::kPush:
+          running[d + 1] = running[d] + values_[arg];
+          ++d;
+          break;
+        case Code::kPop:
+          --d;
+          break;
+        case Code::kPrice:
+          cost = running[d];
+          break;
+        case Code::kTerm:
+          cost += values_[arg];
+          break;
+        case Code::kAdd:
+          totals[arg] += cost;
+          break;
+      }
+    }
+  }
+
+ private:
+  std::size_t attempts_;
+  std::vector<double> values_;
+  std::vector<Op> ops_;
+};
+
+// Compiles the walk of a trie for one class: it runs the class's first
+// member depth-first through one replay, stepping every edge once and
+// branching through Save()/Restore(), and emits what each step adds instead
+// of adding it. Along any root-to-node path the replay executes exactly the
+// steps SequenceCostOnReplay executes for that node's sequence, so the
+// program's prices are the replay's, term for term.
 class TrieWalk {
  public:
   TrieWalk(const SequenceTrie& trie, ErrorTypeId type,
@@ -92,62 +194,77 @@ class TrieWalk {
         max_actions_(max_actions),
         node_evals_(node_evals) {}
 
-  // Adds the process's price of each sequence to its node's evaluation.
-  void Run(ProcessReplay& replay) {
+  // `replay` is a fresh replay of the class's first member. Each price's
+  // outcome counts `members` times in its node's evaluation; the totals are
+  // left to ClassProgram::Run.
+  ClassProgram Compile(ProcessReplay& replay, std::size_t attempts,
+                       std::int64_t members) {
+    ClassProgram program(attempts);
     replay_ = &replay;
+    program_ = &program;
+    members_ = members;
     used_ = {};
     Visit(0, RepairAction::kTryNop);
+    return program;
   }
 
  private:
   void Visit(std::int32_t node, RepairAction strongest) {
     if (!CanStep(*replay_, max_actions_)) {
       // The sequences at and below this node stop here alike.
-      const auto [cost, cured] = Price(strongest);
-      AddToSubtree(node, cost, cured);
+      AddToSubtree(node, Price(strongest));
       return;
     }
     const SequenceTrie::Node& n = trie_.nodes[static_cast<std::size_t>(node)];
-    if (n.ends) {
-      const auto [cost, cured] = Price(strongest);
-      Add(node, cost, cured);
-    }
+    if (n.ends) Add(node, Price(strongest));
     for (std::size_t i = 0; i < n.child.size(); ++i) {
       if (n.child[i] < 0) continue;
       const RepairAction a = kAllActions[i];
       const ProcessReplay::State saved = replay_->Save();
-      replay_->Step(a);
+      program_->Emit(ClassProgram::Code::kPush, Step(a));
       ++used_[i];
       Visit(n.child[i], Stronger(a, strongest));
       --used_[i];
+      program_->Emit(ClassProgram::Code::kPop);
       replay_->Restore(saved);
     }
   }
 
-  // The price of the sequence that led to the replay's current state: the
-  // terminalization runs on the replay and is then undone.
-  std::pair<double, bool> Price(RepairAction strongest) {
-    const ProcessReplay::State saved = replay_->Save();
-    const bool cured = replay_->cured();
-    Terminalize(*replay_, type_, estimator_, max_actions_, strongest, used_);
-    const double cost = replay_->total_cost();
-    replay_->Restore(saved);
-    return {cost, cured};
+  // Steps the replay and returns the term the step added.
+  std::int32_t Step(RepairAction a) {
+    const std::size_t next =
+        replay_->Save().next[static_cast<std::size_t>(ActionIndex(a))];
+    return program_->Term(next, a, replay_->Step(a));
   }
 
-  void AddToSubtree(std::int32_t node, double cost, bool cured) {
+  // Emits the price of the sequence that led to the replay's current state:
+  // the terminalization runs on the replay and is then undone. Returns
+  // whether the sequence itself cured.
+  bool Price(RepairAction strongest) {
+    const ProcessReplay::State saved = replay_->Save();
+    const bool cured = replay_->cured();
+    program_->Emit(ClassProgram::Code::kPrice);
+    Terminalize(*replay_, type_, estimator_, max_actions_, strongest, used_,
+                [this](RepairAction a) {
+                  program_->Emit(ClassProgram::Code::kTerm, Step(a));
+                });
+    replay_->Restore(saved);
+    return cured;
+  }
+
+  void AddToSubtree(std::int32_t node, bool cured) {
     const SequenceTrie::Node& n = trie_.nodes[static_cast<std::size_t>(node)];
-    if (n.ends) Add(node, cost, cured);
+    if (n.ends) Add(node, cured);
     for (const std::int32_t child : n.child) {
-      if (child >= 0) AddToSubtree(child, cost, cured);
+      if (child >= 0) AddToSubtree(child, cured);
     }
   }
 
-  void Add(std::int32_t node, double cost, bool cured) {
+  void Add(std::int32_t node, bool cured) {
+    program_->Emit(ClassProgram::Code::kAdd, node);
     SequenceEvaluation& eval = node_evals_[static_cast<std::size_t>(node)];
-    eval.total_cost += cost;
-    (cured ? eval.cured_by_sequence : eval.terminalized) += 1;
-    ++eval.processes;
+    (cured ? eval.cured_by_sequence : eval.terminalized) += members_;
+    eval.processes += members_;
   }
 
   const SequenceTrie& trie_;
@@ -156,6 +273,8 @@ class TrieWalk {
   int max_actions_;
   std::vector<SequenceEvaluation>& node_evals_;
   ProcessReplay* replay_ = nullptr;
+  ClassProgram* program_ = nullptr;
+  std::int64_t members_ = 0;
   ActionUses used_ = {};
 };
 
@@ -176,7 +295,8 @@ double SequenceCostOnReplay(std::span<const RepairAction> sequence,
     strongest = Stronger(a, strongest);
   }
   if (cured_by_sequence != nullptr) *cured_by_sequence = replay.cured();
-  Terminalize(replay, type, estimator, max_actions, strongest, used);
+  Terminalize(replay, type, estimator, max_actions, strongest, used,
+              [&replay](RepairAction a) { replay.Step(a); });
   return replay.total_cost();
 }
 
@@ -189,20 +309,59 @@ std::vector<SequenceEvaluation> EvaluateSequences(
   SequenceTrie trie;
   std::vector<std::int32_t> node_of;
   node_of.reserve(sequences.size());
+  std::size_t longest = 0;
   for (const ActionSequence& sequence : sequences) {
     node_of.push_back(trie.Insert(sequence));
+    longest = std::max(longest, sequence.size());
   }
-  // Each node's total is accumulated in process order.
+
+  // Group the processes into classes; a class's first member stands for it.
+  std::vector<std::int32_t> class_of(processes.size());
+  std::vector<std::size_t> first_member;
+  std::vector<std::int64_t> members;
+  std::unordered_map<std::uint64_t, std::int32_t> class_of_key;
+  for (std::size_t i = 0; i < processes.size(); ++i) {
+    const auto next = static_cast<std::int32_t>(first_member.size());
+    std::int32_t c = next;
+    if (const std::optional<std::uint64_t> key = ClassKey(*processes[i])) {
+      c = class_of_key.try_emplace(*key, next).first->second;
+    }
+    class_of[i] = c;
+    if (c == next) {
+      first_member.push_back(i);
+      members.push_back(0);
+    }
+    ++members[static_cast<std::size_t>(c)];
+  }
+
+  // One walk per class.
   std::vector<SequenceEvaluation> node_evals(trie.nodes.size());
   TrieWalk walk(trie, type, estimator, max_actions, node_evals);
-  for (const RecoveryProcess* p : processes) {
-    ProcessReplay replay(*p, type, estimator, capabilities);
-    walk.Run(replay);
+  std::vector<ClassProgram> programs;
+  programs.reserve(first_member.size());
+  for (std::size_t c = 0; c < first_member.size(); ++c) {
+    const RecoveryProcess& first = *processes[first_member[c]];
+    ProcessReplay replay(first, type, estimator, capabilities);
+    programs.push_back(
+        walk.Compile(replay, first.attempts().size(), members[c]));
   }
+
+  // One run per process, in process order: each node's total adds the
+  // same doubles in the same order as one replay per process would. A
+  // path steps at most max_actions - 1 times.
+  std::vector<double> running(
+      std::min(longest, static_cast<std::size_t>(max_actions - 1)) + 1);
+  std::vector<double> totals(trie.nodes.size());
+  for (std::size_t i = 0; i < processes.size(); ++i) {
+    programs[static_cast<std::size_t>(class_of[i])].Run(*processes[i],
+                                                        running, totals);
+  }
+
   std::vector<SequenceEvaluation> evals;
   evals.reserve(sequences.size());
   for (const std::int32_t node : node_of) {
     SequenceEvaluation eval = node_evals[static_cast<std::size_t>(node)];
+    eval.total_cost = totals[static_cast<std::size_t>(node)];
     eval.mean_cost = eval.processes > 0
                          ? eval.total_cost / static_cast<double>(eval.processes)
                          : 0.0;

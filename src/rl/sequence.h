@@ -46,12 +46,19 @@ double SequenceCostOnReplay(std::span<const RepairAction> sequence,
                             const CostEstimator& estimator, int max_actions,
                             bool* cured_by_sequence = nullptr);
 
-// Prices each of `sequences` against every process (all must be of `type`)
-// in one pass over the processes. The batch is built into a trie once (equal
-// sequences share a node), and each process walks it depth-first with one
-// replay, stepping every edge once and branching through Save()/Restore().
-// Element i equals EvaluateSequence(sequences[i], ...) field for field: each
-// total is accumulated in process order.
+// Prices each of `sequences` against every process (all must be of `type`).
+// The batch is built into a trie once (equal sequences share a node). Under
+// hypotheses 1-3 a replay's path through the trie (cure points, which logged
+// attempt prices each step, where an estimate is used, the escalation tail)
+// depends only on the kinds of the process's attempts, in order. So the
+// processes are grouped into classes by those kinds, and the trie is walked
+// once per class, on its first member: one replay, each edge stepped once,
+// branching through Save()/Restore(). The walk compiles into a flat program
+// of the additions it makes, whose terms read a member's detection delay
+// and logged costs. Then each process, in the given order, runs its class's
+// program. Element i equals EvaluateSequence(sequences[i], ...) field for
+// field: every price is the same double additions in the same order as the
+// process's own replay, and each total is accumulated in process order.
 std::vector<SequenceEvaluation> EvaluateSequences(
     std::span<const ActionSequence> sequences,
     std::span<const RecoveryProcess* const> processes, ErrorTypeId type,

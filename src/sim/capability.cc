@@ -1,7 +1,5 @@
 #include "sim/capability.h"
 
-#include <vector>
-
 #include "common/check.h"
 
 namespace aer {
@@ -92,47 +90,6 @@ void CapabilityModel::Validate() const {
     AER_CHECK(covers_[static_cast<std::size_t>(ActionIndex(
         RepairAction::kRma))][static_cast<std::size_t>(a)]);
   }
-}
-
-bool CoversRequirementsUnder(std::span<const RepairAction> executed,
-                             std::span<const RepairAction> required,
-                             const CapabilityModel& model) {
-  if (required.empty()) return true;
-  if (required.size() > executed.size()) return false;
-
-  // Augmenting-path bipartite matching: requirement i may match executed j
-  // iff model.Covers(executed[j], required[i]).
-  std::vector<int> match_of_executed(executed.size(), -1);
-  std::vector<bool> visited;
-
-  // Standard Kuhn's algorithm.
-  struct Dfs {
-    std::span<const RepairAction> executed;
-    std::span<const RepairAction> required;
-    const CapabilityModel& model;
-    std::vector<int>& match_of_executed;
-    std::vector<bool>& visited;
-
-    bool Augment(std::size_t req) {
-      for (std::size_t j = 0; j < executed.size(); ++j) {
-        if (visited[j] || !model.Covers(executed[j], required[req])) continue;
-        visited[j] = true;
-        if (match_of_executed[j] == -1 ||
-            Augment(static_cast<std::size_t>(match_of_executed[j]))) {
-          match_of_executed[j] = static_cast<int>(req);
-          return true;
-        }
-      }
-      return false;
-    }
-  };
-
-  for (std::size_t i = 0; i < required.size(); ++i) {
-    visited.assign(executed.size(), false);
-    Dfs dfs{executed, required, model, match_of_executed, visited};
-    if (!dfs.Augment(i)) return false;
-  }
-  return true;
 }
 
 }  // namespace aer

@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 
 #include "log/action.h"
 
@@ -41,9 +40,11 @@ class CapabilityModel {
                   [static_cast<std::size_t>(ActionIndex(required))];
   }
 
-  // CoversRequirementsUnder on the multisets with these per-kind counts,
-  // without allocating: Hall's condition over the (at most 15) non-empty
-  // sets of required kinds. Exact for any relation, because requirements of
+  // Hypotheses 1+2 under this relation: whether the executed multiset (as
+  // per-kind counts) can be assigned injectively to the required one, each
+  // requirement to an executed action that covers it. Decided without
+  // allocating, by Hall's condition over the (at most 15) non-empty sets of
+  // required kinds. Exact for any relation, because requirements of
   // one kind share their neighbourhood, so the tightest Hall set for a
   // choice of kinds takes every requirement of those kinds.
   bool CoversCounts(const ActionCounts& executed,
@@ -59,16 +60,6 @@ class CapabilityModel {
   // cover at least one of them: bit e is set iff Covers(e, r) for some r.
   std::array<std::uint8_t, 1u << kNumActions> neighbours_of_ = {};
 };
-
-// Hypothesis 1+2 under an arbitrary capability model: is there an injective
-// assignment of requirements to executed actions such that each requirement
-// is covered? Solved by augmenting-path bipartite matching (inputs are tiny:
-// at most N=20 a side). The reference for CapabilityModel::CoversCounts,
-// which replays use; the two-argument overload in hypotheses.h is the
-// total-order special case.
-bool CoversRequirementsUnder(std::span<const RepairAction> executed,
-                             std::span<const RepairAction> required,
-                             const CapabilityModel& model);
 
 }  // namespace aer
 

@@ -20,7 +20,8 @@ ProcessReplay::ProcessReplay(const RecoveryProcess& process, ErrorTypeId type,
   for (std::size_t i = attempts.size(); i-- > 0;) {
     const RepairAction a = attempts[i].action;
     const auto idx = static_cast<std::size_t>(ActionIndex(a));
-    // The correct-action multiset, as CorrectActions(process) counts it.
+    // The correct-action multiset (hypothesis 1): every attempt at least as
+    // strong as the final one.
     if (ActionStrength(a) >= final_strength) {
       ++required_[idx];
       ++required_total_;

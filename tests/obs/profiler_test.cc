@@ -109,6 +109,29 @@ TEST(ProfilerTest, RegistryAtADeadRegistrysAddressGetsItsOwnShard) {
   second->~ProfileRegistry();
 }
 
+// A thread keeps no shard of a destroyed registry past its next new one:
+// short-lived registries do not pile up in the thread's shard map.
+TEST(ProfilerTest, ThreadShardMapHoldsOnlyLiveRegistries) {
+  ProfileRegistry keeper;
+  keeper.LocalShard();  // a miss: prunes whatever earlier tests left
+  const std::size_t live = ProfileRegistry::ThreadShardEntriesForTesting();
+  for (int i = 0; i < 1000; ++i) {
+    ProfileRegistry registry;
+    registry.LocalShard().Enter("short-lived");
+    registry.LocalShard().Exit(1);
+    keeper.LocalShard();  // switch back, as a caller of two registries does
+    ASSERT_EQ(ProfileRegistry::ThreadShardEntriesForTesting(), live + 1)
+        << "after registry " << i;
+    EXPECT_EQ(registry.TotalCalls(), 1);
+  }
+  ProfileRegistry last;
+  last.LocalShard();
+  EXPECT_EQ(ProfileRegistry::ThreadShardEntriesForTesting(), live + 1);
+  keeper.LocalShard().Enter("keeper");
+  keeper.LocalShard().Exit(1);
+  EXPECT_EQ(keeper.TotalCalls(), 1);
+}
+
 TEST(ProfilerTest, ShardsMergeAcrossThreads) {
   ProfileRegistry::Global().Reset();
   constexpr int kThreads = 4;

@@ -1,11 +1,16 @@
-// Differential test of EvaluateSequences' trie walk against the pricer it
-// replaced: one replay per process, Reset() before every sequence, each
-// sequence stepped from the root. Every field must match bit for bit, on
-// seeded random batches that exercise what the walk shares between
-// sequences — prefixes, duplicates, the empty sequence, actions after manual
-// repair, sequences longer than the action cap — under both capability
-// models.
+// Differential test of EvaluateSequences' class-compiled trie walk against
+// the plainest pricer: one replay per process, Reset() before every
+// sequence, each sequence stepped from the root. Every field must match bit
+// for bit, on seeded random batches that exercise what the walk shares
+// between sequences — prefixes, duplicates, the empty sequence, actions
+// after manual repair, sequences longer than the action cap — and between
+// processes — interleaved classes of equal attempt kinds with their own
+// costs and delays, processes longer than a packed class key — under both
+// capability models.
+#include <algorithm>
 #include <cstddef>
+#include <deque>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -171,6 +176,100 @@ TEST_F(TrieWalkTest, ArbitraryBatchesMatchResetPerSequence) {
     for (int round = 0; round < 4; ++round) {
       compared += Compare(ArbitraryBatch(rng, round < 2 ? 5 : 24), processes,
                           type);
+    }
+  }
+  EXPECT_GT(compared, 1000);
+}
+
+// A copy of `process` with the same attempt kinds but its own numbers:
+// every logged cost and the detection delay grow by a seeded amount.
+RecoveryProcess WithOwnCosts(const RecoveryProcess& process, Rng& rng) {
+  std::vector<SymptomEvent> symptoms = process.symptoms();
+  const SimTime earlier = rng.NextInt(1, 1800);
+  for (SymptomEvent& symptom : symptoms) symptom.time -= earlier;
+  std::vector<ActionAttempt> attempts = process.attempts();
+  for (ActionAttempt& attempt : attempts) attempt.cost += rng.NextInt(0, 900);
+  return RecoveryProcess(process.machine(), std::move(symptoms),
+                         std::move(attempts), process.success_time());
+}
+
+// A process of `like`'s symptoms whose attempts cycle through the three
+// machine actions, three attempts each, ending with `last`; `flip`, when in
+// range, turns that attempt into a manual repair.
+RecoveryProcess SyntheticProcess(const RecoveryProcess& like, std::size_t length,
+                            RepairAction last, std::size_t flip) {
+  std::vector<ActionAttempt> attempts(length);
+  SimTime at = like.attempts().front().start;
+  for (std::size_t i = 0; i < length; ++i) {
+    attempts[i].action = i + 1 == length ? last
+                         : i == flip     ? RepairAction::kRma
+                                         : kAllActions[(i / 3) % 3];
+    attempts[i].start = at;
+    attempts[i].cost = 300 + static_cast<SimTime>(i);
+    at += attempts[i].cost;
+  }
+  attempts.back().cured = true;
+  return RecoveryProcess(like.machine(), like.symptoms(), std::move(attempts),
+                         at);
+}
+
+// The processes' classes — equal attempt kinds, in order — as each class's
+// positions in `processes`.
+std::vector<std::vector<std::size_t>> ClassPositions(
+    const std::vector<const RecoveryProcess*>& processes) {
+  std::map<std::vector<RepairAction>, std::vector<std::size_t>> classes;
+  for (std::size_t i = 0; i < processes.size(); ++i) {
+    std::vector<RepairAction> kinds;
+    for (const ActionAttempt& a : processes[i]->attempts()) {
+      kinds.push_back(a.action);
+    }
+    classes[kinds].push_back(i);
+  }
+  std::vector<std::vector<std::size_t>> out;
+  for (auto& [kinds, positions] : classes) out.push_back(positions);
+  return out;
+}
+
+TEST_F(TrieWalkTest, InterleavedClassesWithTheirOwnCostsMatchResetPerSequence) {
+  Rng rng(23);
+  int compared = 0;
+  for (ErrorTypeId type = 0; type < 3; ++type) {
+    std::vector<const RecoveryProcess*> processes = ProcessesOf(type);
+    ASSERT_FALSE(processes.empty());
+    // Up to three copies of each process with costs and delays of their
+    // own; processes past the 28 attempts a packed key holds: two that
+    // differ only at attempt 35, and one as long as a key holds plus one;
+    // and two that differ only by a trailing no-op attempt, the kind a
+    // packed key writes as zero bits.
+    std::deque<RecoveryProcess> made;
+    for (std::size_t i = 0, n = processes.size(); i < n; ++i) {
+      for (std::uint64_t c = rng.NextBounded(4); c > 0; --c) {
+        made.push_back(WithOwnCosts(*processes[i], rng));
+      }
+    }
+    const RecoveryProcess& like = *processes.front();
+    made.push_back(SyntheticProcess(like, 40, RepairAction::kReimage, 40));
+    made.push_back(SyntheticProcess(like, 40, RepairAction::kReimage, 35));
+    made.push_back(SyntheticProcess(like, 29, RepairAction::kReboot, 29));
+    made.push_back(SyntheticProcess(like, 3, RepairAction::kTryNop, 3));
+    made.push_back(SyntheticProcess(like, 4, RepairAction::kTryNop, 4));
+    for (const RecoveryProcess& p : made) processes.push_back(&p);
+    std::shuffle(processes.begin(), processes.end(), rng);
+
+    // The inputs really have shared, interleaved classes.
+    bool shared = false;
+    bool interleaved = false;
+    for (const auto& positions : ClassPositions(processes)) {
+      shared |= positions.size() >= 2;
+      interleaved |= positions.back() - positions.front() + 1 >
+                     positions.size();
+    }
+    ASSERT_TRUE(shared);
+    ASSERT_TRUE(interleaved);
+
+    for (int round = 0; round < 2; ++round) {
+      compared += Compare(PrefixClosedBatch(rng, 24), processes, type);
+      compared += Compare(ArbitraryBatch(rng, 24), processes, type);
     }
   }
   EXPECT_GT(compared, 1000);

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "sim/hypotheses.h"
+#include "support/hypotheses.h"
 
 namespace aer {
 namespace {

@@ -1,4 +1,4 @@
-#include "sim/hypotheses.h"
+#include "support/hypotheses.h"
 
 #include <gtest/gtest.h>
 

@@ -14,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "sim/hypotheses.h"
+#include "support/hypotheses.h"
 #include "sim/replay.h"
 
 namespace aer {
