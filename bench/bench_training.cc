@@ -7,17 +7,6 @@
 // contract); the bench aborts if they ever diverge, and folds the serialized
 // policy and every per-type Q-table into the BENCH_training.json checksum so
 // run_all.py catches numeric drift across commits.
-//
-// This TU also carries the compiled-out profiler proof: it defines
-// AER_PROFILING_DISABLED before including profiler.h — the state every TU
-// has in a -DAER_PROFILING=OFF build — so AER_PROFILE_SCOPE must vanish
-// here (static_assert below) and record nothing at run time (checked in
-// Run()). The *library* keeps whatever instrumentation the build selected.
-#ifndef AER_PROFILING_DISABLED
-#define AER_PROFILING_DISABLED
-#endif
-#include "common/profiler.h"
-
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -34,19 +23,6 @@
 
 namespace aer::bench {
 namespace {
-
-static_assert(AER_PROFILING_IS_ON() == 0,
-              "this TU disables profiling; the macro must see that");
-
-// Compiles only if AER_PROFILE_SCOPE expands to nothing at all — any object
-// construction would be ill-formed in a constexpr function.
-constexpr int ProfilerCompiledOut() {
-  AER_PROFILE_SCOPE("bench_probe");
-  return 1;
-}
-static_assert(ProfilerCompiledOut() == 1,
-              "AER_PROFILE_SCOPE must compile out under "
-              "AER_PROFILING_DISABLED");
 
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -99,18 +75,6 @@ void Run() {
   AER_CHECK_EQ(episodes, total_episodes(parallel));
   const double serial_eps = episodes / (serial_ms / 1000.0);
   const double parallel_eps = episodes / (parallel_ms / 1000.0);
-
-  // Runtime half of the compiled-out profiler proof (the compile-time half
-  // is the static_assert above): a million disabled scopes leave the global
-  // registry's call count untouched, because the loop body is literally
-  // empty.
-  const std::int64_t profile_calls_before =
-      ProfileRegistry::Global().TotalCalls();
-  for (int i = 0; i < 1000000; ++i) {
-    AER_PROFILE_SCOPE("bench_disabled_probe");
-  }
-  AER_CHECK_EQ(ProfileRegistry::Global().TotalCalls(), profile_calls_before)
-      << "a compiled-out AER_PROFILE_SCOPE recorded profiler calls";
 
   // Telemetry arm: the serial trainer again, with per-episode telemetry
   // collection on and the full observability stack attached — each type's

@@ -383,9 +383,9 @@ void BM_ObsHistogramObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsHistogramObserve);
 
-// One enabled AER_PROFILE_SCOPE entry and exit nested under an open scope,
-// as the instrumented training and manager paths pay it (docs/
-// OBSERVABILITY.md "Profiler" quotes the per-scope cost).
+// One AER_PROFILE_SCOPE entry and exit nested under an open scope, the cost
+// each coarse scope (a training type, a fleet shard, a pool task) pays once
+// (docs/OBSERVABILITY.md "Profiler" quotes it).
 void BM_ProfileScope(benchmark::State& state) {
   AER_PROFILE_SCOPE("bench_outer");
   for (auto _ : state) {
@@ -502,13 +502,19 @@ BENCHMARK(BM_RecoveryManagerClose)
     ->Arg(1 << 16)
     ->Iterations(1 << 17);
 
-// Console output as usual, plus every benchmark's per-iteration real time
-// recorded as a "<name>_ns" metric in BENCH_micro_benchmarks.json so
-// run_all.py tracks micro-level regressions alongside the figure benches.
-class RecordingReporter : public benchmark::ConsoleReporter {
+// Output through the library's default display reporter, which honours
+// --benchmark_format and --benchmark_color, plus every benchmark's
+// per-iteration real time recorded as a "<name>_ns" metric in
+// BENCH_micro_benchmarks.json so run_all.py tracks micro-level regressions
+// alongside the figure benches.
+class RecordingReporter : public benchmark::BenchmarkReporter {
  public:
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+  void Finalize() override { display_->Finalize(); }
   void ReportRuns(const std::vector<Run>& reports) override {
-    ConsoleReporter::ReportRuns(reports);
+    display_->ReportRuns(reports);
     for (const Run& run : reports) {
       if (run.error_occurred || run.iterations <= 0) continue;
       const double ns_per_iter = run.real_accumulated_time /
@@ -517,6 +523,11 @@ class RecordingReporter : public benchmark::ConsoleReporter {
                                         ns_per_iter);
     }
   }
+
+ private:
+  // Owned by the library (a process-lifetime singleton).
+  benchmark::BenchmarkReporter* const display_ =
+      benchmark::CreateDefaultDisplayReporter();
 };
 
 }  // namespace

@@ -31,7 +31,9 @@ from pathlib import Path
 
 # Benches that need extra flags to finish quickly in --smoke mode.
 SMOKE_EXTRA_ARGS = {
-    "micro_benchmarks": ["--benchmark_min_time=0.05"],
+    # Plain text, so the uploaded micro_benchmarks.log has no ANSI codes.
+    "micro_benchmarks": ["--benchmark_min_time=0.05",
+                         "--benchmark_color=false"],
     # Keeps the million-machine arm but shrinks the simulated duration
     # (equivalent to AER_SCALE=small; the flag makes the leg self-contained).
     "bench_fleet_scale": ["--smoke"],

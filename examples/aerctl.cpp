@@ -412,11 +412,6 @@ int Timeseries(const Flags& flags) {
 // byte-stable across runs (the golden CLI tests pin it). --wall adds the
 // measured milliseconds, which are machine-dependent by nature.
 int Profile(const Flags& flags) {
-#if !AER_PROFILING_IS_ON()
-  (void)flags;
-  std::printf("profiling disabled (built with -DAER_PROFILING=OFF)\n");
-  return 0;
-#else
   obs::MetricsRegistry metrics;
   ProfileRegistry::Global().Reset();
   RunObservedPipeline(flags, metrics);
@@ -434,7 +429,6 @@ int Profile(const Flags& flags) {
                           .c_str());
   }
   return 0;
-#endif
 }
 
 int Metrics(const Flags& flags) {

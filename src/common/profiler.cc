@@ -1,158 +1,74 @@
 #include "common/profiler.h"
 
-#include <algorithm>
-#include <map>
-#include <memory>
 #include <utility>
 
-#include "common/check.h"
 #include "common/string_util.h"
 
 namespace aer {
 
 namespace {
 
-// Id 0 is never handed out: it marks an empty LocalShard cache.
-std::atomic<std::uint64_t> next_registry_id{1};
-
-// The calling thread's shard of each registry it used, by registry id.
-using LocalShardMap =
-    std::map<std::uint64_t, std::weak_ptr<ProfileRegistry::Shard>>;
-LocalShardMap& LocalShards() {
-  thread_local LocalShardMap shards;
-  return shards;
+// The '/'-joined names of the calling thread's open scopes.
+std::string& ThreadPath() {
+  thread_local std::string path;
+  return path;
 }
 
 }  // namespace
 
-ProfileRegistry::ProfileRegistry()
-    : id_(next_registry_id.fetch_add(1, std::memory_order_relaxed)) {}
-
 ProfileRegistry& ProfileRegistry::Global() {
-  // Leaked so shards referenced from thread_locals of detached threads stay
-  // valid through process exit.
+  // Leaked so scopes closing on detached threads during process exit still
+  // find it.
   static ProfileRegistry* registry = new ProfileRegistry();
   return *registry;
 }
 
-void ProfileRegistry::Shard::Enter(std::string_view name) {
-  Node* parent = stack_.empty() ? nullptr : stack_.back();
-  std::vector<Node*>& siblings = parent == nullptr ? roots_ : parent->children;
-  for (Node* node : siblings) {
-    if (node->name == name) {
-      stack_.push_back(node);
-      return;
-    }
+void ProfileRegistry::Record(std::string_view path, std::int64_t elapsed_ns) {
+  MutexLock lock(mu_);
+  auto it = entries_.find(path);
+  if (it == entries_.end()) {
+    it = entries_.emplace(std::string(path), ProfileEntry{std::string(path)})
+             .first;
   }
-  auto created = std::make_unique<Node>();
-  created->name = std::string(name);
-  created->parent = parent;
-  Node* node = created.get();
-  {
-    MutexLock lock(mu_);
-    nodes_.push_back(std::move(created));
-  }
-  siblings.push_back(node);
-  stack_.push_back(node);
-}
-
-void ProfileRegistry::Shard::Exit(std::int64_t elapsed_ns) {
-  AER_DCHECK(!stack_.empty()) << "profile scope exit without matching enter";
-  // The stack holds stable Node pointers, so the hot exit path never touches
-  // the guarded node storage: pop (owner-thread-only) plus two relaxed
-  // atomic adds.
-  Node* node = stack_.back();
-  stack_.pop_back();
-  node->calls.fetch_add(1, std::memory_order_relaxed);
-  node->total_ns.fetch_add(elapsed_ns < 0 ? 0 : elapsed_ns,
-                           std::memory_order_relaxed);
-}
-
-ProfileRegistry::Shard& ProfileRegistry::LocalShard() {
-  // The shard this thread used last: a scope's entry then skips the map.
-  struct Cached {
-    std::uint64_t registry = 0;
-    Shard* shard = nullptr;
-  };
-  thread_local constinit Cached cached;
-  if (cached.registry == id_) return *cached.shard;
-  // One shard per (thread, registry). The registry owns it, so snapshots
-  // taken after a worker thread exits still see its data. The thread only
-  // watches it: a destroyed registry's entry expires, and a miss prunes it.
-  LocalShardMap& shards = LocalShards();
-  Shard* shard = nullptr;
-  if (const auto it = shards.find(id_); it != shards.end()) {
-    shard = it->second.lock().get();
-  } else {
-    std::erase_if(shards, [](const auto& entry) {
-      return entry.second.expired();
-    });
-    auto owned = std::make_shared<Shard>();
-    shard = owned.get();
-    shards.emplace(id_, owned);
-    MutexLock lock(mu_);
-    shards_.push_back(std::move(owned));
-  }
-  cached = {id_, shard};
-  return *shard;
-}
-
-std::size_t ProfileRegistry::ThreadShardEntriesForTesting() {
-  return LocalShards().size();
+  ++it->second.calls;
+  it->second.total_ns += elapsed_ns < 0 ? 0 : elapsed_ns;
 }
 
 std::vector<ProfileEntry> ProfileRegistry::Snapshot() const {
-  std::vector<std::shared_ptr<Shard>> shards;
-  {
-    MutexLock lock(mu_);
-    shards = shards_;
-  }
-  std::map<std::string, ProfileEntry> merged;
-  for (const std::shared_ptr<Shard>& shard : shards) {
-    MutexLock lock(shard->mu_);
-    // Parents are created before their children, so a single forward pass
-    // can resolve every node's path from its parent's.
-    std::map<const Shard::Node*, std::string> paths;
-    for (const auto& owned : shard->nodes_) {
-      const Shard::Node& node = *owned;
-      const std::string path = node.parent == nullptr
-                                   ? node.name
-                                   : paths[node.parent] + "/" + node.name;
-      paths[&node] = path;
-      const std::int64_t calls =
-          node.calls.load(std::memory_order_relaxed);
-      if (calls == 0) continue;
-      ProfileEntry& entry = merged[path];
-      entry.path = path;
-      entry.calls += calls;
-      entry.total_ns += node.total_ns.load(std::memory_order_relaxed);
-    }
-  }
+  MutexLock lock(mu_);
   std::vector<ProfileEntry> out;
-  out.reserve(merged.size());
-  for (auto& [path, entry] : merged) out.push_back(std::move(entry));
+  out.reserve(entries_.size());
+  for (const auto& [path, entry] : entries_) out.push_back(entry);
   return out;
 }
 
 void ProfileRegistry::Reset() {
-  std::vector<std::shared_ptr<Shard>> shards;
-  {
-    MutexLock lock(mu_);
-    shards = shards_;
-  }
-  for (const std::shared_ptr<Shard>& shard : shards) {
-    MutexLock lock(shard->mu_);
-    for (const auto& node : shard->nodes_) {
-      node->calls.store(0, std::memory_order_relaxed);
-      node->total_ns.store(0, std::memory_order_relaxed);
-    }
-  }
+  MutexLock lock(mu_);
+  entries_.clear();
 }
 
 std::int64_t ProfileRegistry::TotalCalls() const {
+  MutexLock lock(mu_);
   std::int64_t total = 0;
-  for (const ProfileEntry& entry : Snapshot()) total += entry.calls;
+  for (const auto& [path, entry] : entries_) total += entry.calls;
   return total;
+}
+
+ProfileScope::ProfileScope(std::string_view name) {
+  std::string& path = ThreadPath();
+  parent_length_ = path.size();
+  if (!path.empty()) path += '/';
+  path += name;
+  start_ = std::chrono::steady_clock::now();
+}
+
+ProfileScope::~ProfileScope() {
+  const auto elapsed = std::chrono::steady_clock::now() - start_;
+  std::string& path = ThreadPath();
+  ProfileRegistry::Global().Record(
+      path,
+      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+  path.resize(parent_length_);
 }
 
 std::string ProfileRegistry::FormatProfile(

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/check.h"
-#include "common/profiler.h"
 #include "log/action.h"
 
 namespace aer {
@@ -102,7 +101,6 @@ void RecoveryManager::ReportOutcome(MachineId machine, OpenProcess& process,
 void RecoveryManager::OnSymptom(SimTime time, MachineId machine,
                                 std::string_view symptom,
                                 obs::TraceContext trace) {
-  AER_PROFILE_SCOPE("rm_on_symptom");
   const SymptomId id = log_.symptoms().Intern(symptom);
   const auto it = open_.find(machine);
   if (it != open_.end()) {
@@ -156,7 +154,6 @@ void RecoveryManager::OnSymptom(SimTime time, MachineId machine,
 
 std::optional<RepairAction> RecoveryManager::OnRecoveryNeeded(
     SimTime time, MachineId machine) {
-  AER_PROFILE_SCOPE("rm_on_recovery_needed");
   const auto it = open_.find(machine);
   if (it == open_.end()) return std::nullopt;
   OpenProcess& process = it->second;
@@ -209,7 +206,6 @@ std::optional<RepairAction> RecoveryManager::OnRecoveryNeeded(
 
 void RecoveryManager::OnActionResult(SimTime time, MachineId machine,
                                      bool healthy) {
-  AER_PROFILE_SCOPE("rm_on_action_result");
   const auto it = open_.find(machine);
   if (it == open_.end()) {
     // Result for a process that no longer exists: a duplicate delivery or a
@@ -255,7 +251,6 @@ void RecoveryManager::OnActionResult(SimTime time, MachineId machine,
 }
 
 std::vector<MachineId> RecoveryManager::PollTimeouts(SimTime now) {
-  AER_PROFILE_SCOPE("rm_poll_timeouts");
   std::vector<MachineId> timed_out;
   if (config_.action_timeout <= 0) return timed_out;
   for (auto& [machine, process] : open_) {

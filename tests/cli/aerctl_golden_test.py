@@ -56,8 +56,7 @@ CASES = [
      ["timeseries", "--incidents", "12", "--seed", "7", "--window", "7200",
       "--capacity", "4", "--json"]),
     # Counts-only (no --wall): a pure function of control flow, so it is as
-    # byte-stable as the metric snapshots. In -DAER_PROFILING=OFF builds the
-    # output is the "profiling disabled" notice and the case is skipped.
+    # byte-stable as the metric snapshots.
     ("profile.txt",
      ["profile", "--incidents", "24", "--seed", "7"]),
 ]
@@ -101,8 +100,6 @@ REJECTED_CASES = [
      "trace: --cluster must be at least 1 (got 0)"),
 ]
 
-PROFILING_OFF_NOTICE = b"profiling disabled"
-
 
 def run(binary: str, args: list[str]) -> bytes:
     proc = subprocess.run([binary] + args, capture_output=True)
@@ -132,10 +129,6 @@ def main() -> int:
             if first != second:
                 failures.append(f"{golden_name}: two identical invocations "
                                 f"produced different bytes (nondeterminism)")
-                continue
-            if (golden_name.startswith("profile")
-                    and first.startswith(PROFILING_OFF_NOTICE)):
-                print(f"  skip {golden_name} (AER_PROFILING=OFF build)")
                 continue
             if golden_name == "trace_chrome.json":
                 # Must be loadable Chrome trace-event JSON, not just stable

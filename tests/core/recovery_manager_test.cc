@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/user_policy.h"
+#include "common/profiler.h"
 #include "log/recovery_process.h"
 #include "rl/policy.h"
 
@@ -41,6 +42,27 @@ TEST(RecoveryManagerTest, FullRecoveryWalkthrough) {
   ASSERT_EQ(segmented.processes.size(), 1u);
   EXPECT_EQ(segmented.processes[0].downtime(), 300);
   EXPECT_EQ(segmented.processes[0].attempts().size(), 2u);
+}
+
+// A manager call is a fraction of a microsecond, so it carries no profiler
+// scope: timing it would cost a large share of the call (docs/
+// OBSERVABILITY.md "Profiler"). Callers time whole replays instead.
+TEST(RecoveryManagerTest, PerEventCallsOpenNoProfileScope) {
+  UserDefinedPolicy policy;
+  RecoveryManagerConfig config;
+  config.action_timeout = 100;
+  RecoveryManager manager(policy, config);
+  ProfileRegistry::Global().Reset();
+
+  manager.OnSymptom(0, 1, "s");
+  EXPECT_EQ(*manager.OnRecoveryNeeded(10, 1), Y);
+  EXPECT_EQ(manager.PollTimeouts(110).size(), 1u);  // the Y action times out
+  EXPECT_EQ(*manager.OnRecoveryNeeded(120, 1), B);
+  manager.OnActionResult(130, 1, /*healthy=*/true);
+  EXPECT_EQ(manager.stats().actions_timed_out, 1);
+  EXPECT_EQ(manager.stats().processes_completed, 1);
+
+  EXPECT_EQ(ProfileRegistry::Global().TotalCalls(), 0);
 }
 
 TEST(RecoveryManagerTest, SymptomDuringRecoveryDoesNotReopen) {

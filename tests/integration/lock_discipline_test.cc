@@ -29,29 +29,25 @@ constexpr int kIterations = 500;
 TEST(LockDisciplineTest, ProfilerScopesRaceSnapshotAndReset) {
   ProfileRegistry registry;
 
-  // Every worker enters the same three (parent, name) pairs over and over:
-  // the first entry of each adds a node under the shard mutex (Enter's slow
-  // path), every later one finds it in the owner-thread-only child list
-  // (the fast path). Exits bump the node counters lock-free.
+  // Every worker records the same three paths over and over: the first
+  // record of each adds a map entry, every later one bumps it, all under the
+  // registry mutex that Snapshot and Reset take too.
   const auto run_workers = [&registry] {
     std::vector<std::thread> workers;
     for (int t = 0; t < kThreads; ++t) {
       workers.emplace_back([&registry] {
-        ProfileRegistry::Shard& shard = registry.LocalShard();
         for (int i = 0; i < kIterations; ++i) {
-          shard.Enter("outer");
-          shard.Enter(i % 2 == 0 ? "even" : "odd");
-          shard.Exit(10);
-          shard.Exit(25);
+          registry.Record(i % 2 == 0 ? "outer/even" : "outer/odd", 10);
+          registry.Record("outer", 25);
         }
       });
     }
     for (std::thread& worker : workers) worker.join();
   };
 
-  // Reader thread: merged snapshots must stay well-formed while the workers
-  // mutate their shards; with `reset`, it also zeroes the counters under
-  // them every few snapshots.
+  // Reader thread: snapshots must stay well-formed while the workers
+  // record; with `reset`, it also clears the registry under them every few
+  // snapshots.
   const auto race = [&registry, &run_workers](bool reset) {
     std::atomic<bool> stop{false};
     std::thread reader([&] {
@@ -72,8 +68,8 @@ TEST(LockDisciplineTest, ProfilerScopesRaceSnapshotAndReset) {
   registry.Reset();
   EXPECT_EQ(registry.TotalCalls(), 0);
 
-  // Against snapshots alone, every enter/exit pair is accounted for exactly
-  // once after the join.
+  // Against snapshots alone, every record is accounted for exactly once
+  // after the join.
   race(/*reset=*/false);
   EXPECT_EQ(registry.TotalCalls(), 2 * kThreads * kIterations);
 

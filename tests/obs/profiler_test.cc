@@ -1,7 +1,8 @@
-// ProfileRegistry: hierarchical paths, the thread-sharded deterministic
-// merge, Reset semantics, and the deterministic (counts-only) formatting.
+// ProfileRegistry: hierarchical paths, counts summed across threads, Reset
+// semantics, and the deterministic (counts-only) formatting.
 #include "common/profiler.h"
 
+#include <cstdint>
 #include <new>
 #include <string>
 #include <string_view>
@@ -12,10 +13,6 @@
 
 namespace aer {
 namespace {
-
-static_assert(AER_PROFILING_IS_ON() == 1,
-              "profiler_test.cc must build with profiling enabled; the "
-              "compiled-out macro is covered by profiler_off_test.cc");
 
 TEST(ProfilerTest, NestedScopesBuildHierarchicalPaths) {
   ProfileRegistry::Global().Reset();
@@ -38,8 +35,8 @@ TEST(ProfilerTest, NestedScopesBuildHierarchicalPaths) {
   EXPECT_GE(entries[0].total_ns, entries[1].total_ns);  // parent ⊇ children
 }
 
-// Repeated entries find their nodes in the cached child lists; each parent
-// keeps its own, and a root of the same name is a third node.
+// A name is keyed by its whole path: each parent keeps its own child, and a
+// root of the same name is a third path.
 TEST(ProfilerTest, SameNameUnderDifferentParentsStaysDistinct) {
   ProfileRegistry::Global().Reset();
   for (int i = 0; i < 3; ++i) {
@@ -66,70 +63,49 @@ TEST(ProfilerTest, SameNameUnderDifferentParentsStaysDistinct) {
   for (const ProfileEntry& entry : entries) EXPECT_EQ(entry.calls, 3);
 }
 
-// A known (parent, name) pair is found by comparing name contents, so a
-// name that reaches Enter through different storage is still one node.
+// Paths are compared by content, so a name that reaches ProfileScope
+// through different storage still lands on one path.
 TEST(ProfilerTest, OneNameThroughDifferentStorageIsOneNode) {
-  ProfileRegistry registry;
-  ProfileRegistry::Shard& shard = registry.LocalShard();
+  ProfileRegistry::Global().Reset();
   const std::string heap_name = std::string("le") + "af";
   const char array_name[] = {'l', 'e', 'a', 'f', '\0'};
-  shard.Enter("outer");
-  for (const std::string_view name :
-       {std::string_view("leaf"), std::string_view(heap_name),
-        std::string_view(array_name), std::string_view("leafy").substr(0, 4)}) {
-    shard.Enter(name);
-    shard.Exit(1);
+  {
+    ProfileScope outer("outer");
+    for (const std::string_view name :
+         {std::string_view("leaf"), std::string_view(heap_name),
+          std::string_view(array_name),
+          std::string_view("leafy").substr(0, 4)}) {
+      ProfileScope leaf(name);
+    }
   }
-  shard.Exit(1);
-  const std::vector<ProfileEntry> entries = registry.Snapshot();
+  const std::vector<ProfileEntry> entries =
+      ProfileRegistry::Global().Snapshot();
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].path, "outer");
+  EXPECT_EQ(entries[0].calls, 1);
   EXPECT_EQ(entries[1].path, "outer/leaf");
   EXPECT_EQ(entries[1].calls, 4);
 }
 
-// A registry built at the address of a destroyed one, on the same thread,
-// records into a shard of its own, not into the dead registry's.
+// A registry built at the address of a destroyed one starts empty: it
+// inherits nothing the dead registry recorded.
 TEST(ProfilerTest, RegistryAtADeadRegistrysAddressGetsItsOwnShard) {
   alignas(ProfileRegistry) unsigned char storage[sizeof(ProfileRegistry)];
   auto* first = new (storage) ProfileRegistry();
-  first->LocalShard().Enter("first");
-  first->LocalShard().Exit(1);
+  first->Record("first", 1);
   EXPECT_EQ(first->TotalCalls(), 1);
   first->~ProfileRegistry();
 
   auto* second = new (storage) ProfileRegistry();
   ASSERT_EQ(static_cast<void*>(second), static_cast<void*>(first));
-  second->LocalShard().Enter("second");
-  second->LocalShard().Exit(1);
+  EXPECT_EQ(second->TotalCalls(), 0);
+  second->Record("second", -5);  // a negative time counts as 0
   const std::vector<ProfileEntry> entries = second->Snapshot();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].path, "second");
+  EXPECT_EQ(entries[0].total_ns, 0);
   EXPECT_EQ(second->TotalCalls(), 1);
   second->~ProfileRegistry();
-}
-
-// A thread keeps no shard of a destroyed registry past its next new one:
-// short-lived registries do not pile up in the thread's shard map.
-TEST(ProfilerTest, ThreadShardMapHoldsOnlyLiveRegistries) {
-  ProfileRegistry keeper;
-  keeper.LocalShard();  // a miss: prunes whatever earlier tests left
-  const std::size_t live = ProfileRegistry::ThreadShardEntriesForTesting();
-  for (int i = 0; i < 1000; ++i) {
-    ProfileRegistry registry;
-    registry.LocalShard().Enter("short-lived");
-    registry.LocalShard().Exit(1);
-    keeper.LocalShard();  // switch back, as a caller of two registries does
-    ASSERT_EQ(ProfileRegistry::ThreadShardEntriesForTesting(), live + 1)
-        << "after registry " << i;
-    EXPECT_EQ(registry.TotalCalls(), 1);
-  }
-  ProfileRegistry last;
-  last.LocalShard();
-  EXPECT_EQ(ProfileRegistry::ThreadShardEntriesForTesting(), live + 1);
-  keeper.LocalShard().Enter("keeper");
-  keeper.LocalShard().Exit(1);
-  EXPECT_EQ(keeper.TotalCalls(), 1);
 }
 
 TEST(ProfilerTest, ShardsMergeAcrossThreads) {
@@ -160,8 +136,8 @@ TEST(ProfilerTest, ResetPreservesOpenScopes) {
   ProfileRegistry::Global().Reset();
   {
     ProfileScope scope("epoch");
-    // Resetting while the scope is open must not dangle its stack entry;
-    // the exit lands one call in the fresh epoch.
+    // Resetting while the scope is open must not lose its path; the exit
+    // lands one call in the fresh epoch.
     ProfileRegistry::Global().Reset();
   }
   const std::vector<ProfileEntry> entries =
@@ -193,7 +169,7 @@ TEST(ProfilerTest, CountsOnlyFormatIsDeterministic) {
 }
 
 TEST(ProfilerTest, LibraryInstrumentationIsRecorded) {
-  // The instrumented hot paths (trainers, manager, simulator, pool) must
+  // The instrumented scopes (trainers, simulator, harness, pool) must
   // actually feed the registry; a representative direct check keeps the
   // macro from silently rotting into a no-op.
   ProfileRegistry::Global().Reset();
