@@ -9,7 +9,9 @@
 // compare catches any numeric drift in the engine, not just in the summary
 // counters. Machine-events/sec and peak RSS are the wall-clock metrics;
 // only the former enters the baseline (as a throughput gate), RSS is
-// informational.
+// informational. The shard merge's wall time (profile scope
+// fleet_run/fleet_merge, summed over the arms) is recorded as
+// fleet_merge_ms for the perf trend, outside the checksum.
 //
 // AER_SCALE (or --smoke, which forces the small sizing) picks the simulated
 // duration; the fleet sizes never shrink — the smoke leg still runs the
@@ -31,6 +33,7 @@
 #include "bench_json.h"
 #include "cluster/fault_catalog.h"
 #include "cluster/user_policy.h"
+#include "common/profiler.h"
 #include "fleet/fleet_sim.h"
 #include "obs/metrics.h"
 
@@ -56,6 +59,16 @@ std::int64_t PeakRssMb() {
 #else
   return 0;
 #endif
+}
+
+// Wall time of the shard merge since the last ProfileRegistry::Reset().
+double FleetMergeMs() {
+  for (const ProfileEntry& entry : ProfileRegistry::Global().Snapshot()) {
+    if (entry.path == "fleet_run/fleet_merge") {
+      return static_cast<double>(entry.total_ns) / 1e6;
+    }
+  }
+  return 0.0;
 }
 
 // Folds every log entry into the bench checksum as a fixed-width binary
@@ -106,6 +119,7 @@ void Run(bool smoke) {
   ChartSeries log_entries{"log entries", {}};
   double scale_events_per_sec = 0.0;
   double total_wall_ms = 0.0;
+  double total_merge_ms = 0.0;
   for (const Arm& arm : arms) {
     fleet::FleetSimConfig config;
     config.sim.num_machines = arm.machines;
@@ -122,12 +136,15 @@ void Run(bool smoke) {
         registry.GetCounter("aer_fleet_events_total").value();
 
     UserDefinedPolicy policy;
+    ProfileRegistry::Global().Reset();
     const auto start = std::chrono::steady_clock::now();
     const SimulationResult result = sim.Run(policy, &GetPool());
     const double wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - start)
                                .count();
     total_wall_ms += wall_ms;
+    const double merge_ms = FleetMergeMs();
+    total_merge_ms += merge_ms;
     const std::int64_t events =
         registry.GetCounter("aer_fleet_events_total").value() - events_before;
     const double events_per_sec =
@@ -145,11 +162,12 @@ void Run(bool smoke) {
                               kDay);
     log_entries.values.push_back(static_cast<double>(result.log.size()));
     std::printf("  %-13s %lld days: %lld events in %.0f ms "
-                "(%.2fM events/sec), %lld processes, %zu log entries\n",
+                "(%.2fM events/sec, merge %.1f ms), %lld processes, "
+                "%zu log entries\n",
                 arm.name.c_str(),
                 static_cast<long long>(arm.duration / kDay),
                 static_cast<long long>(events), wall_ms,
-                events_per_sec / 1e6,
+                events_per_sec / 1e6, merge_ms,
                 static_cast<long long>(result.processes_completed),
                 result.log.size());
   }
@@ -160,6 +178,7 @@ void Run(bool smoke) {
   record.RecordRegistrySnapshot(registry);
   record.SetMetric("events_per_sec", scale_events_per_sec);
   record.SetMetric("fleet_wall_ms", total_wall_ms);
+  record.SetMetric("fleet_merge_ms", total_merge_ms);
   record.SetIntMetric("peak_rss_mb", rss_mb);
 
   std::printf("\n1M-machine arm: %.2fM machine-events/sec; peak RSS "

@@ -48,6 +48,9 @@ THROUGHPUT_PREFIXES = ("episodes_per_sec", "events_per_sec")
 # control-plane takeover latency and its critical-path stage attribution
 # (bench_ctrl, docs/OBSERVABILITY.md "Distributed tracing").
 TREND_LATENCY_PREFIXES = ("takeover_",)
+# Wall times of single layers (profile scopes), trended so a regression
+# names its layer; machine-dependent, so never in the baseline.
+TREND_LAYER_KEYS = ("fleet_merge_ms",)
 # Observability counters mirrored from a MetricsRegistry snapshot
 # (bench_json RecordRegistrySnapshot). Deterministic by contract
 # (docs/OBSERVABILITY.md), so they are compared exactly like checksums.
@@ -183,7 +186,8 @@ def append_trend(records: dict, trend_path: Path) -> None:
                 "wall_ms": record.get("wall_ms"),
             }
             for key, value in sorted(record.get("metrics", {}).items()):
-                if key.startswith(THROUGHPUT_PREFIXES + TREND_LATENCY_PREFIXES):
+                if (key.startswith(THROUGHPUT_PREFIXES + TREND_LATENCY_PREFIXES)
+                        or key in TREND_LAYER_KEYS):
                     row[key] = value
             f.write(json.dumps(row) + "\n")
     print(f"run_all: appended {len(records)} trend rows -> {trend_path}")

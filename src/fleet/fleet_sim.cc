@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "common/profiler.h"
 #include "common/rng.h"
+#include "common/time_merge.h"
 
 namespace aer::fleet {
 
@@ -453,14 +454,23 @@ void FleetSimulator::RunShard(int shard, int shards, const FleetSimTables& t,
     }
   }
   out.wheel_peak = wheel.peak_size();
+  // Entries and trace records leave the wheel in (time, machine) order; the
+  // ground truth is filed at cure time, so it is put in (start, machine)
+  // order here, on the shard's thread, for the merge.
+  std::stable_sort(
+      out.ground_truth.begin(), out.ground_truth.end(),
+      [](const ProcessGroundTruth& a, const ProcessGroundTruth& b) {
+        if (a.start != b.start) return a.start < b.start;
+        return a.machine < b.machine;
+      });
   merger.Add(shard, std::move(out));
 }
 
 SimulationResult FleetSimulator::Run(RecoveryPolicy& policy,
                                      ThreadPool* pool) {
   AER_PROFILE_SCOPE("fleet_run");
-  SimulationResult result;
-  const FleetSimTables tables = BuildTables(catalog_, result.log.symptoms());
+  SymptomTable symptoms;
+  const FleetSimTables tables = BuildTables(catalog_, symptoms);
   const int shards = num_shards();
 
   // One global SoA block; shards own disjoint machine-id ranges of it.
@@ -478,37 +488,28 @@ SimulationResult FleetSimulator::Run(RecoveryPolicy& policy,
     for (int s = 0; s < shards; ++s) run_shard(static_cast<std::size_t>(s));
   }
 
-  Finalize(merger.TakeAll(), shards, result);
-  return result;
+  return Finalize(merger.TakeAll(), shards, std::move(symptoms), pool);
 }
 
-void FleetSimulator::Finalize(std::vector<ShardOutput> outputs,
-                              int shards_used, SimulationResult& result) {
+SimulationResult FleetSimulator::Finalize(std::vector<ShardOutput> outputs,
+                                          int shards_used,
+                                          SymptomTable symptoms,
+                                          ThreadPool* pool) {
   AER_PROFILE_SCOPE("fleet_merge");
+  SimulationResult result;
   std::int64_t arrivals = 0;
   std::uint64_t events = 0;
   std::size_t wheel_peak = 0;
-  std::size_t num_gt = 0;
-  for (const ShardOutput& out : outputs) num_gt += out.ground_truth.size();
-  result.ground_truth.reserve(num_gt);
-  if (traces_ != nullptr) {
-    // Same discipline as the log merge: per-shard buffers handed over in
-    // shard order, stably sorted by (time, machine) inside the collector.
-    std::vector<std::vector<obs::TraceRecord>> trace_shards;
-    trace_shards.reserve(outputs.size());
-    for (ShardOutput& out : outputs) {
-      trace_shards.push_back(std::move(out.trace));
-    }
-    traces_->MergeShards(std::move(trace_shards));
-  }
-  // Serial merge in shard (== machine-ID) order; the final stable sorts
-  // put entries in (time, machine) order with per-key insertion order
-  // preserved.
+  std::vector<std::vector<LogEntry>> entries;
+  std::vector<std::vector<ProcessGroundTruth>> ground_truth;
+  std::vector<std::vector<obs::TraceRecord>> traces;
+  entries.reserve(outputs.size());
+  ground_truth.reserve(outputs.size());
+  traces.reserve(outputs.size());
   for (ShardOutput& out : outputs) {
-    for (const LogEntry& entry : out.entries) result.log.Append(entry);
-    for (const ProcessGroundTruth& gt : out.ground_truth) {
-      result.ground_truth.push_back(gt);
-    }
+    entries.push_back(std::move(out.entries));
+    ground_truth.push_back(std::move(out.ground_truth));
+    traces.push_back(std::move(out.trace));
     result.fault_arrivals_skipped += out.fault_arrivals_skipped;
     result.processes_completed += out.processes_completed;
     result.total_downtime += out.total_downtime;
@@ -516,13 +517,19 @@ void FleetSimulator::Finalize(std::vector<ShardOutput> outputs,
     events += out.events_processed;
     wheel_peak = std::max(wheel_peak, out.wheel_peak);
   }
-  result.log.SortByTime();
-  std::stable_sort(
-      result.ground_truth.begin(), result.ground_truth.end(),
-      [](const ProcessGroundTruth& a, const ProcessGroundTruth& b) {
-        if (a.start != b.start) return a.start < b.start;
-        return a.machine < b.machine;
-      });
+  // Shards are ascending machine-ID ranges and each shard's runs are in
+  // (time, machine) — ground truth (start, machine) — order, so the merge
+  // equals a stable sort of the shards' concatenation (common/time_merge.h).
+  if (traces_ != nullptr) traces_->MergeShards(std::move(traces), pool);
+  result.log = RecoveryLog(
+      MergeTimeOrderedRuns(
+          std::move(entries),
+          [](const LogEntry& e) { return TimeKey{e.time, e.machine}; }, pool),
+      std::move(symptoms));
+  result.ground_truth = MergeTimeOrderedRuns(
+      std::move(ground_truth),
+      [](const ProcessGroundTruth& g) { return TimeKey{g.start, g.machine}; },
+      pool);
 
   if (metrics_ != nullptr) {
     metrics_->GetCounter("aer_fleet_events_total")
@@ -541,6 +548,7 @@ void FleetSimulator::Finalize(std::vector<ShardOutput> outputs,
     metrics_->GetGauge("aer_fleet_wheel_peak_events")
         .Set(static_cast<double>(wheel_peak));
   }
+  return result;
 }
 
 }  // namespace aer::fleet

@@ -5,9 +5,10 @@
 // The fleet is split into contiguous machine-ID shards; each machine owns
 // an independent RNG stream (DeriveStream(seed, machine)) and its own
 // Poisson arrival chain at rate 1/mtbf. Shards run on the work-stealing
-// ThreadPool (or serially without one) and a serial merge in machine-ID
-// order assembles the result, so the RecoveryLog and SimulationResult are
-// byte-identical for ANY thread count and ANY shard count
+// ThreadPool (or serially without one) and a stable time-bucket merge of
+// their runs in machine-ID order (common/time_merge.h) assembles the
+// result, so the RecoveryLog and SimulationResult are byte-identical for
+// ANY thread count and ANY shard count
 // (docs/FLEET_SIM.md). A fault arriving at a machine that is already down
 // is skipped and counted in fault_arrivals_skipped.
 //
@@ -79,9 +80,10 @@ class FleetSimulator {
   void RunShard(int shard, int num_shards, const FleetSimTables& tables,
                 FleetState& state, RecoveryPolicy& policy,
                 ShardMerger& merger) const;
-  // Serial merge in shard (machine-ID) order + final sorts + metric fold.
-  void Finalize(std::vector<ShardOutput> outputs, int shards_used,
-                SimulationResult& result);
+  // Merges the shard outputs in shard (machine-ID) order, on `pool` when
+  // there is one, and folds the metrics.
+  SimulationResult Finalize(std::vector<ShardOutput> outputs, int shards_used,
+                            SymptomTable symptoms, ThreadPool* pool);
 
   FleetSimConfig config_;
   FaultCatalog catalog_;

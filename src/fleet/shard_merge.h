@@ -2,9 +2,10 @@
 //
 // Each shard of the fleet simulator produces a ShardOutput on whatever pool
 // thread ran it; the merger is the only cross-thread meeting point. Results
-// are slotted by shard index under the merger's mutex, and the serial merge
+// are slotted by shard index under the merger's mutex, and the merge
 // (fleet_sim.cc) drains them with TakeAll() in ascending shard — i.e.
-// machine-ID — order, which is what makes the merged log independent of
+// machine-ID — order and merges their time-ordered runs stably
+// (common/time_merge.h), which is what makes the merged log independent of
 // thread schedule (docs/FLEET_SIM.md).
 //
 // The class is capability-annotated (docs/STATIC_ANALYSIS.md): slots are
@@ -32,9 +33,11 @@ namespace aer::fleet {
 // Everything one shard contributes to the merged SimulationResult, plus the
 // shard-local engine statistics folded into the aer_fleet_* metrics.
 struct ShardOutput {
+  // In (time, machine) order: the order the shard's wheel pops events.
   std::vector<LogEntry> entries;
+  // In (start, machine) order (sorted at the end of the shard's run).
   std::vector<ProcessGroundTruth> ground_truth;
-  // Sampled causal trace records, machine-local order. Merged into the
+  // Sampled causal trace records, (time, machine) order. Merged into the
   // attached TraceCollector via MergeShards — byte-identical for any
   // shard-to-thread assignment. Empty unless tracing is attached.
   std::vector<obs::TraceRecord> trace;

@@ -6,6 +6,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "log/log_entry.h"
@@ -39,6 +40,11 @@ struct LogParseResult {
 class RecoveryLog {
  public:
   RecoveryLog() = default;
+
+  // Adopts `entries`, already in SortByTime's order, together with the
+  // table their symptom ids index.
+  RecoveryLog(std::vector<LogEntry> entries, SymptomTable symptoms)
+      : entries_(std::move(entries)), symptoms_(std::move(symptoms)) {}
 
   void Append(const LogEntry& entry) { entries_.push_back(entry); }
 

@@ -1,9 +1,9 @@
 #include "obs/trace_collector.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
+#include "common/time_merge.h"
 #include "obs/metrics.h"
 
 namespace aer::obs {
@@ -76,25 +76,11 @@ void TraceCollector::Record(TraceRecord record) {
   AddLocked(std::move(record));
 }
 
-void TraceCollector::MergeShards(std::vector<std::vector<TraceRecord>> shards) {
-  // Concatenate in shard order, then stable-sort by (time, machine). Each
-  // machine lives in exactly one shard and records per machine are appended
-  // in time order, so every (time, machine) tie group arrives from a single
-  // shard in a thread-independent order — the stable sort therefore yields
-  // the same byte stream for any shard count (fleet num_shards() is
-  // config-pure) and any thread assignment.
-  std::vector<TraceRecord> merged;
-  std::size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
-  merged.reserve(total);
-  for (auto& shard : shards) {
-    for (auto& record : shard) merged.push_back(std::move(record));
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.machine < b.machine;
-                   });
+void TraceCollector::MergeShards(std::vector<std::vector<TraceRecord>> shards,
+                                 ThreadPool* pool) {
+  std::vector<TraceRecord> merged = MergeTimeOrderedRuns(
+      std::move(shards),
+      [](const TraceRecord& r) { return TimeKey{r.time, r.machine}; }, pool);
   MutexLock lock(mu_);
   for (auto& record : merged) AddLocked(std::move(record));
 }

@@ -4,9 +4,9 @@
 // coordinators, the machine-side RecoveryManager, the guarded policy, fleet
 // shards) appends TraceRecords here — it is the only trace store; the
 // collector owns sampling, bounding, and the byte-identical merge of
-// per-shard record streams (same discipline as the fleet ShardMerger: shards
-// concatenated in shard order, then a stable sort by time — so the merged
-// stream is identical for any thread/shard count).
+// per-shard record streams (the same stable time-bucket merge as the fleet
+// log, common/time_merge.h — so the merged stream is identical for any
+// thread/shard count).
 //
 // Records are flat events, not spans: the DAG structure (parent edges,
 // orphan annotations) is recomputed deterministically by trace_dag.h from
@@ -32,6 +32,10 @@
 #include "common/sim_time.h"
 #include "common/thread_annotations.h"
 #include "obs/trace_context.h"
+
+namespace aer {
+class ThreadPool;
+}  // namespace aer
 
 namespace aer::obs {
 
@@ -115,11 +119,14 @@ class TraceCollector {
   // collector assigns record.seq.
   void Record(TraceRecord record);
 
-  // Merges per-shard record streams: concatenation in shard order, then a
-  // stable sort by (time, machine) — byte-identical for any shard-to-thread
-  // assignment because each (time, machine) run is produced by exactly one
-  // shard in machine-local order. Same discipline as fleet::ShardMerger.
-  void MergeShards(std::vector<std::vector<TraceRecord>> shards);
+  // Merges per-shard record streams into the order a stable sort of their
+  // concatenation by (time, machine) gives (MergeTimeOrderedRuns, on `pool`
+  // when there is one). Each stream must be (time, machine)-sorted and the
+  // streams must cover ascending machine ranges — the shape fleet shards
+  // produce; anything else AER_CHECK-fails. Byte-identical for any
+  // shard-to-thread assignment.
+  void MergeShards(std::vector<std::vector<TraceRecord>> shards,
+                   ThreadPool* pool = nullptr);
 
   // Oldest-first copy of the ring.
   std::vector<TraceRecord> Snapshot() const;

@@ -222,23 +222,34 @@ TEST(FleetShardingTest, ThreadCountInvariance) {
 }
 
 // Shard boundaries are not allowed to leak into the output either: the
-// per-machine stream discipline makes 1, 5 and 32 shards byte-identical.
+// per-machine stream discipline makes 1, 5 and 32 shards byte-identical,
+// merged on the pool or without one. The short horizon ends mid-recovery
+// for many processes, so the merge also sees entries past `duration`.
 TEST(FleetShardingTest, ShardCountInvariance) {
   const FaultCatalog catalog = MakeDefaultCatalog();
   ThreadPool pool(4);
 
-  UserDefinedPolicy policy;
-  const FleetSimConfig one{.sim = ShardedConfig(), .num_shards = 1};
-  const SimulationResult baseline =
-      FleetSimulator(one, catalog).Run(policy, &pool);
-  for (const int shards : {5, 32}) {
-    const FleetSimConfig config{.sim = ShardedConfig(),
-                                .num_shards = shards};
-    UserDefinedPolicy p;
-    const SimulationResult result =
-        FleetSimulator(config, catalog).Run(p, &pool);
-    SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    ExpectResultsIdentical(baseline, result);
+  ClusterSimConfig short_horizon = ShardedConfig();
+  short_horizon.duration = 6 * kHour;
+  for (const ClusterSimConfig& sim : {ShardedConfig(), short_horizon}) {
+    SCOPED_TRACE(testing::Message() << "duration=" << sim.duration);
+    UserDefinedPolicy policy;
+    const FleetSimConfig one{.sim = sim, .num_shards = 1};
+    const SimulationResult baseline =
+        FleetSimulator(one, catalog).Run(policy, nullptr);
+    ASSERT_FALSE(baseline.log.empty());
+    EXPECT_GT(baseline.log.entries().back().time, sim.duration);
+    for (const int shards : {5, 32}) {
+      const FleetSimConfig config{.sim = sim, .num_shards = shards};
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        UserDefinedPolicy user;
+        const SimulationResult result =
+            FleetSimulator(config, catalog).Run(user, p);
+        SCOPED_TRACE(testing::Message() << "shards=" << shards
+                                        << " pool=" << (p != nullptr));
+        ExpectResultsIdentical(baseline, result);
+      }
+    }
   }
 }
 

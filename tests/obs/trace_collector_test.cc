@@ -3,6 +3,7 @@
 // shard-merge determinism claim (docs/OBSERVABILITY.md "Distributed
 // tracing") — the merged stream must be byte-identical for any shard
 // count, given shards that partition machines.
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -147,18 +148,32 @@ TEST(TraceCollectorTest, RingEvictsOldestAndCountsDrops) {
   EXPECT_EQ(collector.dropped_count(), 2);
 }
 
-// Records for machines [begin, end), each machine in time order — the shape
-// every shard produces (machine-local streams, disjoint machine ranges).
-std::vector<TraceRecord> ShardStream(std::int64_t begin, std::int64_t end) {
+// Records for machines [begin, end), written machine by machine, each
+// machine in time order.
+std::vector<TraceRecord> MachineMajorStream(std::int64_t begin,
+                                            std::int64_t end) {
   std::vector<TraceRecord> out;
   for (std::int64_t m = begin; m < end; ++m) {
     const TraceId id = MakeTraceId(3, m, 1);
-    // Colliding times across machines on purpose: the merge's stable sort
-    // must order ties by machine, not by shard arrival.
+    // Colliding times across machines on purpose: the merge must order ties
+    // by machine, not by shard arrival.
     out.push_back(Rec(id, 100, TraceEventKind::kIncident, m));
     out.push_back(Rec(id, 100 + m % 3, TraceEventKind::kSymptom, m));
     out.push_back(Rec(id, 110, TraceEventKind::kCure, m));
   }
+  return out;
+}
+
+// The same records in (time, machine) order — the shape every fleet shard
+// produces (its wheel pops events in that order; machine ranges are
+// disjoint and ascend with the shard index).
+std::vector<TraceRecord> ShardStream(std::int64_t begin, std::int64_t end) {
+  std::vector<TraceRecord> out = MachineMajorStream(begin, end);
+  std::stable_sort(out.begin(), out.end(),
+                   [](const TraceRecord& a, const TraceRecord& b) {
+                     if (a.time != b.time) return a.time < b.time;
+                     return a.machine < b.machine;
+                   });
   return out;
 }
 
@@ -189,6 +204,16 @@ TEST(TraceCollectorTest, MergeShardsIsShardCountInvariant) {
          merged[i - 1].machine <= merged[i].machine);
     EXPECT_TRUE(ordered) << "at " << i;
   }
+}
+
+// The merge relies on each shard's (time, machine) order instead of
+// re-sorting, so a shard out of that order is a caller bug it refuses.
+TEST(TraceCollectorDeathTest, MergeShardsRejectsAnUnsortedShard) {
+  TraceCollector collector;
+  std::vector<std::vector<TraceRecord>> shards;
+  shards.push_back(ShardStream(0, 4));
+  shards.push_back(MachineMajorStream(4, 8));
+  EXPECT_DEATH(collector.MergeShards(std::move(shards)), "AER_CHECK");
 }
 
 TEST(TraceCollectorTest, MergeShardsAppliesSampling) {
