@@ -315,7 +315,8 @@ void BM_LogSerializationRoundTrip(benchmark::State& state) {
     std::stringstream ss;
     dataset.trace.result.log.Write(ss);
     RecoveryLog parsed;
-    benchmark::DoNotOptimize(RecoveryLog::Read(ss, parsed));
+    benchmark::DoNotOptimize(
+        RecoveryLog::Read(ss, parsed, LogParseMode::kStrict).ok);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(
@@ -345,7 +346,8 @@ void BM_LogRead(benchmark::State& state) {
   for (auto _ : state) {
     std::istringstream is(text);
     RecoveryLog parsed;
-    benchmark::DoNotOptimize(RecoveryLog::Read(is, parsed));
+    benchmark::DoNotOptimize(
+        RecoveryLog::Read(is, parsed, LogParseMode::kStrict).ok);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(log.size()));

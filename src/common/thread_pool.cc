@@ -2,19 +2,15 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <memory>
+#include <utility>
 
+#include "common/check.h"
 #include "common/profiler.h"
 #include "common/string_util.h"
 
 namespace aer {
-namespace {
-
-// Which worker of which pool the current thread is, so Submit() from inside
-// a task lands on the submitter's own deque.
-thread_local const ThreadPool* tls_pool = nullptr;
-thread_local std::size_t tls_worker = 0;
-
-}  // namespace
 
 int ThreadPool::DefaultThreadCount() {
   if (const char* env = std::getenv("AER_THREADS")) {
@@ -29,130 +25,60 @@ int ThreadPool::DefaultThreadCount() {
 
 ThreadPool::ThreadPool(int num_threads) {
   const int n = num_threads > 0 ? num_threads : DefaultThreadCount();
-  deques_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    deques_.push_back(std::make_unique<Deque>());
-  }
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    workers_.emplace_back(
-        [this, i]() { WorkerLoop(static_cast<std::size_t>(i)); });
+    workers_.emplace_back([this]() { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    MutexLock lock(wake_mu_);
+    MutexLock lock(mu_);
     shutdown_ = true;
   }
-  wake_cv_.NotifyAll();
+  cv_.NotifyAll();
   for (std::thread& worker : workers_) worker.join();
   // The joins order every worker's writes before this read, but the lock
-  // discipline is "pending_ is read under wake_mu_" with no exceptions —
+  // discipline is "tasks_ is read under mu_" with no exceptions —
   // exceptions are exactly what the static analysis exists to rule out.
-  MutexLock lock(wake_mu_);
-  AER_CHECK_EQ(pending_, 0u) << "worker exited with tasks still queued";
+  MutexLock lock(mu_);
+  AER_CHECK(tasks_.empty()) << "worker exited with tasks still queued";
 }
 
-void ThreadPool::Enqueue(Task task) {
-  // Inside a worker of this pool: push to its own deque (newest-first pop
-  // keeps the chain hot). Outside: push to the shortest deque so external
-  // submissions spread without a shared queue.
-  std::size_t target = 0;
-  if (tls_pool == this) {
-    target = tls_worker;
-  } else {
-    std::size_t best_size = static_cast<std::size_t>(-1);
-    for (std::size_t i = 0; i < deques_.size(); ++i) {
-      MutexLock lock(deques_[i]->mu);
-      const std::size_t size = deques_[i]->tasks.size();
-      if (size < best_size) {
-        best_size = size;
-        target = i;
-        if (size == 0) break;
-      }
-    }
-  }
-  // Account the task BEFORE publishing it: a worker spinning between tasks
-  // reaches TryAcquire without ever checking pending_, so push-then-count
-  // would let it pop (and decrement) before the increment lands, wrapping
-  // pending_ below zero. Counting first only risks a brief benign spin in a
-  // woken worker that beats the push.
-  {
-    MutexLock lock(wake_mu_);
-    ++pending_;
-  }
-  {
-    MutexLock lock(deques_[target]->mu);
-    deques_[target]->tasks.push_back(std::move(task));
-  }
-  wake_cv_.NotifyOne();
-}
-
-bool ThreadPool::TryAcquire(std::size_t own, Task& out) {
-  const std::size_t n = deques_.size();
-  {
-    MutexLock lock(deques_[own]->mu);
-    if (!deques_[own]->tasks.empty()) {
-      out = std::move(deques_[own]->tasks.back());
-      deques_[own]->tasks.pop_back();
-      MutexLock wake(wake_mu_);
-      AER_DCHECK_GT(pending_, 0u);
-      --pending_;
-      return true;
-    }
-  }
-  for (std::size_t step = 1; step < n; ++step) {
-    const std::size_t victim = (own + step) % n;
-    MutexLock lock(deques_[victim]->mu);
-    if (!deques_[victim]->tasks.empty()) {
-      out = std::move(deques_[victim]->tasks.front());
-      deques_[victim]->tasks.pop_front();
-      MutexLock wake(wake_mu_);
-      AER_DCHECK_GT(pending_, 0u);
-      --pending_;
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(std::size_t worker_index) {
-  tls_pool = this;
-  tls_worker = worker_index;
+void ThreadPool::WorkerLoop() {
   while (true) {
-    Task task;
-    if (TryAcquire(worker_index, task)) {
-      AER_PROFILE_SCOPE("pool_task");
-      task();
-      continue;
+    std::function<void()> task;
+    {
+      // The predicate re-test lives in the function body, not a wait
+      // lambda, so the analysis sees every read of tasks_/shutdown_ under
+      // the lock.
+      MutexLock lock(mu_);
+      while (tasks_.empty() && !shutdown_) cv_.Wait(mu_);
+      if (tasks_.empty()) return;  // shut down and drained
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    // The predicate re-test lives in the function body, not a wait lambda,
-    // so the analysis sees every read of pending_/shutdown_ under the lock.
-    MutexLock lock(wake_mu_);
-    while (pending_ == 0 && !shutdown_) wake_cv_.Wait(wake_mu_);
-    if (pending_ == 0 && shutdown_) return;
+    AER_PROFILE_SCOPE("pool_task");
+    task();
   }
-}
-
-std::size_t ThreadPool::QueuedTasks() const {
-  std::size_t total = 0;
-  for (const auto& deque : deques_) {
-    MutexLock lock(deque->mu);
-    total += deque->tasks.size();
-  }
-  return total;
 }
 
 void ThreadPool::ParallelFor(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
+  // One index needs no helper: run it inline, without allocating the shared
+  // control block (which would otherwise sit in the heap under everything
+  // a one-shard fleet run allocates, and raise the later peak RSS).
+  if (n == 1) {
+    fn(0);
+    return;
+  }
 
   // Shared by the caller and the helper tasks; shared_ptr-owned so helpers
   // that only get scheduled after the caller has already returned (because
   // every index was long finished) still touch live state.
   struct Control {
-    // Written before the helpers are enqueued and cleared only after the
+    // Written before the helpers are queued and cleared only after the
     // completion barrier below, so no lock is needed (late helpers bail on
     // the exhausted counter before dereferencing).
     const std::function<void(std::size_t)>* fn = nullptr;
@@ -177,19 +103,26 @@ void ThreadPool::ParallelFor(std::size_t n,
       } catch (...) {
         error = std::current_exception();
       }
+      // Moving (not copying) the first error keeps one owner of the
+      // exception at a time, so the thread that rethrows it is also the
+      // one that frees it.
       MutexLock lock(c->mu);
-      if (error && !c->first_error) c->first_error = error;
+      if (error && !c->first_error) c->first_error = std::move(error);
       if (++c->completed == c->n) c->done_cv.NotifyAll();
     }
   };
 
-  // One helper per worker (capped by n); the caller participates, so the
-  // loop completes even if no helper ever gets a thread.
+  // One helper per worker (capped by n - 1); the caller participates, so
+  // the loop completes even if no helper ever gets a thread.
   const std::size_t helpers =
-      deques_.size() < n - 1 ? deques_.size() : n - 1;
-  for (std::size_t h = 0; h < helpers; ++h) {
-    Enqueue([control, run_indices]() { run_indices(control); });
+      workers_.size() < n - 1 ? workers_.size() : n - 1;
+  {
+    MutexLock lock(mu_);
+    for (std::size_t h = 0; h < helpers; ++h) {
+      tasks_.emplace_back([control, run_indices]() { run_indices(control); });
+    }
   }
+  for (std::size_t h = 0; h < helpers; ++h) cv_.NotifyOne();
   run_indices(control);
 
   std::exception_ptr first_error;
@@ -200,9 +133,18 @@ void ThreadPool::ParallelFor(std::size_t n,
     // completed == n means no helper will touch fn again (late helpers bail
     // on the exhausted counter before dereferencing it).
     control->fn = nullptr;
-    first_error = control->first_error;
+    first_error = std::move(control->first_error);
   }
   if (first_error) std::rethrow_exception(first_error);
+}
+
+void ParallelFor(ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(n, fn);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) fn(i);
 }
 
 }  // namespace aer

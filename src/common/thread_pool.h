@@ -1,55 +1,46 @@
-// Work-stealing thread pool — the repo's one concurrency primitive.
+// Fork-join thread pool — the repo's one concurrency primitive.
 //
 // Training is embarrassingly parallel across error types (one Q-table and
 // one derived RNG stream per type, see docs/PARALLELISM.md), bootstrap
-// resamples are independent, and figure benches replicate experiments that
-// never share state. All of them funnel through this pool so the tree has a
-// single, TSan-exercised scheduler instead of ad-hoc std::thread spawns.
+// resamples are independent, fleet shards own disjoint machine ranges, and
+// merge chunks write disjoint output ranges. Every one of them is a loop over
+// independent indices, so the pool offers exactly that: ParallelFor. The
+// tree has a single, TSan-exercised scheduler instead of ad-hoc std::thread
+// spawns (tools/aer_lint.py rule `thread-containment` enforces it).
 //
-// Design: one deque per worker, each guarded by its own mutex. A task
-// submitted from outside the pool lands on the least-loaded deque; a task
-// submitted from inside a worker lands on that worker's own deque (cheap,
-// keeps related work hot). Workers pop newest-first from their own deque
-// and steal oldest-first from the others, so long chains keep locality
-// while idle workers drain the heaviest queues. The per-deque mutexes are
-// uncontended in the common case; this is deliberately simpler than a
-// lock-free Chase-Lev deque and is the variant TSan can verify exhaustively.
+// Design: ParallelFor hands out indices from one atomic counter. It queues
+// up to one helper task per worker on a single FIFO, guarded by one mutex,
+// and then claims indices itself until the counter runs out. Each helper
+// claims indices the same way. Workers sleep on one condition variable
+// while the FIFO is empty.
 //
 // Guarantees:
-//   - Submit() never blocks (beyond the deque mutex) and returns a
-//     std::future; exceptions thrown by the task propagate through it.
 //   - ParallelFor() runs the closure over [0, n) with the *calling thread
-//     participating*, so it completes even on a pool of paused workers and
-//     never deadlocks when called from inside a pool task. The first
-//     exception thrown by any index is rethrown in the caller after all
-//     indices finish or are abandoned.
-//   - The destructor drains: every task already submitted runs to
-//     completion before the workers join ("shutdown while busy" is safe).
+//     participating*, so it completes even when no worker is free and never
+//     deadlocks when called from inside a pool task. The first exception
+//     thrown by any index is rethrown in the caller after all indices
+//     finish.
+//   - The destructor drains: every helper already queued runs (and finds
+//     the counter exhausted, if its loop is long done) before the workers
+//     join.
 //
-// Determinism note: the pool schedules *which thread* runs a task, never
-// what the task computes. Anything that must be bit-reproducible derives
+// Determinism note: the pool decides *which thread* runs an index, never
+// what the index computes. Anything that must be bit-reproducible derives
 // its RNG stream from stable identifiers (DeriveStream in common/rng.h),
 // not from scheduling order.
 //
-// Lock discipline is stated in the types (common/thread_annotations.h):
-// each deque's task list is guarded by that deque's mutex, and the
-// pending-task count and shutdown flag by `wake_mu_`. A Clang build with
-// -Werror=thread-safety proves every access holds the right lock.
+// Lock discipline is stated in the types (common/thread_annotations.h): the
+// task FIFO and the shutdown flag are guarded by `mu_`. A Clang build with
+// -Werror=thread-safety proves every access holds the lock.
 #ifndef AER_COMMON_THREAD_POOL_H_
 #define AER_COMMON_THREAD_POOL_H_
 
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
@@ -60,7 +51,7 @@ class ThreadPool {
   // `num_threads` <= 0 picks DefaultThreadCount().
   explicit ThreadPool(int num_threads = 0);
 
-  // Drains every submitted task, then joins the workers.
+  // Runs every queued helper, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -72,54 +63,27 @@ class ThreadPool {
   // std::thread::hardware_concurrency() (>= 1).
   static int DefaultThreadCount();
 
-  // Schedules `fn` and returns a future for its result. Safe to call from
-  // inside a pool task.
-  template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    Enqueue([task]() { (*task)(); });
-    return future;
-  }
-
   // Runs fn(i) for every i in [0, n), spreading indices over the workers
   // with the calling thread participating; returns when all have finished.
-  // Rethrows the first exception (in index-scheduling order of detection);
-  // remaining indices still run (no cancellation — tasks are short).
+  // Rethrows the first exception (in order of detection); remaining
+  // indices still run (no cancellation — tasks are short).
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  // Number of tasks currently queued (for tests and diagnostics; racy by
-  // nature, exact only when the pool is idle).
-  std::size_t QueuedTasks() const;
-
  private:
-  using Task = std::function<void()>;
+  void WorkerLoop();
 
-  struct Deque {
-    mutable Mutex mu;
-    std::deque<Task> tasks AER_GUARDED_BY(mu);
-  };
-
-  void Enqueue(Task task);
-  void WorkerLoop(std::size_t worker_index);
-  // Pops newest-first from `own`, else steals oldest-first from any other
-  // deque. Returns false when every deque is empty.
-  bool TryAcquire(std::size_t own, Task& out);
-
-  // Sized in the constructor, structurally immutable afterwards; only the
-  // per-deque task lists (guarded above) ever change.
-  std::vector<std::unique_ptr<Deque>> deques_;
   std::vector<std::thread> workers_;
 
-  // Wakes sleeping workers; `pending_` counts queued-but-unstarted tasks so
-  // workers only sleep when there is provably nothing to steal.
-  mutable Mutex wake_mu_;
-  CondVar wake_cv_;
-  std::size_t pending_ AER_GUARDED_BY(wake_mu_) = 0;
-  bool shutdown_ AER_GUARDED_BY(wake_mu_) = false;
+  Mutex mu_;
+  CondVar cv_;
+  std::deque<std::function<void()>> tasks_ AER_GUARDED_BY(mu_);
+  bool shutdown_ AER_GUARDED_BY(mu_) = false;
 };
+
+// The one pool-or-loop rule: pool->ParallelFor(n, fn) when `pool` is set,
+// otherwise fn(0), ..., fn(n - 1) in order on the calling thread.
+void ParallelFor(ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t)>& fn);
 
 }  // namespace aer
 

@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -56,18 +55,9 @@ struct TimeKey {
 template <typename T, typename KeyOf>
 std::vector<T> MergeTimeOrderedRuns(std::vector<std::vector<T>> runs,
                                     KeyOf key_of, ThreadPool* pool) {
-  const auto for_each_index =
-      [pool](std::size_t n, const std::function<void(std::size_t)>& fn) {
-        if (pool != nullptr) {
-          pool->ParallelFor(n, fn);
-        } else {
-          for (std::size_t i = 0; i < n; ++i) fn(i);
-        }
-      };
-
   // Check every run's order and note its machine range.
   std::vector<std::pair<std::int64_t, std::int64_t>> machines(runs.size());
-  for_each_index(runs.size(), [&](std::size_t r) {
+  ParallelFor(pool, runs.size(), [&](std::size_t r) {
     const std::vector<T>& run = runs[r];
     if (run.empty()) return;
     TimeKey prev = key_of(run.front());
@@ -107,7 +97,7 @@ std::vector<T> MergeTimeOrderedRuns(std::vector<std::vector<T>> runs,
 
   const auto chunks = static_cast<std::size_t>((last - first) /
                                                kTimeMergeChunkSpan) + 1;
-  for_each_index(chunks, [&](std::size_t c) {
+  ParallelFor(pool, chunks, [&](std::size_t c) {
     const SimTime begin =
         first + static_cast<SimTime>(c) * kTimeMergeChunkSpan;
     const SimTime end = begin + kTimeMergeChunkSpan;

@@ -45,11 +45,7 @@ BootstrapInterval BootstrapRatioCI(
     }
     ratios[r] = rd > 0 ? rn / rd : 0.0;
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(ratios.size(), one_resample);
-  } else {
-    for (std::size_t r = 0; r < ratios.size(); ++r) one_resample(r);
-  }
+  ParallelFor(pool, ratios.size(), one_resample);
 
   std::sort(ratios.begin(), ratios.end());
   const double alpha = (1.0 - confidence) / 2.0;

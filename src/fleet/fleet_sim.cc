@@ -26,6 +26,27 @@ struct FleetSimTables {
   int emitted_capacity = 1;  // primary + largest secondary set
 };
 
+// Everything one shard contributes to the merged SimulationResult, plus the
+// shard-local engine statistics folded into the aer_fleet_* metrics. Each
+// shard fills its own slot of Run()'s presized vector; the ParallelFor
+// barrier publishes the slots to the merge.
+struct ShardOutput {
+  // In (time, machine) order: the order the shard's wheel pops events.
+  std::vector<LogEntry> entries;
+  // In (start, machine) order (sorted at the end of the shard's run).
+  std::vector<ProcessGroundTruth> ground_truth;
+  // Sampled causal trace records, (time, machine) order. Merged into the
+  // attached TraceCollector via MergeShards — byte-identical for any
+  // shard-to-thread assignment. Empty unless tracing is attached.
+  std::vector<obs::TraceRecord> trace;
+  std::int64_t fault_arrivals = 0;
+  std::int64_t fault_arrivals_skipped = 0;
+  std::int64_t processes_completed = 0;
+  SimTime total_downtime = 0;
+  std::uint64_t events_processed = 0;
+  std::size_t wheel_peak = 0;  // high-water mark of the shard's event wheel
+};
+
 namespace {
 
 using Tables = FleetSimTables;
@@ -369,9 +390,10 @@ int FleetSimulator::num_shards() const {
   return std::clamp(machines / 16384, 1, 64);
 }
 
-void FleetSimulator::RunShard(int shard, int shards, const FleetSimTables& t,
-                              FleetState& state, RecoveryPolicy& policy,
-                              ShardMerger& merger) const {
+ShardOutput FleetSimulator::RunShard(int shard, int shards,
+                                     const FleetSimTables& t,
+                                     FleetState& state,
+                                     RecoveryPolicy& policy) const {
   AER_PROFILE_SCOPE("fleet_shard");
   const ClusterSimConfig& cfg = config_.sim;
   const MachineId begin = static_cast<MachineId>(
@@ -463,7 +485,7 @@ void FleetSimulator::RunShard(int shard, int shards, const FleetSimTables& t,
         if (a.start != b.start) return a.start < b.start;
         return a.machine < b.machine;
       });
-  merger.Add(shard, std::move(out));
+  return out;
 }
 
 SimulationResult FleetSimulator::Run(RecoveryPolicy& policy,
@@ -478,21 +500,15 @@ SimulationResult FleetSimulator::Run(RecoveryPolicy& policy,
       .num_machines = config_.sim.num_machines,
       .tried_capacity = config_.sim.max_actions_per_process,
       .emitted_capacity = tables.emitted_capacity});
-  ShardMerger merger(shards);
-  const auto run_shard = [&](std::size_t s) {
-    RunShard(static_cast<int>(s), shards, tables, state, policy, merger);
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && shards > 1) {
-    pool->ParallelFor(static_cast<std::size_t>(shards), run_shard);
-  } else {
-    for (int s = 0; s < shards; ++s) run_shard(static_cast<std::size_t>(s));
-  }
+  std::vector<ShardOutput> outputs(static_cast<std::size_t>(shards));
+  ParallelFor(pool, outputs.size(), [&](std::size_t s) {
+    outputs[s] = RunShard(static_cast<int>(s), shards, tables, state, policy);
+  });
 
-  return Finalize(merger.TakeAll(), shards, std::move(symptoms), pool);
+  return Finalize(std::move(outputs), std::move(symptoms), pool);
 }
 
 SimulationResult FleetSimulator::Finalize(std::vector<ShardOutput> outputs,
-                                          int shards_used,
                                           SymptomTable symptoms,
                                           ThreadPool* pool) {
   AER_PROFILE_SCOPE("fleet_merge");
@@ -544,7 +560,7 @@ SimulationResult FleetSimulator::Finalize(std::vector<ShardOutput> outputs,
     metrics_->GetGauge("aer_fleet_machines")
         .Set(static_cast<double>(config_.sim.num_machines));
     metrics_->GetGauge("aer_fleet_shards")
-        .Set(static_cast<double>(shards_used));
+        .Set(static_cast<double>(outputs.size()));
     metrics_->GetGauge("aer_fleet_wheel_peak_events")
         .Set(static_cast<double>(wheel_peak));
   }

@@ -4,7 +4,7 @@
 //
 // The fleet is split into contiguous machine-ID shards; each machine owns
 // an independent RNG stream (DeriveStream(seed, machine)) and its own
-// Poisson arrival chain at rate 1/mtbf. Shards run on the work-stealing
+// Poisson arrival chain at rate 1/mtbf. Shards run on the fork-join
 // ThreadPool (or serially without one) and a stable time-bucket merge of
 // their runs in machine-ID order (common/time_merge.h) assembles the
 // result, so the RecoveryLog and SimulationResult are byte-identical for
@@ -29,15 +29,15 @@
 #include "cluster/policy.h"
 #include "cluster/sim_types.h"
 #include "common/thread_pool.h"
-#include "fleet/shard_merge.h"
 #include "obs/metrics.h"
 #include "obs/trace_collector.h"
 
 namespace aer::fleet {
 
 // Interned symptom-id / fault-sampling tables shared by all shards of one
-// run; defined in fleet_sim.cc.
+// run, and one shard's output; defined in fleet_sim.cc.
 struct FleetSimTables;
+struct ShardOutput;
 
 struct FleetSimConfig {
   // The workload parameters.
@@ -77,12 +77,11 @@ class FleetSimulator {
   int num_shards() const;
 
  private:
-  void RunShard(int shard, int num_shards, const FleetSimTables& tables,
-                FleetState& state, RecoveryPolicy& policy,
-                ShardMerger& merger) const;
+  ShardOutput RunShard(int shard, int num_shards, const FleetSimTables& tables,
+                       FleetState& state, RecoveryPolicy& policy) const;
   // Merges the shard outputs in shard (machine-ID) order, on `pool` when
   // there is one, and folds the metrics.
-  SimulationResult Finalize(std::vector<ShardOutput> outputs, int shards_used,
+  SimulationResult Finalize(std::vector<ShardOutput> outputs,
                             SymptomTable symptoms, ThreadPool* pool);
 
   FleetSimConfig config_;

@@ -284,12 +284,4 @@ LogParseResult RecoveryLog::ReadFile(const std::string& path,
   return Read(is, out, mode);
 }
 
-bool RecoveryLog::Read(std::istream& is, RecoveryLog& out) {
-  return Read(is, out, LogParseMode::kStrict).ok;
-}
-
-bool RecoveryLog::ReadFile(const std::string& path, RecoveryLog& out) {
-  return ReadFile(path, out, LogParseMode::kStrict).ok;
-}
-
 }  // namespace aer

@@ -14,10 +14,11 @@
 
 namespace aer {
 
-// How Read() treats malformed lines. Strict is the default everywhere (a
-// log written by this class must round-trip exactly, and tests depend on
-// that); lenient is for production ingestion, where a truncated tail or a
-// garbled line must cost one entry, not the whole file.
+// How Read() treats malformed lines; every caller names one. Strict is for
+// everything but ingestion (a log written by this class must round-trip
+// exactly, and tests depend on that); lenient is for production ingestion,
+// where a truncated tail or a garbled line must cost one entry, not the
+// whole file.
 enum class LogParseMode {
   kStrict,   // abort on the first malformed line
   kLenient,  // skip malformed lines (after attempting repair) and count them
@@ -79,10 +80,6 @@ class RecoveryLog {
                              LogParseMode mode);
   static LogParseResult ReadFile(const std::string& path, RecoveryLog& out,
                                  LogParseMode mode);
-
-  // Strict-mode conveniences (the original API).
-  static bool Read(std::istream& is, RecoveryLog& out);
-  static bool ReadFile(const std::string& path, RecoveryLog& out);
 
  private:
   std::vector<LogEntry> entries_;

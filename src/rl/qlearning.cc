@@ -360,11 +360,7 @@ QLearningTrainer::TrainingOutput QLearningTrainer::TrainAllWith(
     per_type[t] = train_type(static_cast<ErrorTypeId>(t),
                              tables_out != nullptr ? &tables[t] : nullptr);
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(num_types, train);
-  } else {
-    for (std::size_t t = 0; t < num_types; ++t) train(t);
-  }
+  ParallelFor(pool, num_types, train);
 
   // The merge, single-threaded in catalog order, so AddType() interns
   // symptom names in the same order for any thread count.

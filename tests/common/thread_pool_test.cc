@@ -3,11 +3,8 @@
 // to verify the pool's locking discipline, and the robustness label pulls it
 // into the fault-tolerance suite.
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
-#include <future>
 #include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -19,24 +16,6 @@
 
 namespace aer {
 namespace {
-
-TEST(ThreadPoolTest, SubmitReturnsResultThroughFuture) {
-  ThreadPool pool(2);
-  std::future<int> f = pool.Submit([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
-  std::future<std::string> g =
-      pool.Submit([] { return std::string("done"); });
-  EXPECT_EQ(g.get(), "done");
-}
-
-TEST(ThreadPoolTest, SubmitExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  std::future<int> f = pool.Submit(
-      []() -> int { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-  // The pool survives a throwing task.
-  EXPECT_EQ(pool.Submit([] { return 7; }).get(), 7);
-}
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
@@ -108,99 +87,102 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(inner_total.load(), 32);
 }
 
-TEST(ThreadPoolTest, SubmitFromInsideWorkerRuns) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  std::future<int> outer = pool.Submit([&] {
-    // Fire-and-forget children; the destructor-drain guarantee (tested
-    // below) means they run even if nobody waits on them.
-    for (int i = 0; i < 16; ++i) {
-      pool.Submit([&] { ++ran; });
-    }
-    return 1;
-  });
-  EXPECT_EQ(outer.get(), 1);
-  // Wait for the children with a bounded spin (they are queued by now).
-  for (int spin = 0; spin < 1000 && ran.load() < 16; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(ran.load(), 16);
-}
-
 TEST(ThreadPoolTest, DestructorDrainsWhileBusy) {
-  // "Shutdown while busy": destroy the pool the moment tasks are queued and
-  // verify every one of them still ran to completion.
+  // "Shutdown while busy": with 8 workers and n = 2, the caller usually
+  // finishes both indices before a worker wakes, so the loop's late helper
+  // is still queued when the pool is destroyed. The destructor must run it
+  // (it finds the counter exhausted and touches only its shared control
+  // block) and join cleanly; the ASan and TSan legs check that it does.
+  constexpr int kPools = 20;
+  constexpr int kLoops = 25;
   std::atomic<int> ran{0};
-  constexpr int kTasks = 200;
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < kTasks; ++i) {
-      pool.Submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        ++ran;
-      });
+  for (int p = 0; p < kPools; ++p) {
+    ThreadPool pool(8);
+    for (int l = 0; l < kLoops; ++l) {
+      pool.ParallelFor(2, [&ran](std::size_t) { ++ran; });
     }
-    // No waiting: the destructor must drain the backlog.
+    // No waiting: the destructor must drain the queued helpers.
   }
-  EXPECT_EQ(ran.load(), kTasks);
+  EXPECT_EQ(ran.load(), 2 * kPools * kLoops);
 }
 
 TEST(ThreadPoolTest, ContendedCounterStress) {
-  // Many tasks hammering one mutex-guarded counter plus one atomic — the
-  // TSan leg verifies the pool introduces no data race around task hand-off
-  // (the deque mutexes must publish the closures' captured state).
+  // Many indices hammering one mutex-guarded counter plus one atomic — the
+  // TSan leg verifies the pool introduces no data race around the hand-off
+  // of the loop's closure to the helpers.
   ThreadPool pool(8);
-  constexpr int kTasks = 2000;
+  constexpr int kIndices = 2000;
   std::mutex mu;
   std::int64_t guarded = 0;
   std::atomic<std::int64_t> atomic_count{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    futures.push_back(pool.Submit([&] {
-      ++atomic_count;
-      std::lock_guard<std::mutex> lock(mu);
-      ++guarded;
-    }));
-  }
-  for (std::future<void>& f : futures) f.get();
-  EXPECT_EQ(atomic_count.load(), kTasks);
-  EXPECT_EQ(guarded, kTasks);
+  pool.ParallelFor(kIndices, [&](std::size_t) {
+    ++atomic_count;
+    std::lock_guard<std::mutex> lock(mu);
+    ++guarded;
+  });
+  EXPECT_EQ(atomic_count.load(), kIndices);
+  EXPECT_EQ(guarded, kIndices);
 }
 
 TEST(ThreadPoolTest, UnevenTasksAllComplete) {
-  // Work stealing: one long chain submitted first, many short tasks after.
-  // All must finish regardless of which deque they landed on.
+  // Every eighth index is a long chain, the rest are short. Indices are
+  // claimed one at a time from the shared counter, so idle threads keep
+  // taking short ones while a long one runs, and all must finish.
   ThreadPool pool(4);
+  const auto reps_of = [](std::size_t i) { return i % 8 == 0 ? 20000 : 10; };
   std::atomic<std::int64_t> sum{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i) {
-    const int reps = (i % 8 == 0) ? 20000 : 10;
-    futures.push_back(pool.Submit([&sum, reps] {
-      std::int64_t local = 0;
-      for (int k = 0; k < reps; ++k) local += k;
-      sum += local;
-    }));
-  }
+  pool.ParallelFor(64, [&](std::size_t i) {
+    std::int64_t local = 0;
+    for (int k = 0; k < reps_of(i); ++k) local += k;
+    sum += local;
+  });
   std::int64_t expected = 0;
-  for (int i = 0; i < 64; ++i) {
-    const int reps = (i % 8 == 0) ? 20000 : 10;
-    for (int k = 0; k < reps; ++k) expected += k;
+  for (std::size_t i = 0; i < 64; ++i) {
+    for (int k = 0; k < reps_of(i); ++k) expected += k;
   }
-  for (std::future<void>& f : futures) f.get();
   EXPECT_EQ(sum.load(), expected);
 }
 
-TEST(ThreadPoolTest, QueuedTasksSettlesToZero) {
-  ThreadPool pool(2);
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.Submit([] {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }));
+TEST(ThreadPoolTest, ParallelForFromSeveralOutsideThreads) {
+  // Several plain threads share one pool, each running its own loops on it
+  // at once (the bench layout). Every loop's helpers queue on the same FIFO;
+  // each index of each loop must still run exactly once.
+  ThreadPool pool(3);
+  constexpr int kCallers = 4;
+  constexpr int kLoops = 20;
+  constexpr std::size_t kN = 500;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kN);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &hits, c] {
+      for (int l = 0; l < kLoops; ++l) {
+        pool.ParallelFor(kN, [&hits, c](std::size_t i) { ++hits[c][i]; });
+      }
+    });
   }
-  for (std::future<void>& f : futures) f.get();
-  EXPECT_EQ(pool.QueuedTasks(), 0u);
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[c][i].load(), kLoops) << "caller " << c << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, NullPoolRunsIndicesInOrderOnTheCaller) {
+  // The pool-or-loop helper without a pool: a plain loop, in index order,
+  // on the calling thread.
+  std::vector<std::size_t> order;
+  std::vector<std::thread::id> threads;
+  ParallelFor(nullptr, 6, [&](std::size_t i) {
+    order.push_back(i);
+    threads.push_back(std::this_thread::get_id());
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  for (const std::thread::id id : threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  ParallelFor(nullptr, 0, [&](std::size_t) { ADD_FAILURE(); });
 }
 
 TEST(ThreadPoolTest, DefaultThreadCountRespectsEnvOverride) {

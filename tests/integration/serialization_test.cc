@@ -27,7 +27,7 @@ TEST(SerializationRoundTripTest, FullTraceThroughDisk) {
   dataset.result.log.WriteFile(path);
 
   RecoveryLog reread;
-  ASSERT_TRUE(RecoveryLog::ReadFile(path, reread));
+  ASSERT_TRUE(RecoveryLog::ReadFile(path, reread, LogParseMode::kStrict).ok);
   std::remove(path.c_str());
 
   ASSERT_EQ(reread.size(), dataset.result.log.size());

@@ -534,7 +534,8 @@ TEST(SegmentationEquivalenceTest, WriteMatchesReferenceAndRoundTrips) {
 
     std::istringstream in(text);
     RecoveryLog parsed;
-    ASSERT_TRUE(RecoveryLog::Read(in, parsed)) << label;
+    ASSERT_TRUE(RecoveryLog::Read(in, parsed, LogParseMode::kStrict).ok)
+        << label;
     EXPECT_EQ(WriteToString(parsed), text) << label;
     ExpectSameSegmentation(ref::Segment(parsed), SegmentIntoProcesses(parsed),
                            label + " reparsed");

@@ -53,7 +53,8 @@ TEST(LogFuzzTest, RandomValidLogsRoundTripAndSegment) {
     std::stringstream ss;
     log.Write(ss);
     RecoveryLog reread;
-    ASSERT_TRUE(RecoveryLog::Read(ss, reread)) << "trial " << trial;
+    ASSERT_TRUE(RecoveryLog::Read(ss, reread, LogParseMode::kStrict).ok)
+        << "trial " << trial;
     ASSERT_EQ(reread.size(), log.size());
 
     const auto a = SegmentIntoProcesses(log);
@@ -92,13 +93,13 @@ TEST(LogFuzzTest, CorruptedLinesAreRejectedNotCrashed) {
     RecoveryLog parsed;
     // Either cleanly rejected or parsed as a (different but valid) log;
     // never a crash or a CHECK failure.
-    if (RecoveryLog::Read(cs, parsed)) {
+    if (RecoveryLog::Read(cs, parsed, LogParseMode::kStrict).ok) {
       ++accepted;
       // If accepted, the parsed log must itself round-trip.
       std::stringstream rs;
       parsed.Write(rs);
       RecoveryLog again;
-      ASSERT_TRUE(RecoveryLog::Read(rs, again));
+      ASSERT_TRUE(RecoveryLog::Read(rs, again, LogParseMode::kStrict).ok);
       // And segmentation must not crash on it.
       SegmentIntoProcesses(parsed);
     } else {
@@ -124,7 +125,7 @@ TEST(LogFuzzTest, TruncatedLogsParseToPrefix) {
   while (newline != std::string::npos && checked < 10) {
     std::stringstream ts(text.substr(0, newline + 1));
     RecoveryLog parsed;
-    ASSERT_TRUE(RecoveryLog::Read(ts, parsed));
+    ASSERT_TRUE(RecoveryLog::Read(ts, parsed, LogParseMode::kStrict).ok);
     SegmentIntoProcesses(parsed);  // tolerates incomplete tails
     newline = text.find('\n', newline + 1 + text.size() / 12);
     ++checked;

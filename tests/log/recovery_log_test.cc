@@ -34,7 +34,7 @@ TEST(RecoveryLogTest, WriteReadRoundTrip) {
   log.Write(ss);
 
   RecoveryLog parsed;
-  ASSERT_TRUE(RecoveryLog::Read(ss, parsed));
+  ASSERT_TRUE(RecoveryLog::Read(ss, parsed, LogParseMode::kStrict).ok);
   ASSERT_EQ(parsed.size(), log.size());
   for (std::size_t i = 0; i < log.size(); ++i) {
     EXPECT_EQ(parsed.entries()[i], log.entries()[i]) << "entry " << i;
@@ -53,7 +53,7 @@ TEST(RecoveryLogTest, WriteFormatIsTabSeparated) {
 TEST(RecoveryLogTest, ReadSkipsBlankLines) {
   std::stringstream ss("\n42\tm1\tSuccess\n\n  \n");
   RecoveryLog parsed;
-  ASSERT_TRUE(RecoveryLog::Read(ss, parsed));
+  ASSERT_TRUE(RecoveryLog::Read(ss, parsed, LogParseMode::kStrict).ok);
   EXPECT_EQ(parsed.size(), 1u);
 }
 
@@ -69,7 +69,8 @@ TEST(RecoveryLogTest, ReadRejectsMalformedLines) {
   for (const char* line : bad_lines) {
     std::stringstream ss(line);
     RecoveryLog parsed;
-    EXPECT_FALSE(RecoveryLog::Read(ss, parsed)) << line;
+    EXPECT_FALSE(RecoveryLog::Read(ss, parsed, LogParseMode::kStrict).ok)
+        << line;
   }
 }
 
@@ -99,11 +100,12 @@ TEST(RecoveryLogTest, ReadRejectsOutOfRangeMachineId) {
   for (const char* line : {"1\tm2147483648\tSuccess", "1\tm-2147483649\tSuccess"}) {
     std::stringstream ss(line);
     RecoveryLog parsed;
-    EXPECT_FALSE(RecoveryLog::Read(ss, parsed)) << line;
+    EXPECT_FALSE(RecoveryLog::Read(ss, parsed, LogParseMode::kStrict).ok)
+        << line;
   }
   std::stringstream edges("1\tm2147483647\tSuccess\n1\tm-2147483648\tSuccess\n");
   RecoveryLog parsed;
-  ASSERT_TRUE(RecoveryLog::Read(edges, parsed));
+  ASSERT_TRUE(RecoveryLog::Read(edges, parsed, LogParseMode::kStrict).ok);
   EXPECT_EQ(parsed.entries()[0].machine, 2147483647);
   EXPECT_EQ(parsed.entries()[1].machine, -2147483647 - 1);
 }
@@ -111,7 +113,7 @@ TEST(RecoveryLogTest, ReadRejectsOutOfRangeMachineId) {
 TEST(RecoveryLogTest, ReadEmptyStreamYieldsEmptyLog) {
   std::stringstream ss("");
   RecoveryLog parsed;
-  ASSERT_TRUE(RecoveryLog::Read(ss, parsed));
+  ASSERT_TRUE(RecoveryLog::Read(ss, parsed, LogParseMode::kStrict).ok);
   EXPECT_TRUE(parsed.empty());
 }
 
@@ -134,14 +136,16 @@ TEST(RecoveryLogTest, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/aer_log_roundtrip.log";
   log.WriteFile(path);
   RecoveryLog parsed;
-  ASSERT_TRUE(RecoveryLog::ReadFile(path, parsed));
+  ASSERT_TRUE(RecoveryLog::ReadFile(path, parsed, LogParseMode::kStrict).ok);
   EXPECT_EQ(parsed.size(), log.size());
   std::remove(path.c_str());
 }
 
 TEST(RecoveryLogTest, ReadFileMissingReturnsFalse) {
   RecoveryLog parsed;
-  EXPECT_FALSE(RecoveryLog::ReadFile("/nonexistent/path.log", parsed));
+  EXPECT_FALSE(RecoveryLog::ReadFile("/nonexistent/path.log", parsed,
+                                     LogParseMode::kStrict)
+                   .ok);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 // the serial TrainAll() of the same trainer, greedy or selection tree. Not
 // "statistically equivalent", not "same greedy policy": the same bytes.
 // Anything weaker would let figure-level drift hide behind scheduling.
-#include <future>
 #include <string>
 #include <vector>
 
@@ -103,19 +102,20 @@ TEST(TrainAllTest, TreeTrainerByteIdenticalAcrossSeedsAndThreads) {
 }
 
 TEST(TrainAllTest, SharedPoolAcrossConcurrentTrainAlls) {
-  // Two TrainAll() calls sharing one pool (the bench layout) must not
-  // interfere with each other's results.
+  // Two TrainAll() calls sharing one pool (the bench layout), each nested
+  // inside an index of an outer loop on that same pool, must not interfere
+  // with each other's results.
   const ThreeTypeFixture fx;
   const QLearningTrainer trainer(fx.platform, fx.processes,
                                  ThreeTypeConfig(11));
   const SerialReference ref = SerialRun(trainer, fx.num_types());
   ThreadPool pool(4);
-  std::future<std::string> fa = pool.Submit(
-      [&] { return Serialize(trainer.TrainAll(&pool).policy); });
-  std::future<std::string> fb = pool.Submit(
-      [&] { return Serialize(trainer.TrainAll(&pool).policy); });
-  EXPECT_EQ(fa.get(), ref.policy_bytes);
-  EXPECT_EQ(fb.get(), ref.policy_bytes);
+  std::vector<std::string> policies(2);
+  pool.ParallelFor(policies.size(), [&](std::size_t i) {
+    policies[i] = Serialize(trainer.TrainAll(&pool).policy);
+  });
+  EXPECT_EQ(policies[0], ref.policy_bytes);
+  EXPECT_EQ(policies[1], ref.policy_bytes);
 }
 
 }  // namespace

@@ -44,6 +44,15 @@ trips them):
                     that declares an aer::Mutex member must guard at least
                     one field with AER_GUARDED_BY — an unannotated mutex
                     protects nothing the analysis can check.
+  thread-containment
+                    No std::thread / std::jthread (any use other than a
+                    `std::thread::` member such as hardware_concurrency())
+                    and no std::async in src/, bench/ or examples/ outside
+                    src/common/thread_pool.{h,cc}. Parallel work goes
+                    through ThreadPool::ParallelFor, the one TSan-exercised
+                    scheduler; a stray thread escapes the pool's
+                    exception, nesting and shutdown contract. Tests may
+                    start plain threads (to drive the pool from outside).
   metric-catalog    Every aer_* metric registered in src/ or bench/ code
                     (GetCounter("aer_...") / GetGauge / GetHistogram /
                     GetStat) must appear in the frozen catalog in
@@ -142,8 +151,8 @@ DIRECT_OUTPUT = re.compile(
 
 # Locking in src/ funnels through the capability-annotated wrappers in
 # common/mutex.h; raw std primitives there are invisible to Clang's
-# thread-safety analysis. tests/bench may use std::thread freely but lock
-# library state only through the library's own API, so they are out of scope.
+# thread-safety analysis. tests/bench lock library state only through the
+# library's own API, so they are out of scope.
 MUTEX_SCOPES = ("src/",)
 MUTEX_ALLOWED = {"src/common/mutex.h", "src/common/thread_annotations.h"}
 RAW_MUTEX = re.compile(
@@ -153,6 +162,13 @@ RAW_MUTEX = re.compile(
 MUTEX_MEMBER = re.compile(
     r"^\s*(?:mutable\s+)?(?:aer\s*::\s*)?Mutex\s+\w+\s*;")
 GUARDED_FIELD = re.compile(r"\bAER_(?:GUARDED_BY|PT_GUARDED_BY)\s*\(")
+
+# Threads are started by the pool alone. `std::thread::` members
+# (hardware_concurrency(), id) construct nothing and stay allowed.
+THREAD_SCOPES = ("src/", "bench/", "examples/")
+THREAD_ALLOWED = {"src/common/thread_pool.h", "src/common/thread_pool.cc"}
+RAW_THREAD = re.compile(
+    r"\bstd\s*::\s*(?:j?thread\b(?!\s*::)|async\b)")
 
 # Metric registrations that must appear in the frozen catalog. Matched on
 # the *raw* source (the names live inside string literals, which the
@@ -381,6 +397,13 @@ class Linter:
                     "raw std locking primitive in src/; use aer::Mutex / "
                     "aer::MutexLock / aer::CondVar from common/mutex.h so "
                     "the thread-safety analysis sees the acquisition", allows)
+            if rel.startswith(THREAD_SCOPES) and rel not in THREAD_ALLOWED \
+                    and RAW_THREAD.search(line):
+                self.report(
+                    path, lineno, "thread-containment",
+                    "raw std::thread/std::jthread/std::async outside "
+                    "src/common/thread_pool.*; run the work through "
+                    "ThreadPool::ParallelFor", allows)
             if rel.startswith(UNCHECKED_IO_SCOPES):
                 self.lint_unchecked_io(path, lineno, line, lines, allows)
 

@@ -278,6 +278,44 @@ class AerLintTest(unittest.TestCase):
             "std::mutex raw;  // aer-lint: allow(mutex-annotation)\n")
         self.assertEqual(findings, [])
 
+    # -- thread-containment -------------------------------------------------
+
+    def test_raw_thread_outside_pool_flagged(self):
+        for rel, snippet in (
+                ("src/fleet/fleet_sim.cc", "std::thread t([] {});"),
+                ("src/rl/qlearning.cc", "std::vector<std::thread> workers;"),
+                ("bench/bench_training.cc", "std::jthread worker(run);"),
+                ("examples/aerctl.cc",
+                 "auto f = std::async(std::launch::async, run);"),
+                ("src/eval/bootstrap.cc", "auto t = std :: thread{run};")):
+            findings = self.repo.lint(rel, snippet + "\n")
+            self.assert_rule(findings, "thread-containment")
+
+    def test_thread_pool_files_are_exempt(self):
+        for rel in ("src/common/thread_pool.h", "src/common/thread_pool.cc"):
+            findings = self.repo.lint(
+                rel, "std::vector<std::thread> workers_;\n")
+            self.assertNotIn("[thread-containment]", "".join(findings))
+
+    def test_thread_static_members_and_tests_ok(self):
+        findings = self.repo.lint(
+            "bench/bench_json.cc",
+            "const unsigned hw = std::thread::hardware_concurrency();\n"
+            "std::thread::id self = std::this_thread::get_id();\n"
+            "// std::thread in a comment, \"std::async\" in a string\n")
+        self.assertEqual(findings, [])
+        findings = self.repo.lint(
+            "tests/common/thread_pool_test.cc",
+            "std::vector<std::thread> callers;\n"
+            "callers.emplace_back([] {});\n")
+        self.assertEqual(findings, [])
+
+    def test_thread_containment_allow_pragma(self):
+        findings = self.repo.lint(
+            "src/obs/special.cc",
+            "std::thread t(run);  // aer-lint: allow(thread-containment)\n")
+        self.assertEqual(findings, [])
+
     # -- metric-catalog -----------------------------------------------------
 
     CATALOG = ("# Observability\n\n"
