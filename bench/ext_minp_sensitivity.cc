@@ -19,7 +19,7 @@ void Run() {
   const BenchDataset& dataset = GetDataset();
   const std::vector<double> minps = {0.05, 0.1, 0.3, 0.5, 0.8};
   const std::vector<SymptomClustering> sweep =
-      SymptomClusteringSweep(BuildSymptomTransactions(dataset.all), minps);
+      SymptomClusteringSweep(CollapseSymptomSets(dataset.all), minps);
   std::vector<std::string> labels;
   ChartSeries clean_frac{"clean fraction", {}};
   ChartSeries types_found{"error types", {}};

@@ -14,11 +14,12 @@ bool Run() {
          "Cohesive-process fraction vs m-pattern dependence strength minp.");
 
   const BenchDataset& dataset = GetDataset();
-  const std::vector<Transaction> txns = BuildSymptomTransactions(dataset.all);
+  const std::vector<WeightedTransaction> sets =
+      CollapseSymptomSets(dataset.all);
   std::vector<double> minps;
   for (int i = 1; i <= 10; ++i) minps.push_back(0.1 * i);
   const std::vector<SymptomClustering> sweep =
-      SymptomClusteringSweep(txns, minps);
+      SymptomClusteringSweep(sets, minps);
 
   std::vector<std::string> labels;
   ChartSeries fraction{"cohesive", {}};
@@ -26,7 +27,7 @@ bool Run() {
   bool non_increasing = true;
   for (std::size_t i = 0; i < minps.size(); ++i) {
     labels.push_back(StrFormat("%.1f", minps[i]));
-    fraction.values.push_back(sweep[i].CohesiveFraction(txns));
+    fraction.values.push_back(sweep[i].CohesiveFraction(sets));
     cluster_counts.push_back(static_cast<double>(sweep[i].clusters().size()));
     if (i > 0 && fraction.values[i] > fraction.values[i - 1]) {
       non_increasing = false;

@@ -30,13 +30,11 @@ RepairAction RecoveryProcess::final_action() const {
   return attempts_.back().action;
 }
 
-std::vector<SymptomId> RecoveryProcess::DistinctSymptoms() const {
-  std::vector<SymptomId> out;
-  out.reserve(symptoms_.size());
+void RecoveryProcess::DistinctSymptoms(std::vector<SymptomId>& out) const {
+  out.clear();
   for (const SymptomEvent& e : symptoms_) out.push_back(e.symptom);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 namespace {

@@ -64,9 +64,9 @@ class RecoveryProcess {
   // The action that closed the process, i.e. the last attempt.
   RepairAction final_action() const;
 
-  // Distinct symptoms, sorted ascending (the "transaction" fed to m-pattern
-  // mining).
-  std::vector<SymptomId> DistinctSymptoms() const;
+  // Replaces `out` with the distinct symptoms, sorted ascending (the
+  // "transaction" fed to m-pattern mining), reusing its capacity.
+  void DistinctSymptoms(std::vector<SymptomId>& out) const;
 
  private:
   MachineId machine_;

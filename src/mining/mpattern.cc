@@ -42,7 +42,56 @@ void ForEachSubset(const Transaction& txn, std::size_t k, std::size_t start,
   }
 }
 
+// True if `pred` holds for every subset of `items` (size >= 2) that drops
+// one item; stops at the first that fails. `subset` is scratch space.
+template <typename Pred>
+bool AllDropOneSubsets(const ItemSet& items, ItemSet& subset,
+                       const Pred& pred) {
+  subset.assign(items.begin() + 1, items.end());
+  for (std::size_t drop = 0; drop < items.size(); ++drop) {
+    // subset = items minus element `drop`.
+    if (drop > 0) subset[drop - 1] = items[drop - 1];
+    if (!pred(subset)) return false;
+  }
+  return true;
+}
+
+// The n transactions `fill(i, out)` writes, collapsed into distinct ones
+// with counts and sorted by items, so the hash map's order never shows.
+// Only a transaction not met before is copied.
+template <typename Fill>
+std::vector<WeightedTransaction> Collapse(std::size_t n, const Fill& fill) {
+  std::unordered_map<Transaction, std::int64_t, ItemSetHash> counts;
+  Transaction scratch;
+  for (std::size_t i = 0; i < n; ++i) {
+    fill(i, scratch);
+    ++counts[scratch];
+  }
+  std::vector<WeightedTransaction> out;
+  out.reserve(counts.size());
+  for (const auto& [items, count] : counts) out.push_back({items, count});
+  std::sort(out.begin(), out.end(),
+            [](const WeightedTransaction& a, const WeightedTransaction& b) {
+              return a.items < b.items;
+            });
+  return out;
+}
+
 }  // namespace
+
+std::vector<WeightedTransaction> CollapseSymptomSets(
+    std::span<const RecoveryProcess> processes) {
+  return Collapse(processes.size(), [&](std::size_t i, Transaction& out) {
+    processes[i].DistinctSymptoms(out);
+  });
+}
+
+std::vector<WeightedTransaction> CollapseTransactions(
+    std::span<const Transaction> transactions) {
+  return Collapse(transactions.size(), [&](std::size_t i, Transaction& out) {
+    out = transactions[i];
+  });
+}
 
 MPatternMiner::MPatternMiner(MPatternConfig config) : config_(config) {
   AER_CHECK_GT(config_.minp, 0.0);
@@ -51,27 +100,17 @@ MPatternMiner::MPatternMiner(MPatternConfig config) : config_(config) {
   AER_CHECK_GE(config_.max_pattern_size, 1u);
 }
 
-std::int64_t MPatternMiner::Support(const ItemSet& items,
-                                    std::span<const Transaction> transactions) {
-  std::int64_t support = 0;
-  for (const Transaction& txn : transactions) {
-    if (std::includes(txn.begin(), txn.end(), items.begin(), items.end())) {
-      ++support;
-    }
-  }
-  return support;
-}
-
 std::vector<ItemSet> MPatternMiner::MineAll(
-    std::span<const Transaction> transactions,
+    std::span<const WeightedTransaction> transactions,
     std::vector<double>* strengths) const {
   // Item supports.
   std::unordered_map<SymptomId, std::int64_t> item_support;
-  for (const Transaction& txn : transactions) {
-    AER_CHECK(std::adjacent_find(txn.begin(), txn.end(),
-                                 std::greater_equal<>()) == txn.end())
+  for (const WeightedTransaction& txn : transactions) {
+    AER_CHECK(std::adjacent_find(txn.items.begin(), txn.items.end(),
+                                 std::greater_equal<>()) == txn.items.end())
         << "transaction items must be sorted and distinct";
-    for (SymptomId item : txn) ++item_support[item];
+    AER_CHECK_GE(txn.count, 1);
+    for (SymptomId item : txn.items) item_support[item] += txn.count;
   }
 
   // Level 1: every sufficiently-supported single item is trivially an
@@ -101,6 +140,8 @@ std::vector<ItemSet> MPatternMiner::MineAll(
 
   // Levels are appended in size order and each is sorted, so `result` ends
   // up in the documented order without a final sort.
+  ItemSet scratch;
+  ItemSet subset;
   while (!level.empty()) {
     result.insert(result.end(), level.begin(), level.end());
     result_strength.insert(result_strength.end(), level_strength.begin(),
@@ -108,47 +149,27 @@ std::vector<ItemSet> MPatternMiner::MineAll(
     if (level.front().size() >= config_.max_pattern_size) break;
     const std::size_t k = level.front().size() + 1;
 
-    // Candidate generation: join patterns sharing a (k-2)-prefix, then prune
-    // candidates with a non-pattern (k-1)-subset (downward closure). Each
-    // candidate enters `counts` with support 0.
+    // Candidates and their supports in one walk over the size-k subsets of
+    // each transaction: a subset is a candidate iff every subset dropping
+    // one item is a level-(k-1) pattern (downward closure), and it gains
+    // the transaction's count. These are the closure-pruned prefix joins
+    // that occur in some transaction; the others have support 0 and never
+    // pass min_support >= 1, so they are never built. The dependence test
+    // below is downward closed too, so the closure test changes no output:
+    // it keeps subsets that cannot be patterns out of `counts`.
     const std::unordered_set<ItemSet, ItemSetHash> prev(level.begin(),
                                                         level.end());
+    const auto in_prev = [&](const ItemSet& s) { return prev.contains(s); };
     std::unordered_map<ItemSet, std::int64_t, ItemSetHash> counts;
-    for (std::size_t i = 0; i < level.size(); ++i) {
-      for (std::size_t j = i + 1; j < level.size(); ++j) {
-        const ItemSet& a = level[i];
-        const ItemSet& b = level[j];
-        if (!std::equal(a.begin(), a.end() - 1, b.begin(), b.end() - 1)) {
-          // level is sorted lexicographically, so once prefixes diverge no
-          // later j matches either.
-          break;
+    for (const WeightedTransaction& txn : transactions) {
+      if (txn.items.size() < k) continue;
+      ForEachSubset(txn.items, k, 0, scratch, [&](const ItemSet& candidate) {
+        const auto it = counts.find(candidate);
+        if (it != counts.end()) {
+          it->second += txn.count;
+        } else if (AllDropOneSubsets(candidate, subset, in_prev)) {
+          counts.emplace(candidate, txn.count);
         }
-        ItemSet joined(a);
-        joined.push_back(b.back());
-        bool all_subsets_present = true;
-        ItemSet subset(joined.begin() + 1, joined.end());
-        for (std::size_t drop = 0; drop < joined.size(); ++drop) {
-          // subset = joined minus element `drop`.
-          if (drop > 0) subset[drop - 1] = joined[drop - 1];
-          if (!prev.contains(subset)) {
-            all_subsets_present = false;
-            break;
-          }
-        }
-        if (all_subsets_present) counts.emplace(std::move(joined), 0);
-      }
-    }
-    if (counts.empty()) break;
-
-    // Support counting: enumerate size-k subsets of each transaction; one
-    // hash lookup per subset.
-    ItemSet scratch;
-    scratch.reserve(k);
-    for (const Transaction& txn : transactions) {
-      if (txn.size() < k) continue;
-      ForEachSubset(txn, k, 0, scratch, [&](const ItemSet& subset) {
-        const auto it = counts.find(subset);
-        if (it != counts.end()) ++it->second;
       });
     }
 
@@ -173,7 +194,7 @@ std::vector<ItemSet> MPatternMiner::MineAll(
 }
 
 std::vector<ItemSet> MPatternMiner::MineMaximal(
-    std::span<const Transaction> transactions) const {
+    std::span<const WeightedTransaction> transactions) const {
   return Maximal(MineAll(transactions));
 }
 
@@ -182,13 +203,13 @@ std::vector<ItemSet> MPatternMiner::Maximal(std::span<const ItemSet> patterns) {
   // contains it, so it suffices to mark the immediate subsets of every
   // pattern.
   std::unordered_set<ItemSet, ItemSetHash> non_maximal;
+  ItemSet subset;
   for (const ItemSet& p : patterns) {
     if (p.size() < 2) continue;
-    ItemSet subset(p.begin() + 1, p.end());
-    for (std::size_t drop = 0; drop < p.size(); ++drop) {
-      if (drop > 0) subset[drop - 1] = p[drop - 1];
-      non_maximal.insert(subset);
-    }
+    AllDropOneSubsets(p, subset, [&](const ItemSet& s) {
+      non_maximal.insert(s);
+      return true;
+    });
   }
 
   std::vector<ItemSet> maximal;

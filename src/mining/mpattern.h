@@ -11,9 +11,13 @@
 //
 // m-patterns are downward closed (every subset of an m-pattern is an
 // m-pattern), so we mine level-wise, Apriori style. Transactions here are
-// the distinct-symptom sets of recovery processes and are small (≤ ~16
-// items), so support counting enumerates per-transaction subsets and looks
-// each one up in a hash map of the level's candidates.
+// the distinct-symptom sets of recovery processes: small (≤ ~16 items) and
+// few (a log of ~72k processes holds a few hundred distinct sets). The miner
+// therefore takes each distinct set once with its multiplicity, and level k
+// walks the size-k subsets of each set: a subset whose every (k-1)-subset
+// is a level-(k-1) pattern is a candidate, and its support is the summed
+// count of the sets holding it. Candidates that occur in no set are never
+// built.
 //
 // A pattern's *strength* is min_{i ∈ X} sup(X) / sup(i) (1.0 for a single
 // item): X is an m-pattern at minp iff its strength is not below minp. The
@@ -27,6 +31,7 @@
 #include <span>
 #include <vector>
 
+#include "log/recovery_process.h"
 #include "log/symptom.h"
 
 namespace aer {
@@ -37,6 +42,27 @@ using Transaction = std::vector<SymptomId>;
 
 // An itemset, sorted ascending.
 using ItemSet = std::vector<SymptomId>;
+
+// A transaction that occurs `count` (>= 1) times.
+struct WeightedTransaction {
+  Transaction items;
+  std::int64_t count = 0;
+
+  friend bool operator==(const WeightedTransaction&,
+                         const WeightedTransaction&) = default;
+};
+
+// The distinct symptom sets (RecoveryProcess::DistinctSymptoms) of the
+// processes, each with the number of processes that have it, sorted by
+// `items`. The counts sum to processes.size().
+std::vector<WeightedTransaction> CollapseSymptomSets(
+    std::span<const RecoveryProcess> processes);
+
+// The distinct transactions with their counts, sorted by `items`. Each
+// transaction is kept as given; MineAll checks that it is sorted and free
+// of repeats.
+std::vector<WeightedTransaction> CollapseTransactions(
+    std::span<const Transaction> transactions);
 
 struct MPatternConfig {
   // Minimum mutual-dependence strength; the paper uses minp = 0.1 for the
@@ -53,25 +79,23 @@ class MPatternMiner {
  public:
   explicit MPatternMiner(MPatternConfig config);
 
-  // All m-patterns of size >= 1 over the transactions, each sorted
-  // ascending; the result is sorted lexicographically within each size,
-  // sizes ascending. If `strengths` is given, it receives each pattern's
-  // strength, index for index.
-  std::vector<ItemSet> MineAll(std::span<const Transaction> transactions,
-                               std::vector<double>* strengths = nullptr) const;
+  // All m-patterns of size >= 1 over the weighted transactions (a
+  // transaction counts `count` times; repeats of one item set are allowed),
+  // each sorted ascending; the result is sorted lexicographically within
+  // each size, sizes ascending. If `strengths` is given, it receives each
+  // pattern's strength, index for index.
+  std::vector<ItemSet> MineAll(
+      std::span<const WeightedTransaction> transactions,
+      std::vector<double>* strengths = nullptr) const;
 
   // Only the maximal m-patterns (no mined superset). These act as the
   // symptom clusters of Section 3.1.
   std::vector<ItemSet> MineMaximal(
-      std::span<const Transaction> transactions) const;
+      std::span<const WeightedTransaction> transactions) const;
 
   // The maximal members of a downward-closed pattern set ordered as MineAll
   // returns it (any minp filter of MineAll's result is one), in that order.
   static std::vector<ItemSet> Maximal(std::span<const ItemSet> patterns);
-
-  // Support of an itemset: number of transactions containing all its items.
-  static std::int64_t Support(const ItemSet& items,
-                              std::span<const Transaction> transactions);
 
  private:
   MPatternConfig config_;

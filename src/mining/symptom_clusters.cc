@@ -1,26 +1,17 @@
 #include "mining/symptom_clusters.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "common/check.h"
 
 namespace aer {
 
-std::vector<Transaction> BuildSymptomTransactions(
-    std::span<const RecoveryProcess> processes) {
-  std::vector<Transaction> txns;
-  txns.reserve(processes.size());
-  for (const RecoveryProcess& p : processes) {
-    txns.push_back(p.DistinctSymptoms());
-  }
-  return txns;
-}
-
 SymptomClustering::SymptomClustering(
     std::span<const RecoveryProcess> processes, const MPatternConfig& config)
-    : SymptomClustering(MPatternMiner(config).MineMaximal(
-          BuildSymptomTransactions(processes))) {}
+    : SymptomClustering(
+          MPatternMiner(config).MineMaximal(CollapseSymptomSets(processes))) {}
 
 SymptomClustering::SymptomClustering(std::vector<ItemSet> clusters)
     : clusters_(std::move(clusters)) {
@@ -32,7 +23,21 @@ SymptomClustering::SymptomClustering(std::vector<ItemSet> clusters)
 }
 
 bool SymptomClustering::IsCohesive(const RecoveryProcess& process) const {
-  return IsCohesive(process.DistinctSymptoms());
+  // A cluster holding every symptom holds the initial one, so the clusters
+  // holding it are the only candidates.
+  const auto it = by_symptom_.find(process.initial_symptom());
+  if (it == by_symptom_.end()) return false;
+  for (int ci : it->second) {
+    const ItemSet& cluster = clusters_[static_cast<std::size_t>(ci)];
+    if (std::all_of(process.symptoms().begin(), process.symptoms().end(),
+                    [&](const SymptomEvent& e) {
+                      return std::binary_search(cluster.begin(),
+                                                cluster.end(), e.symptom);
+                    })) {
+      return true;
+    }
+  }
+  return false;
 }
 
 bool SymptomClustering::IsCohesive(const Transaction& symptoms) const {
@@ -52,19 +57,15 @@ bool SymptomClustering::IsCohesive(const Transaction& symptoms) const {
 }
 
 double SymptomClustering::CohesiveFraction(
-    std::span<const RecoveryProcess> processes) const {
-  return CohesiveFraction(BuildSymptomTransactions(processes));
-}
-
-double SymptomClustering::CohesiveFraction(
-    std::span<const Transaction> transactions) const {
-  if (transactions.empty()) return 0.0;
+    std::span<const WeightedTransaction> sets) const {
   std::int64_t cohesive = 0;
-  for (const Transaction& txn : transactions) {
-    if (IsCohesive(txn)) ++cohesive;
+  std::int64_t total = 0;
+  for (const WeightedTransaction& set : sets) {
+    if (IsCohesive(set.items)) cohesive += set.count;
+    total += set.count;
   }
-  return static_cast<double>(cohesive) /
-         static_cast<double>(transactions.size());
+  if (total == 0) return 0.0;
+  return static_cast<double>(cohesive) / static_cast<double>(total);
 }
 
 int SymptomClustering::ClusterOf(SymptomId symptom) const {
@@ -83,7 +84,7 @@ int SymptomClustering::ClusterOf(SymptomId symptom) const {
 }
 
 std::vector<SymptomClustering> SymptomClusteringSweep(
-    std::span<const Transaction> transactions,
+    std::span<const WeightedTransaction> sets,
     std::span<const double> minp_values, MPatternConfig config) {
   std::vector<SymptomClustering> out;
   if (minp_values.empty()) return out;
@@ -94,7 +95,7 @@ std::vector<SymptomClustering> SymptomClusteringSweep(
   config.minp = *std::min_element(minp_values.begin(), minp_values.end());
   std::vector<double> strengths;
   const std::vector<ItemSet> mined =
-      MPatternMiner(config).MineAll(transactions, &strengths);
+      MPatternMiner(config).MineAll(sets, &strengths);
 
   out.reserve(minp_values.size());
   std::vector<ItemSet> kept;
@@ -113,12 +114,12 @@ std::vector<SymptomClustering> SymptomClusteringSweep(
 std::vector<double> CohesiveFractionSweep(
     std::span<const RecoveryProcess> processes,
     std::span<const double> minp_values) {
-  const std::vector<Transaction> txns = BuildSymptomTransactions(processes);
+  const std::vector<WeightedTransaction> sets = CollapseSymptomSets(processes);
   std::vector<double> out;
   out.reserve(minp_values.size());
   for (const SymptomClustering& clustering :
-       SymptomClusteringSweep(txns, minp_values)) {
-    out.push_back(clustering.CohesiveFraction(txns));
+       SymptomClusteringSweep(sets, minp_values)) {
+    out.push_back(clustering.CohesiveFraction(sets));
   }
   return out;
 }

@@ -5,6 +5,12 @@
 // a single cluster — the fraction of cohesive processes versus minp is the
 // paper's Figure 3, and non-cohesive processes are treated as noise.
 //
+// Mining and the Figure 3 fractions work on the collapsed symptom sets
+// (CollapseSymptomSets: each distinct set once, with its process count), so
+// their cost follows the few hundred distinct sets rather than the tens of
+// thousands of processes. Testing one process needs no allocation: only the
+// clusters holding its initial symptom can hold all its symptoms.
+//
 // A minp sweep mines once: the m-patterns at any minp are the patterns mined
 // at the sweep's lowest minp whose strength is not below it (mpattern.h), so
 // SymptomClusteringSweep filters one MineAll result per minp and re-derives
@@ -21,10 +27,6 @@
 
 namespace aer {
 
-// The distinct-symptom transactions of an ensemble of processes.
-std::vector<Transaction> BuildSymptomTransactions(
-    std::span<const RecoveryProcess> processes);
-
 class SymptomClustering {
  public:
   // Mines maximal m-patterns at the given strength and indexes them.
@@ -36,15 +38,15 @@ class SymptomClustering {
 
   const std::vector<ItemSet>& clusters() const { return clusters_; }
 
-  // True if every distinct symptom of the process lies in one mined cluster.
+  // True if every symptom of the process lies in one mined cluster.
   bool IsCohesive(const RecoveryProcess& process) const;
-  // The same test on a process's distinct-symptom transaction (non-empty).
+  // The same test on a sorted, distinct symptom set (non-empty).
   bool IsCohesive(const Transaction& symptoms) const;
 
-  // Fraction of processes that are cohesive (one Figure 3 data point).
-  double CohesiveFraction(std::span<const RecoveryProcess> processes) const;
-  // The same fraction over the processes' BuildSymptomTransactions.
-  double CohesiveFraction(std::span<const Transaction> transactions) const;
+  // Fraction of processes that are cohesive (one Figure 3 data point), over
+  // their CollapseSymptomSets: the counts of the cohesive sets over the
+  // total count (0 for no processes).
+  double CohesiveFraction(std::span<const WeightedTransaction> sets) const;
 
   // Index of the largest cluster containing `symptom`, or -1 if none.
   int ClusterOf(SymptomId symptom) const;
@@ -59,10 +61,11 @@ class SymptomClustering {
 // allowed), from a single mine at the lowest value. `config.minp` is
 // ignored; its other fields apply to every minp.
 std::vector<SymptomClustering> SymptomClusteringSweep(
-    std::span<const Transaction> transactions,
+    std::span<const WeightedTransaction> sets,
     std::span<const double> minp_values, MPatternConfig config = {});
 
-// The Figure 3 sweep: cohesive fraction per minp value, from one mine.
+// The Figure 3 sweep: cohesive fraction per minp value, from one collapse
+// and one mine.
 std::vector<double> CohesiveFractionSweep(
     std::span<const RecoveryProcess> processes,
     std::span<const double> minp_values);

@@ -49,8 +49,9 @@ TEST(SegmentationTest, Table1Example) {
 
 TEST(SegmentationTest, DistinctSymptomsSortedUnique) {
   const SegmentationResult result = SegmentIntoProcesses(Table1Log());
-  const std::vector<SymptomId> distinct =
-      result.processes[0].DistinctSymptoms();
+  // The buffer's old contents are replaced, not appended to.
+  std::vector<SymptomId> distinct = {7, 7, 7};
+  result.processes[0].DistinctSymptoms(distinct);
   ASSERT_EQ(distinct.size(), 2u);
   EXPECT_EQ(distinct[0], 0);
   EXPECT_EQ(distinct[1], 1);

@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "mining/symptom_clusters.h"
+#include "support/mpattern_oracle.h"
 
 namespace aer {
 namespace {
@@ -24,7 +25,7 @@ RecoveryProcess MakeProcess(const std::vector<SymptomId>& symptoms) {
 }
 
 // Processes with clustered symptoms plus noise. A symptom may repeat within
-// a process; its transaction keeps it once.
+// a process; its collapsed symptom set keeps it once.
 std::vector<RecoveryProcess> RandomProcesses(Rng& rng) {
   constexpr int kVocab = 10;
   std::vector<RecoveryProcess> out;
@@ -65,17 +66,17 @@ std::vector<double> RandomMinps(Rng& rng) {
 void ExpectSweepMatchesOnePerMinp(
     const std::vector<RecoveryProcess>& processes,
     const std::vector<double>& minps, const MPatternConfig& config) {
-  const std::vector<Transaction> txns = BuildSymptomTransactions(processes);
+  const std::vector<WeightedTransaction> sets = CollapseSymptomSets(processes);
   const std::vector<SymptomClustering> sweep =
-      SymptomClusteringSweep(txns, minps, config);
+      SymptomClusteringSweep(sets, minps, config);
   ASSERT_EQ(sweep.size(), minps.size());
   for (std::size_t i = 0; i < minps.size(); ++i) {
     MPatternConfig one = config;
     one.minp = minps[i];
     const SymptomClustering reference(processes, one);
     EXPECT_EQ(sweep[i].clusters(), reference.clusters()) << "minp " << minps[i];
-    EXPECT_EQ(sweep[i].CohesiveFraction(txns),
-              reference.CohesiveFraction(processes))
+    EXPECT_EQ(sweep[i].CohesiveFraction(sets),
+              PerProcessCohesiveFraction(reference, processes))
         << "minp " << minps[i];
   }
 }
@@ -95,8 +96,8 @@ TEST(MinpSweepPropertyTest, FractionsBitEqualOneClusteringPerMinp) {
     for (std::size_t i = 0; i < minps.size(); ++i) {
       MPatternConfig one;
       one.minp = minps[i];
-      EXPECT_EQ(fractions[i],
-                SymptomClustering(processes, one).CohesiveFraction(processes))
+      const SymptomClustering reference(processes, one);
+      EXPECT_EQ(fractions[i], PerProcessCohesiveFraction(reference, processes))
           << "trial " << trial << " minp " << minps[i];
     }
   }
@@ -137,7 +138,7 @@ TEST(MinpSweepPropertyTest, EmptyMinpList) {
   const std::vector<RecoveryProcess> processes = RandomProcesses(rng);
   EXPECT_TRUE(CohesiveFractionSweep(processes, {}).empty());
   EXPECT_TRUE(
-      SymptomClusteringSweep(BuildSymptomTransactions(processes), {}).empty());
+      SymptomClusteringSweep(CollapseSymptomSets(processes), {}).empty());
 }
 
 }  // namespace

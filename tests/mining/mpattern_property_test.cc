@@ -9,9 +9,21 @@
 
 #include "common/rng.h"
 #include "mining/mpattern.h"
+#include "support/mpattern_oracle.h"
 
 namespace aer {
 namespace {
+
+// The miner over the transactions' collapsed, counted form.
+std::vector<ItemSet> MineAll(const MPatternConfig& config,
+                             const std::vector<Transaction>& txns) {
+  return MPatternMiner(config).MineAll(CollapseTransactions(txns));
+}
+
+std::vector<ItemSet> MineMaximal(const MPatternConfig& config,
+                                 const std::vector<Transaction>& txns) {
+  return MPatternMiner(config).MineMaximal(CollapseTransactions(txns));
+}
 
 // All itemsets over items [0, vocab) up to `max_size`, kept if they satisfy
 // the m-pattern definition over `txns`.
@@ -30,7 +42,7 @@ std::set<ItemSet> ReferenceMineAll(const std::vector<Transaction>& txns,
       if (mask & (1u << i)) items.push_back(i);
     }
     if (items.size() > max_size) continue;
-    const std::int64_t support = MPatternMiner::Support(items, txns);
+    const std::int64_t support = MPatternSupport(items, txns);
     if (support < min_support) continue;
     bool ok = true;
     for (SymptomId i : items) {
@@ -78,7 +90,7 @@ TEST_P(MPatternVsReferenceTest, MineAllMatchesDefinition) {
     config.minp = minp;
     config.min_support = 2;
     config.max_pattern_size = 5;
-    const auto mined = MPatternMiner(config).MineAll(txns);
+    const auto mined = MineAll(config, txns);
     const std::set<ItemSet> mined_set(mined.begin(), mined.end());
     ASSERT_EQ(mined_set.size(), mined.size()) << "no duplicates";
 
@@ -108,8 +120,8 @@ TEST_P(MPatternVsReferenceTest, MaximalAreExactlyTheMaximalOnes) {
     config.minp = minp;
     config.min_support = 2;
     config.max_pattern_size = 5;
-    const auto all = MPatternMiner(config).MineAll(txns);
-    const auto maximal = MPatternMiner(config).MineMaximal(txns);
+    const auto all = MineAll(config, txns);
+    const auto maximal = MineMaximal(config, txns);
     const std::set<ItemSet> all_set(all.begin(), all.end());
 
     std::set<ItemSet> expected_maximal;

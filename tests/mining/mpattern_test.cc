@@ -5,8 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include "support/mpattern_oracle.h"
+
 namespace aer {
 namespace {
+
+// The miner over the transactions' collapsed, counted form.
+std::vector<ItemSet> MineAll(const MPatternConfig& config,
+                             const std::vector<Transaction>& txns) {
+  return MPatternMiner(config).MineAll(CollapseTransactions(txns));
+}
+
+std::vector<ItemSet> MineMaximal(const MPatternConfig& config,
+                                 const std::vector<Transaction>& txns) {
+  return MPatternMiner(config).MineMaximal(CollapseTransactions(txns));
+}
 
 std::vector<Transaction> Repeat(const Transaction& txn, int n) {
   return std::vector<Transaction>(static_cast<std::size_t>(n), txn);
@@ -21,7 +34,7 @@ TEST(MPatternTest, PerfectCoOccurrenceIsMaximalAtAnyMinp) {
   for (double minp : {0.1, 0.5, 1.0}) {
     MPatternConfig config;
     config.minp = minp;
-    const auto maximal = MPatternMiner(config).MineMaximal(txns);
+    const auto maximal = MineMaximal(config, txns);
     ASSERT_EQ(maximal.size(), 1u) << "minp=" << minp;
     EXPECT_EQ(maximal[0], (ItemSet{1, 2, 3}));
   }
@@ -32,10 +45,10 @@ TEST(MPatternTest, SupportCountsContainment) {
   Append(txns, {1, 2}, 3);
   Append(txns, {1}, 2);
   Append(txns, {2, 3}, 1);
-  EXPECT_EQ(MPatternMiner::Support({1}, txns), 5);
-  EXPECT_EQ(MPatternMiner::Support({1, 2}, txns), 3);
-  EXPECT_EQ(MPatternMiner::Support({2}, txns), 4);
-  EXPECT_EQ(MPatternMiner::Support({1, 2, 3}, txns), 0);
+  EXPECT_EQ(MPatternSupport({1}, txns), 5);
+  EXPECT_EQ(MPatternSupport({1, 2}, txns), 3);
+  EXPECT_EQ(MPatternSupport({2}, txns), 4);
+  EXPECT_EQ(MPatternSupport({1, 2, 3}, txns), 0);
 }
 
 TEST(MPatternTest, AsymmetricDependenceRejectedAtHighMinp) {
@@ -46,12 +59,12 @@ TEST(MPatternTest, AsymmetricDependenceRejectedAtHighMinp) {
   Append(txns, {1}, 15);
   MPatternConfig config;
   config.minp = 0.5;
-  const auto all = MPatternMiner(config).MineAll(txns);
+  const auto all = MineAll(config, txns);
   EXPECT_EQ(std::count(all.begin(), all.end(), ItemSet{1, 2}), 0);
 
   // At minp <= 0.25 the pair qualifies.
   config.minp = 0.25;
-  const auto all_low = MPatternMiner(config).MineAll(txns);
+  const auto all_low = MineAll(config, txns);
   EXPECT_EQ(std::count(all_low.begin(), all_low.end(), ItemSet{1, 2}), 1);
 }
 
@@ -61,7 +74,7 @@ TEST(MPatternTest, MinSupportFiltersRareItems) {
   Append(txns, {9}, 1);  // a single occurrence
   MPatternConfig config;
   config.min_support = 2;
-  const auto all = MPatternMiner(config).MineAll(txns);
+  const auto all = MineAll(config, txns);
   for (const ItemSet& p : all) {
     EXPECT_EQ(std::count(p.begin(), p.end(), 9), 0);
   }
@@ -76,7 +89,7 @@ TEST(MPatternTest, FindsInfrequentButCorrelatedPatterns) {
   Append(txns, {8, 9}, 3);     // rare but perfectly mutually dependent
   MPatternConfig config;
   config.minp = 0.9;
-  const auto maximal = MPatternMiner(config).MineMaximal(txns);
+  const auto maximal = MineMaximal(config, txns);
   EXPECT_NE(std::find(maximal.begin(), maximal.end(), ItemSet{8, 9}),
             maximal.end());
 }
@@ -90,7 +103,7 @@ TEST(MPatternTest, DownwardClosure) {
   Append(txns, {5}, 1);
   MPatternConfig config;
   config.minp = 0.3;
-  const auto all = MPatternMiner(config).MineAll(txns);
+  const auto all = MineAll(config, txns);
   const std::set<ItemSet> mined(all.begin(), all.end());
   for (const ItemSet& p : all) {
     if (p.size() < 2) continue;
@@ -107,8 +120,8 @@ TEST(MPatternTest, MaximalPatternsHaveNoMinedSuperset) {
   Append(txns, {1, 2, 3}, 6);
   Append(txns, {4, 5}, 4);
   MPatternConfig config;
-  const auto all = MPatternMiner(config).MineAll(txns);
-  const auto maximal = MPatternMiner(config).MineMaximal(txns);
+  const auto all = MineAll(config, txns);
+  const auto maximal = MineMaximal(config, txns);
   for (const ItemSet& m : maximal) {
     for (const ItemSet& p : all) {
       if (p.size() <= m.size()) continue;
@@ -130,8 +143,8 @@ TEST(MPatternTest, HigherMinpMinesSubsetOfPatterns) {
   low.minp = 0.2;
   MPatternConfig high;
   high.minp = 0.7;
-  const auto all_low = MPatternMiner(low).MineAll(txns);
-  const auto all_high = MPatternMiner(high).MineAll(txns);
+  const auto all_low = MineAll(low, txns);
+  const auto all_high = MineAll(high, txns);
   const std::set<ItemSet> low_set(all_low.begin(), all_low.end());
   for (const ItemSet& p : all_high) {
     EXPECT_TRUE(low_set.contains(p));
@@ -153,7 +166,7 @@ TEST(MPatternTest, OverlappingClustersBothFound) {
   Append(txns, {3, 4, 5}, 10);
   MPatternConfig config;
   config.minp = 0.4;
-  const auto maximal = MPatternMiner(config).MineMaximal(txns);
+  const auto maximal = MineMaximal(config, txns);
   EXPECT_NE(std::find(maximal.begin(), maximal.end(), ItemSet{1, 2, 3}),
             maximal.end());
   EXPECT_NE(std::find(maximal.begin(), maximal.end(), ItemSet{3, 4, 5}),
@@ -164,7 +177,7 @@ TEST(MPatternTest, MaxPatternSizeCapsDepth) {
   MPatternConfig config;
   config.max_pattern_size = 2;
   const auto txns = Repeat({1, 2, 3, 4}, 5);
-  const auto all = MPatternMiner(config).MineAll(txns);
+  const auto all = MineAll(config, txns);
   for (const ItemSet& p : all) {
     EXPECT_LE(p.size(), 2u);
   }
@@ -176,7 +189,7 @@ TEST(MPatternTest, DistinctItemsKeepTheWeakerPair) {
   config.minp = 0.5;
   config.min_support = 1;
   const std::vector<Transaction> txns = {{1, 2}, {1, 3}};
-  const auto all = MPatternMiner(config).MineAll(txns);
+  const auto all = MineAll(config, txns);
   EXPECT_EQ(std::count(all.begin(), all.end(), ItemSet{1, 3}), 1);
 }
 
@@ -187,7 +200,7 @@ TEST(MPatternDeathTest, RejectsARepeatedItemInATransaction) {
   config.minp = 0.5;
   config.min_support = 1;
   const std::vector<Transaction> txns = {{1, 1, 2}, {1, 3}};
-  EXPECT_DEATH(MPatternMiner(config).MineAll(txns),
+  EXPECT_DEATH(MineAll(config, txns),
                "AER_CHECK.*sorted and distinct");
 }
 
@@ -203,7 +216,7 @@ TEST_P(MPatternSweepTest, PerfectClustersSurviveAllMinp) {
   Append(txns, {5}, 9);
   MPatternConfig config;
   config.minp = GetParam();
-  const auto maximal = MPatternMiner(config).MineMaximal(txns);
+  const auto maximal = MineMaximal(config, txns);
   EXPECT_NE(std::find(maximal.begin(), maximal.end(), ItemSet{0, 1}),
             maximal.end());
   EXPECT_NE(std::find(maximal.begin(), maximal.end(), ItemSet{2, 3, 4}),

@@ -27,12 +27,12 @@ std::vector<RecoveryProcess> ClusteredProcesses() {
   return out;
 }
 
-TEST(BuildSymptomTransactionsTest, OnePerProcess) {
-  const auto processes = ClusteredProcesses();
-  const auto txns = BuildSymptomTransactions(processes);
-  ASSERT_EQ(txns.size(), processes.size());
-  EXPECT_EQ(txns[0], (Transaction{0, 1}));
-  EXPECT_EQ(txns.back(), (Transaction{0, 3}));
+TEST(CollapseSymptomSetsTest, CountsEachDistinctSet) {
+  auto processes = ClusteredProcesses();
+  processes.push_back(MakeProcess({1, 0, 1}));  // repeats collapse to {0,1}
+  const std::vector<WeightedTransaction> sets = CollapseSymptomSets(processes);
+  EXPECT_EQ(sets, (std::vector<WeightedTransaction>{
+                      {{0, 1}, 11}, {{0, 3}, 1}, {{2, 3, 4}, 8}}));
 }
 
 TEST(SymptomClusteringTest, FindsTheTwoClusters) {
@@ -76,7 +76,8 @@ TEST(SymptomClusteringTest, CohesiveFraction) {
   MPatternConfig config;
   config.minp = 0.5;
   const SymptomClustering clustering(processes, config);
-  EXPECT_NEAR(clustering.CohesiveFraction(processes), 18.0 / 19.0, 1e-12);
+  EXPECT_NEAR(clustering.CohesiveFraction(CollapseSymptomSets(processes)),
+              18.0 / 19.0, 1e-12);
 }
 
 TEST(SymptomClusteringTest, ClusterOfPrefersLargest) {
@@ -120,7 +121,8 @@ TEST(CohesiveFractionSweepTest, GeneratedTraceMatchesPaperBand) {
   MPatternConfig mining;
   mining.minp = 0.1;
   const SymptomClustering clustering(segmented.processes, mining);
-  const double fraction = clustering.CohesiveFraction(segmented.processes);
+  const double fraction =
+      clustering.CohesiveFraction(CollapseSymptomSets(segmented.processes));
   EXPECT_GT(fraction, 0.93);
   EXPECT_LT(fraction, 0.995);
 }
