@@ -50,30 +50,6 @@ EventId EventWheel::Schedule(SimTime time, std::uint64_t tie,
   return id;
 }
 
-bool EventWheel::Cancel(EventId id) {
-  AER_CHECK_NE(id, kInvalidEventId);
-  AER_CHECK_LT(id, next_id_);
-  const bool inserted = cancelled_.insert(id).second;
-  AER_CHECK(inserted) << "event " << id << " cancelled twice";
-  AER_CHECK_GT(size_, 0u);
-  --size_;
-  return true;
-}
-
-EventId EventWheel::Reschedule(EventId id, SimTime time, std::uint64_t tie,
-                               const FleetEvent& event) {
-  Cancel(id);
-  return Schedule(time, tie, event);
-}
-
-bool EventWheel::Tombstoned(EventId id) {
-  if (cancelled_.empty()) return false;
-  const auto it = cancelled_.find(id);
-  if (it == cancelled_.end()) return false;
-  cancelled_.erase(it);  // each tombstone is consumed exactly once
-  return true;
-}
-
 void EventWheel::Cascade(int level) {
   const std::size_t slot =
       static_cast<std::size_t>(now_ >> (kSlotBits * level)) & (kSlots - 1);
@@ -82,10 +58,7 @@ void EventWheel::Cascade(int level) {
   Bucket moved;
   moved.swap(bucket);
   level_count_[static_cast<std::size_t>(level)] -= moved.size();
-  for (const Entry& e : moved) {
-    if (Tombstoned(e.id)) continue;
-    Insert(e, /*to_drain=*/false);
-  }
+  for (const Entry& e : moved) Insert(e, /*to_drain=*/false);
 }
 
 void EventWheel::AdvanceTick() {
@@ -117,11 +90,10 @@ void EventWheel::AdvanceTick() {
     if (now_ % span == 0) Cascade(level);
   }
 
-  // Load the level-0 slot for the new tick and order it. Every live entry
+  // Load the level-0 slot for the new tick and order it. Every entry
   // in it is due exactly now; equal-time order is (tie, id) by contract.
   Bucket& bucket = wheel_[0][static_cast<std::size_t>(now_) & (kSlots - 1)];
   for (const Entry& e : bucket) {
-    if (Tombstoned(e.id)) continue;
     AER_DCHECK_EQ(e.time, now_);
     drain_.push_back(e);
   }
@@ -136,9 +108,8 @@ void EventWheel::AdvanceTick() {
 bool EventWheel::PopNext(ScheduledEvent* out) {
   AER_CHECK(out != nullptr);
   for (;;) {
-    while (drain_pos_ < drain_.size()) {
+    if (drain_pos_ < drain_.size()) {
       const Entry& e = drain_[drain_pos_++];
-      if (Tombstoned(e.id)) continue;
       out->time = e.time;
       out->tie = e.tie;
       out->id = e.id;

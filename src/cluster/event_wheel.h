@@ -25,7 +25,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/check.h"
@@ -53,8 +52,9 @@ struct FleetEvent {
   RepairAction action = RepairAction::kTryNop;  // kActionDone
 };
 
-// Handle for Cancel/Reschedule. Ids are assigned in Schedule() order
-// starting at 1; 0 never names an event.
+// An event's schedule-order sequence number, the last key of the pop
+// order. Ids are assigned in Schedule() order starting at 1; 0 never names
+// an event.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
@@ -77,19 +77,8 @@ class EventWheel {
   explicit EventWheel(SimTime start = 0);
 
   // Schedules an event at `time` (>= now()). Events at equal times pop in
-  // ascending (tie, id) order. Returns the event's handle.
+  // ascending (tie, id) order. Returns the event's id.
   EventId Schedule(SimTime time, std::uint64_t tie, const FleetEvent& event);
-
-  // Cancels a pending event. The caller must only pass ids of events that
-  // are still pending (scheduled, not yet popped or cancelled); cancelling
-  // anything else corrupts the size accounting. Cancellation is lazy: the
-  // entry is tombstoned and skipped when its slot drains. Returns true.
-  bool Cancel(EventId id);
-
-  // Cancel + Schedule in one step: moves a pending event to a new
-  // (time, tie), re-supplying the payload. Returns the new handle.
-  EventId Reschedule(EventId id, SimTime time, std::uint64_t tie,
-                     const FleetEvent& event);
 
   // Pops the next event in (time, tie, id) order into *out, advancing the
   // wheel clock to its timestamp. Returns false when no events are pending
@@ -126,8 +115,6 @@ class EventWheel {
   // level boundaries crossed, and loads the level-0 slot into drain_.
   void AdvanceTick();
 
-  bool Tombstoned(EventId id);
-
   SimTime now_;
   std::array<std::array<Bucket, kSlots>, kLevels> wheel_;
   std::array<std::size_t, kLevels> level_count_{};  // physical entries/level
@@ -137,10 +124,9 @@ class EventWheel {
   std::vector<Entry> drain_;
   std::size_t drain_pos_ = 0;
 
-  std::size_t size_ = 0;  // live (scheduled minus popped minus cancelled)
+  std::size_t size_ = 0;  // pending (scheduled minus popped)
   std::size_t peak_size_ = 0;
   EventId next_id_ = 1;
-  std::unordered_set<EventId> cancelled_;  // lazy tombstones
 };
 
 }  // namespace aer

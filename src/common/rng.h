@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/check.h"
 
@@ -113,10 +112,6 @@ class Rng {
   // Exponential with the given mean (inverse-CDF method).
   double NextExponential(double mean);
 
-  // Standard normal via Box-Muller (no cached second value: determinism over
-  // micro-efficiency).
-  double NextGaussian();
-
   // Log-normal parameterized by the *target* mean and a shape sigma (of the
   // underlying normal). Used for repair-action durations, which are
   // right-skewed in real logs.
@@ -126,29 +121,15 @@ class Rng {
   std::size_t NextWeighted(std::span<const double> weights);
 
  private:
+  // Standard normal via Box-Muller (no cached second value: determinism over
+  // micro-efficiency).
+  double NextGaussian();
+
   static std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
 
   std::uint64_t s_[4];
-};
-
-// Zipf-like sampler over ranks 0..n-1 with exponent `s`: P(k) ∝ 1/(k+1)^s.
-// Used to give the synthetic fault catalog the long-tailed frequency
-// distribution visible in the paper's Figure 5.
-class ZipfDistribution {
- public:
-  ZipfDistribution(std::size_t n, double s);
-
-  std::size_t Sample(Rng& rng) const;
-
-  // Probability mass of rank k (for tests and calibration).
-  double Pmf(std::size_t k) const;
-
-  std::size_t size() const { return cdf_.size(); }
-
- private:
-  std::vector<double> cdf_;  // inclusive cumulative probabilities
 };
 
 }  // namespace aer

@@ -68,21 +68,6 @@ double SymptomClustering::CohesiveFraction(
   return static_cast<double>(cohesive) / static_cast<double>(total);
 }
 
-int SymptomClustering::ClusterOf(SymptomId symptom) const {
-  const auto it = by_symptom_.find(symptom);
-  if (it == by_symptom_.end()) return -1;
-  int best = -1;
-  std::size_t best_size = 0;
-  for (int ci : it->second) {
-    const std::size_t size = clusters_[static_cast<std::size_t>(ci)].size();
-    if (size > best_size || (size == best_size && (best == -1 || ci < best))) {
-      best = ci;
-      best_size = size;
-    }
-  }
-  return best;
-}
-
 std::vector<SymptomClustering> SymptomClusteringSweep(
     std::span<const WeightedTransaction> sets,
     std::span<const double> minp_values, MPatternConfig config) {

@@ -48,9 +48,6 @@ class SymptomClustering {
   // total count (0 for no processes).
   double CohesiveFraction(std::span<const WeightedTransaction> sets) const;
 
-  // Index of the largest cluster containing `symptom`, or -1 if none.
-  int ClusterOf(SymptomId symptom) const;
-
  private:
   std::vector<ItemSet> clusters_;
   // symptom -> indices of clusters containing it (clusters can overlap).

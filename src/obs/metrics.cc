@@ -127,21 +127,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snapshot;
 }
 
-void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
-  AER_CHECK(this != &other) << "cannot merge a registry into itself";
-  const MetricsSnapshot snapshot = other.Snapshot();
-  for (const auto& c : snapshot.counters) GetCounter(c.name).Inc(c.value);
-  for (const auto& g : snapshot.gauges) {
-    GetGauge(g.name, g.volatile_metric).Set(g.value);
-  }
-  for (const auto& h : snapshot.histograms) {
-    GetHistogram(h.name, h.histogram.base(), h.histogram.growth(),
-                 h.histogram.bucket_count() - 1)
-        .MergeFrom(h.histogram);
-  }
-  for (const auto& s : snapshot.stats) GetStat(s.name).MergeFrom(s.stat);
-}
-
 std::string MetricsRegistry::ExportText(const ExportOptions& options) const {
   MutexLock lock(mu_);
   std::string out;

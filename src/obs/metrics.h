@@ -11,9 +11,6 @@
 //  - Metrics derived from wall-clock time (episodes/sec) are registered as
 //    *volatile* gauges; deterministic snapshots exclude them via
 //    `ExportOptions::include_volatile = false`.
-//  - `MergeFrom` folds a per-worker shard registry into this one (counters
-//    add, histograms/stats merge) — the parallel trainer merges shards in
-//    catalog order so the result is independent of thread count.
 #ifndef AER_OBS_METRICS_H_
 #define AER_OBS_METRICS_H_
 
@@ -72,11 +69,6 @@ class Histogram {
     return histogram_;
   }
 
-  void MergeFrom(const LogHistogram& other) {
-    MutexLock lock(mu_);
-    histogram_.Merge(other);
-  }
-
  private:
   mutable Mutex mu_;
   LogHistogram histogram_ AER_GUARDED_BY(mu_);
@@ -108,8 +100,7 @@ class StatMetric {
 enum class MetricKind { kCounter, kGauge, kHistogram, kStat };
 
 // A point-in-time copy of every metric, each section sorted by name — the
-// substrate shared by MergeFrom and the TimeSeriesRecorder's windowed
-// deltas.
+// substrate of the TimeSeriesRecorder's windowed deltas.
 struct MetricsSnapshot {
   struct CounterValue {
     std::string name;
@@ -167,12 +158,6 @@ class MetricsRegistry {
   // MetricsSnapshot). The copy is consistent per metric, not across metrics
   // — concurrent writers may land between sections, same as the exports.
   MetricsSnapshot Snapshot() const;
-
-  // Folds a worker shard into this registry: counters add, histograms and
-  // stats merge, gauges take the shard's value. Creates missing metrics.
-  // Implemented as Snapshot() + apply, so the two registry mutexes are
-  // never held together.
-  void MergeFrom(const MetricsRegistry& other);
 
   // Prometheus-style text exposition, sorted by metric name. Histograms emit
   // cumulative non-empty buckets plus "+Inf"; stats emit a summary block.

@@ -66,7 +66,11 @@ SelectionTreeTrainer::SelectionTreeTrainer(const QLearningTrainer& base,
 SelectionTreeScan::SelectionTreeScan(const QLearningTrainer& base,
                                      const SelectionTreeConfig& config,
                                      ErrorTypeId type)
-    : base_(base), config_(config), type_(type), nodes_(1) {
+    : base_(base),
+      config_(config),
+      type_(type),
+      pricer_(base.processes_of(type), type, base.platform().estimator(),
+              base.config().max_actions, base.platform().capabilities()) {
   if (config_.seed_escalation_candidates) {
     const std::vector<RepairAction>& allowed =
         base_.platform().estimator().ObservedActions(type);
@@ -84,28 +88,11 @@ SelectionTreeScan::SelectionTreeScan(const QLearningTrainer& base,
 }
 
 void SelectionTreeScan::Mark(const ActionSequence& candidate) {
-  std::int32_t node = 0;
-  for (std::size_t len = 1; len <= candidate.size(); ++len) {
-    const RepairAction a = candidate[len - 1];
-    const auto i = static_cast<std::size_t>(ActionIndex(a));
-    std::int32_t next = nodes_[static_cast<std::size_t>(node)].child[i];
-    if (next < 0) {
-      next = static_cast<std::int32_t>(nodes_.size());
-      nodes_[static_cast<std::size_t>(node)].child[i] = next;
-      Node& added = nodes_.emplace_back();
-      added.parent = node;
-      added.action = a;
-    }
-    node = next;
-    Node& n = nodes_[static_cast<std::size_t>(node)];
-    if (n.marked_at == checks_) continue;
-    n.marked_at = checks_;
-    if (!n.priced) {
-      unpriced_.emplace_back(
-          candidate.begin(),
-          candidate.begin() + static_cast<std::ptrdiff_t>(len));
-      unpriced_nodes_.push_back(node);
-    }
+  std::int32_t node = SequencePricer::kRoot;
+  for (const RepairAction a : candidate) {
+    node = pricer_.Extend(node, a);
+    marked_at_.resize(pricer_.size(), -1);
+    marked_at_[static_cast<std::size_t>(node)] = checks_;
   }
 }
 
@@ -118,12 +105,12 @@ struct SelectionTreeScan::Best {
 
 void SelectionTreeScan::PickBelow(std::int32_t node, std::size_t depth,
                                   Best& best) const {
-  const Node& parent = nodes_[static_cast<std::size_t>(node)];
-  for (const std::int32_t child : parent.child) {
-    if (child < 0) continue;
-    const Node& n = nodes_[static_cast<std::size_t>(child)];
-    if (n.marked_at != checks_) continue;
-    const SequenceEvaluation& eval = n.eval;
+  for (const RepairAction a : kAllActions) {
+    const std::int32_t child = pricer_.child(node, a);
+    if (child < 0 || marked_at_[static_cast<std::size_t>(child)] != checks_) {
+      continue;
+    }
+    const SequenceEvaluation& eval = pricer_.evaluation(child);
     // Strictly better cost wins; on a near-tie prefer more self-contained
     // cures, then the shorter sequence, so dead tails (actions past the
     // point where every training process is already cured) are dropped
@@ -143,8 +130,6 @@ void SelectionTreeScan::PickBelow(std::int32_t node, std::size_t depth,
 ActionSequence SelectionTreeScan::Pick(const QTable& view) {
   const TrainerConfig& tc = base_.config();
   ++checks_;
-  unpriced_.clear();
-  unpriced_nodes_.clear();
   // Score every *prefix* of every candidate too: a path's tail may only
   // ever execute for a handful of incidents and still drag the whole
   // sequence down (e.g. wandering into the manual-repair cap for the one
@@ -157,27 +142,12 @@ ActionSequence SelectionTreeScan::Pick(const QTable& view) {
 
   // Priced under the platform's relation, the one the sweeps train under.
   // A check whose candidates are all priced already replays nothing.
-  if (!unpriced_.empty()) {
-    const std::vector<SequenceEvaluation> evals = EvaluateSequences(
-        unpriced_, base_.processes_of(type_), type_,
-        base_.platform().estimator(), tc.max_actions,
-        base_.platform().capabilities());
-    for (std::size_t i = 0; i < unpriced_nodes_.size(); ++i) {
-      Node& n = nodes_[static_cast<std::size_t>(unpriced_nodes_[i])];
-      n.eval = evals[i];
-      n.priced = true;
-    }
-  }
+  pricer_.Price();
 
   // The tie-break keeps the first of equals, in lexicographic order.
   Best best;
-  PickBelow(0, 0, best);
-  ActionSequence sequence(best.length);
-  for (std::int32_t node = best.node; node > 0;
-       node = nodes_[static_cast<std::size_t>(node)].parent) {
-    sequence[--best.length] = nodes_[static_cast<std::size_t>(node)].action;
-  }
-  return sequence;
+  PickBelow(SequencePricer::kRoot, 0, best);
+  return pricer_.sequence(best.node);
 }
 
 TypeTrainingResult SelectionTreeTrainer::TrainType(ErrorTypeId type,

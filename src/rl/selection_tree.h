@@ -7,17 +7,17 @@
 // best *two* actions of a state whenever the runner-up's expected total cost
 // is within a threshold of the best, build the tree of candidate action
 // paths, and resolve the remaining ties by *exactly* evaluating each
-// candidate sequence against the training processes. The scan is
-// deterministic, so the generated policy stabilizes orders of magnitude
-// earlier.
+// candidate sequence against the training processes, with the type's one
+// SequencePricer (rl/sequence.h). The scan is deterministic, so the
+// generated policy stabilizes orders of magnitude earlier.
 #ifndef AER_RL_SELECTION_TREE_H_
 #define AER_RL_SELECTION_TREE_H_
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "rl/qlearning.h"
+#include "rl/sequence.h"
 
 namespace aer {
 
@@ -52,11 +52,9 @@ std::vector<ActionSequence> BuildCandidateSequences(
     const SelectionTreeConfig& config);
 
 // The tree scan of one SelectionTreeTrainer::TrainType call: the policy
-// generator its sweeps call at every check. A candidate's price depends only
-// on the sequence (the processes, estimator, max_actions and capability
-// model are fixed for the type), so every sequence the scan prices stays
-// priced, in one trie that lives as long as the scan; a check pays only for
-// the sequences no earlier check has seen.
+// generator its sweeps call at every check. It keeps one SequencePricer for
+// the type, so the processes are grouped into classes once and a check
+// pays only for the sequences no earlier check has priced.
 class SelectionTreeScan {
  public:
   // `base` and the type's processes must outlive the scan.
@@ -69,19 +67,9 @@ class SelectionTreeScan {
   ActionSequence Pick(const QTable& view);
 
  private:
-  struct Node {
-    Node() { child.fill(-1); }
-    std::array<std::int32_t, kNumActions> child;  // -1: no child
-    std::int32_t parent = -1;
-    RepairAction action = RepairAction::kTryNop;
-    // The check that last marked the node as a prefix of a candidate.
-    std::int64_t marked_at = -1;
-    bool priced = false;
-    SequenceEvaluation eval;
-  };
   struct Best;
 
-  // Marks every non-empty prefix of `candidate`, queueing the unpriced ones.
+  // Marks every non-empty prefix of `candidate`, adding it to the pricer.
   void Mark(const ActionSequence& candidate);
   // The tie-break over the marked nodes below `node`, in pre-order with
   // children in action-index order: the lexicographic order of sequences.
@@ -92,10 +80,10 @@ class SelectionTreeScan {
   ErrorTypeId type_;
   // The "start the escalation at level a" candidates, the same every check.
   std::vector<ActionSequence> seeds_;
-  std::vector<Node> nodes_;  // nodes_[0] is the empty sequence
+  SequencePricer pricer_;
+  // Per pricer node, the last check that marked it as a candidate's prefix.
+  std::vector<std::int64_t> marked_at_;
   std::int64_t checks_ = 0;
-  std::vector<ActionSequence> unpriced_;
-  std::vector<std::int32_t> unpriced_nodes_;
 };
 
 class SelectionTreeTrainer {

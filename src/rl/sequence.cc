@@ -14,8 +14,8 @@ namespace {
 
 using ActionUses = std::array<int, kNumActions>;
 
-// Whether a sequence's next action still runs: SequenceCostOnReplay stops a
-// sequence at a cure and at the manual-repair cap.
+// Whether a sequence's next action still runs: a sequence stops at a cure
+// and at the manual-repair cap.
 bool CanStep(const ProcessReplay& replay, int max_actions) {
   return !replay.cured() && replay.steps() < max_actions - 1;
 }
@@ -48,38 +48,7 @@ void Terminalize(const ProcessReplay& replay, ErrorTypeId type,
   }
 }
 
-RepairAction Stronger(RepairAction a, RepairAction b) {
-  return ActionStrength(a) > ActionStrength(b) ? a : b;
-}
-
-// A batch of sequences as a trie: node 0 is the empty sequence, and equal
-// sequences end at one node.
-struct SequenceTrie {
-  struct Node {
-    Node() { child.fill(-1); }
-    std::array<std::int32_t, kNumActions> child;  // -1: no child
-    bool ends = false;
-  };
-
-  std::int32_t Insert(std::span<const RepairAction> sequence) {
-    std::int32_t node = 0;
-    for (RepairAction a : sequence) {
-      const auto i = static_cast<std::size_t>(ActionIndex(a));
-      if (nodes[static_cast<std::size_t>(node)].child[i] < 0) {
-        nodes[static_cast<std::size_t>(node)].child[i] =
-            static_cast<std::int32_t>(nodes.size());
-        nodes.emplace_back();
-      }
-      node = nodes[static_cast<std::size_t>(node)].child[i];
-    }
-    nodes[static_cast<std::size_t>(node)].ends = true;
-    return node;
-  }
-
-  std::vector<Node> nodes = std::vector<Node>(1);
-};
-
-// The classes of EvaluateSequences: processes with the same attempt kinds,
+// The classes of a SequencePricer: processes with the same attempt kinds,
 // in order. A key packs the kinds two bits each under the attempt count in
 // the top byte, so two processes share a key only if they share both. A
 // process with more attempts than a key holds gets a class of its own.
@@ -137,8 +106,8 @@ class ClassProgram {
     return static_cast<std::int32_t>(slot);
   }
 
-  // Adds `process`'s price of each priced node to totals[node]. `running`
-  // has a slot per step of the longest priced path, plus one.
+  // Adds `process`'s price of each node the program prices to that node's
+  // total. `running` has a slot per step of the longest path, plus one.
   void Run(const RecoveryProcess& process, std::span<double> running,
            std::span<double> totals) {
     const std::vector<ActionAttempt>& attempts = process.attempts();
@@ -177,127 +146,190 @@ class ClassProgram {
   std::vector<Op> ops_;
 };
 
-// Compiles the walk of a trie for one class: it runs the class's first
-// member depth-first through one replay, stepping every edge once and
-// branching through Save()/Restore(), and emits what each step adds instead
-// of adding it. Along any root-to-node path the replay executes exactly the
-// steps SequenceCostOnReplay executes for that node's sequence, so the
-// program's prices are the replay's, term for term.
-class TrieWalk {
- public:
-  TrieWalk(const SequenceTrie& trie, ErrorTypeId type,
-           const CostEstimator& estimator, int max_actions,
-           std::vector<SequenceEvaluation>& node_evals)
-      : trie_(trie),
-        type_(type),
-        estimator_(estimator),
-        max_actions_(max_actions),
-        node_evals_(node_evals) {}
+}  // namespace
 
-  // `replay` is a fresh replay of the class's first member. Each price's
-  // outcome counts `members` times in its node's evaluation; the totals are
-  // left to ClassProgram::Run.
-  ClassProgram Compile(ProcessReplay& replay, std::size_t attempts,
-                       std::int64_t members) {
-    ClassProgram program(attempts);
-    replay_ = &replay;
-    program_ = &program;
-    members_ = members;
-    used_ = {};
-    Visit(0, RepairAction::kTryNop);
-    return program;
+// Compiles the walk of the trie for one class: it runs the class's first
+// member depth-first through one replay, down only the paths to new nodes,
+// stepping every edge once and branching through Save()/Restore(), and
+// emits what each step adds instead of adding it. Along a path the replay
+// executes exactly the steps of one replay of the node's sequence and its
+// terminalization, so the program's prices are that replay's.
+class SequencePricer::TrieWalk {
+ public:
+  // Walks on a fresh `replay` into an empty `program`. Each outcome counts
+  // `members` times in its node's evaluation; the totals are left to
+  // ClassProgram::Run.
+  TrieWalk(SequencePricer& pricer, ProcessReplay& replay,
+           ClassProgram& program, std::int64_t members)
+      : pricer_(pricer), replay_(replay), program_(program), members_(members) {
+    Visit(kRoot, RepairAction::kTryNop);
   }
 
  private:
+  // Whether the walk goes down to `child` (-1: no child): whether a node
+  // added since the last call lies in its subtree.
+  bool OnPath(std::int32_t child) const {
+    return child >= 0 && pricer_.node(child).newest >= pricer_.priced_;
+  }
+
   void Visit(std::int32_t node, RepairAction strongest) {
-    if (!CanStep(*replay_, max_actions_)) {
+    if (!CanStep(replay_, pricer_.max_actions_)) {
       // The sequences at and below this node stop here alike.
       AddToSubtree(node, Price(strongest));
       return;
     }
-    const SequenceTrie::Node& n = trie_.nodes[static_cast<std::size_t>(node)];
-    if (n.ends) Add(node, Price(strongest));
+    const Node& n = pricer_.node(node);
+    if (node >= pricer_.priced_) Add(node, Price(strongest));
     for (std::size_t i = 0; i < n.child.size(); ++i) {
-      if (n.child[i] < 0) continue;
+      if (!OnPath(n.child[i])) continue;
       const RepairAction a = kAllActions[i];
-      const ProcessReplay::State saved = replay_->Save();
-      program_->Emit(ClassProgram::Code::kPush, Step(a));
+      const ProcessReplay::State saved = replay_.Save();
+      program_.Emit(ClassProgram::Code::kPush, Step(a));
       ++used_[i];
-      Visit(n.child[i], Stronger(a, strongest));
+      Visit(n.child[i],
+            ActionStrength(a) > ActionStrength(strongest) ? a : strongest);
       --used_[i];
-      program_->Emit(ClassProgram::Code::kPop);
-      replay_->Restore(saved);
+      program_.Emit(ClassProgram::Code::kPop);
+      replay_.Restore(saved);
     }
   }
 
   // Steps the replay and returns the term the step added.
   std::int32_t Step(RepairAction a) {
     const std::size_t next =
-        replay_->Save().next[static_cast<std::size_t>(ActionIndex(a))];
-    return program_->Term(next, a, replay_->Step(a));
+        replay_.Save().next[static_cast<std::size_t>(ActionIndex(a))];
+    return program_.Term(next, a, replay_.Step(a));
   }
 
   // Emits the price of the sequence that led to the replay's current state:
   // the terminalization runs on the replay and is then undone. Returns
   // whether the sequence itself cured.
   bool Price(RepairAction strongest) {
-    const ProcessReplay::State saved = replay_->Save();
-    const bool cured = replay_->cured();
-    program_->Emit(ClassProgram::Code::kPrice);
-    Terminalize(*replay_, type_, estimator_, max_actions_, strongest, used_,
+    const ProcessReplay::State saved = replay_.Save();
+    const bool cured = replay_.cured();
+    program_.Emit(ClassProgram::Code::kPrice);
+    Terminalize(replay_, pricer_.type_, pricer_.estimator_,
+                pricer_.max_actions_, strongest, used_,
                 [this](RepairAction a) {
-                  program_->Emit(ClassProgram::Code::kTerm, Step(a));
+                  program_.Emit(ClassProgram::Code::kTerm, Step(a));
                 });
-    replay_->Restore(saved);
+    replay_.Restore(saved);
     return cured;
   }
 
   void AddToSubtree(std::int32_t node, bool cured) {
-    const SequenceTrie::Node& n = trie_.nodes[static_cast<std::size_t>(node)];
-    if (n.ends) Add(node, cured);
+    const Node& n = pricer_.node(node);
+    if (node >= pricer_.priced_) Add(node, cured);
     for (const std::int32_t child : n.child) {
-      if (child >= 0) AddToSubtree(child, cured);
+      if (OnPath(child)) AddToSubtree(child, cured);
     }
   }
 
   void Add(std::int32_t node, bool cured) {
-    program_->Emit(ClassProgram::Code::kAdd, node);
-    SequenceEvaluation& eval = node_evals_[static_cast<std::size_t>(node)];
-    (cured ? eval.cured_by_sequence : eval.terminalized) += members_;
-    eval.processes += members_;
+    Node& n = pricer_.node(node);
+    program_.Emit(ClassProgram::Code::kAdd, node - pricer_.priced_);
+    (cured ? n.eval.cured_by_sequence : n.eval.terminalized) += members_;
+    n.eval.processes += members_;
   }
 
-  const SequenceTrie& trie_;
-  ErrorTypeId type_;
-  const CostEstimator& estimator_;
-  int max_actions_;
-  std::vector<SequenceEvaluation>& node_evals_;
-  ProcessReplay* replay_ = nullptr;
-  ClassProgram* program_ = nullptr;
-  std::int64_t members_ = 0;
+  SequencePricer& pricer_;
+  ProcessReplay& replay_;
+  ClassProgram& program_;
+  std::int64_t members_;
   ActionUses used_ = {};
 };
 
-}  // namespace
-
-double SequenceCostOnReplay(std::span<const RepairAction> sequence,
-                            ProcessReplay& replay, ErrorTypeId type,
-                            const CostEstimator& estimator, int max_actions,
-                            bool* cured_by_sequence) {
+SequencePricer::SequencePricer(
+    std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
+    const CostEstimator& estimator, int max_actions,
+    const CapabilityModel& capabilities)
+    : processes_(processes),
+      type_(type),
+      estimator_(estimator),
+      max_actions_(max_actions),
+      capabilities_(capabilities),
+      class_of_(processes.size()),
+      nodes_(1) {
   AER_CHECK_GE(max_actions, 1);
-  AER_CHECK_EQ(replay.steps(), 0) << "the replay must be fresh or Reset()";
-  RepairAction strongest = RepairAction::kTryNop;
-  ActionUses used = {};
-  for (RepairAction a : sequence) {
-    if (!CanStep(replay, max_actions)) break;
-    replay.Step(a);
-    ++used[static_cast<std::size_t>(ActionIndex(a))];
-    strongest = Stronger(a, strongest);
+  // A class's first member stands for it.
+  std::unordered_map<std::uint64_t, std::int32_t> class_of_key;
+  for (std::size_t i = 0; i < processes.size(); ++i) {
+    const auto next = static_cast<std::int32_t>(first_member_.size());
+    std::int32_t c = next;
+    if (const std::optional<std::uint64_t> key = ClassKey(*processes[i])) {
+      c = class_of_key.try_emplace(*key, next).first->second;
+    }
+    class_of_[i] = c;
+    if (c == next) {
+      first_member_.push_back(i);
+      members_.push_back(0);
+    }
+    ++members_[static_cast<std::size_t>(c)];
   }
-  if (cured_by_sequence != nullptr) *cured_by_sequence = replay.cured();
-  Terminalize(replay, type, estimator, max_actions, strongest, used,
-              [&replay](RepairAction a) { replay.Step(a); });
-  return replay.total_cost();
+}
+
+std::int32_t SequencePricer::Extend(std::int32_t id, RepairAction action) {
+  const auto i = static_cast<std::size_t>(ActionIndex(action));
+  std::int32_t next = node(id).child[i];
+  if (next < 0) {
+    next = static_cast<std::int32_t>(nodes_.size());
+    node(id).child[i] = next;
+    Node& added = nodes_.emplace_back();
+    added.parent = id;
+    added.action = action;
+    added.newest = next;
+    for (std::int32_t n = id; n >= 0; n = node(n).parent) node(n).newest = next;
+  }
+  return next;
+}
+
+std::int32_t SequencePricer::Insert(std::span<const RepairAction> sequence) {
+  std::int32_t node = kRoot;
+  for (RepairAction a : sequence) node = Extend(node, a);
+  return node;
+}
+
+void SequencePricer::Price() {
+  const auto added = static_cast<std::int32_t>(nodes_.size());
+  if (priced_ == added) return;
+
+  // One walk per class compiles its program.
+  std::vector<ClassProgram> programs;
+  programs.reserve(first_member_.size());
+  for (std::size_t c = 0; c < first_member_.size(); ++c) {
+    const RecoveryProcess& first = *processes_[first_member_[c]];
+    ProcessReplay replay(first, type_, estimator_, capabilities_);
+    TrieWalk(*this, replay, programs.emplace_back(first.attempts().size()),
+             members_[c]);
+  }
+
+  // One run per process, in process order: each node's total adds the
+  // same doubles in the same order as one replay per process would. A path
+  // steps at most max_actions - 1 times, and no deeper than the trie.
+  std::vector<double> running(
+      std::min(static_cast<std::size_t>(max_actions_), nodes_.size()));
+  std::vector<double> totals(static_cast<std::size_t>(added - priced_));
+  for (std::size_t i = 0; i < processes_.size(); ++i) {
+    programs[static_cast<std::size_t>(class_of_[i])].Run(*processes_[i],
+                                                         running, totals);
+  }
+  for (std::int32_t id = priced_; id < added; ++id) {
+    SequenceEvaluation& eval = node(id).eval;
+    eval.total_cost = totals[static_cast<std::size_t>(id - priced_)];
+    eval.mean_cost = eval.processes > 0
+                         ? eval.total_cost / static_cast<double>(eval.processes)
+                         : 0.0;
+  }
+  priced_ = added;
+}
+
+ActionSequence SequencePricer::sequence(std::int32_t id) const {
+  ActionSequence out;
+  for (std::int32_t n = id; n != kRoot; n = node(n).parent) {
+    out.push_back(node(n).action);
+  }
+  std::reverse(out.begin(), out.end());
+  return out;
 }
 
 std::vector<SequenceEvaluation> EvaluateSequences(
@@ -305,68 +337,14 @@ std::vector<SequenceEvaluation> EvaluateSequences(
     std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
     const CostEstimator& estimator, int max_actions,
     const CapabilityModel& capabilities) {
-  AER_CHECK_GE(max_actions, 1);
-  SequenceTrie trie;
-  std::vector<std::int32_t> node_of;
-  node_of.reserve(sequences.size());
-  std::size_t longest = 0;
-  for (const ActionSequence& sequence : sequences) {
-    node_of.push_back(trie.Insert(sequence));
-    longest = std::max(longest, sequence.size());
-  }
-
-  // Group the processes into classes; a class's first member stands for it.
-  std::vector<std::int32_t> class_of(processes.size());
-  std::vector<std::size_t> first_member;
-  std::vector<std::int64_t> members;
-  std::unordered_map<std::uint64_t, std::int32_t> class_of_key;
-  for (std::size_t i = 0; i < processes.size(); ++i) {
-    const auto next = static_cast<std::int32_t>(first_member.size());
-    std::int32_t c = next;
-    if (const std::optional<std::uint64_t> key = ClassKey(*processes[i])) {
-      c = class_of_key.try_emplace(*key, next).first->second;
-    }
-    class_of[i] = c;
-    if (c == next) {
-      first_member.push_back(i);
-      members.push_back(0);
-    }
-    ++members[static_cast<std::size_t>(c)];
-  }
-
-  // One walk per class.
-  std::vector<SequenceEvaluation> node_evals(trie.nodes.size());
-  TrieWalk walk(trie, type, estimator, max_actions, node_evals);
-  std::vector<ClassProgram> programs;
-  programs.reserve(first_member.size());
-  for (std::size_t c = 0; c < first_member.size(); ++c) {
-    const RecoveryProcess& first = *processes[first_member[c]];
-    ProcessReplay replay(first, type, estimator, capabilities);
-    programs.push_back(
-        walk.Compile(replay, first.attempts().size(), members[c]));
-  }
-
-  // One run per process, in process order: each node's total adds the
-  // same doubles in the same order as one replay per process would. A
-  // path steps at most max_actions - 1 times.
-  std::vector<double> running(
-      std::min(longest, static_cast<std::size_t>(max_actions - 1)) + 1);
-  std::vector<double> totals(trie.nodes.size());
-  for (std::size_t i = 0; i < processes.size(); ++i) {
-    programs[static_cast<std::size_t>(class_of[i])].Run(*processes[i],
-                                                        running, totals);
-  }
-
+  SequencePricer pricer(processes, type, estimator, max_actions,
+                        capabilities);
+  std::vector<std::int32_t> nodes;
+  for (const ActionSequence& s : sequences) nodes.push_back(pricer.Insert(s));
+  pricer.Price();
   std::vector<SequenceEvaluation> evals;
   evals.reserve(sequences.size());
-  for (const std::int32_t node : node_of) {
-    SequenceEvaluation eval = node_evals[static_cast<std::size_t>(node)];
-    eval.total_cost = totals[static_cast<std::size_t>(node)];
-    eval.mean_cost = eval.processes > 0
-                         ? eval.total_cost / static_cast<double>(eval.processes)
-                         : 0.0;
-    evals.push_back(eval);
-  }
+  for (const std::int32_t id : nodes) evals.push_back(pricer.evaluation(id));
   return evals;
 }
 
@@ -375,10 +353,11 @@ SequenceEvaluation EvaluateSequence(
     std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
     const CostEstimator& estimator, int max_actions,
     const CapabilityModel& capabilities) {
-  const ActionSequence one(sequence.begin(), sequence.end());
-  return EvaluateSequences({&one, 1}, processes, type, estimator, max_actions,
-                           capabilities)
-      .front();
+  SequencePricer pricer(processes, type, estimator, max_actions,
+                        capabilities);
+  const std::int32_t node = pricer.Insert(sequence);
+  pricer.Price();
+  return pricer.evaluation(node);
 }
 
 namespace {

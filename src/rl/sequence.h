@@ -1,18 +1,22 @@
-// Action-sequence utilities.
+// Action sequences and their prices.
 //
 // Because the only feedback during a recovery is "cured / not cured" and a
 // cure ends the process, a deterministic policy for one error type is
 // exactly an action *sequence* (the states reachable under the policy are
-// its own prefixes). This file evaluates sequences against logged processes
-// under the simulation platform, and computes the exact cost-optimal short
-// sequence by pricing every candidate — the reference optimum that
+// its own prefixes). A SequencePricer prices sequences against one type's
+// logged processes under the simulation platform; every sequence price in
+// the library comes from one. ExactBestSequence prices every short candidate
+// for the exact cost-optimal one: the reference optimum that
 // examples/policy_inspection prints and the property tests check.
 #ifndef AER_RL_SEQUENCE_H_
 #define AER_RL_SEQUENCE_H_
 
+#include <array>
+#include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "sim/replay.h"
 
 namespace aer {
@@ -37,28 +41,76 @@ struct SequenceEvaluation {
   std::int64_t terminalized = 0;
 };
 
-// Simulated downtime of executing `sequence` on an existing replay of one
-// process, which must be fresh or Reset(); the replay's capability model
-// applies. Appends the terminalization steps if the sequence is exhausted
-// uncured, and sets *cured_by_sequence accordingly if non-null.
-double SequenceCostOnReplay(std::span<const RepairAction> sequence,
-                            ProcessReplay& replay, ErrorTypeId type,
-                            const CostEstimator& estimator, int max_actions,
-                            bool* cured_by_sequence = nullptr);
+// The pricing state of one error type. The processes are grouped once into
+// classes of equal attempt kinds, in order: under hypotheses 1-3 a replay's
+// path through a trie of sequences depends only on those kinds. One trie
+// holds every sequence asked for so far, each node priced once. Price()
+// walks the trie once per class, down only the paths to the nodes added
+// since the last call, compiling the additions it makes into a program that
+// each process then runs, in the given order. So a node's evaluation equals
+// one replay per process of its sequence, field for field and bit for bit.
+class SequencePricer {
+ public:
+  static constexpr std::int32_t kRoot = 0;  // the empty sequence
 
-// Prices each of `sequences` against every process (all must be of `type`).
-// The batch is built into a trie once (equal sequences share a node). Under
-// hypotheses 1-3 a replay's path through the trie (cure points, which logged
-// attempt prices each step, where an estimate is used, the escalation tail)
-// depends only on the kinds of the process's attempts, in order. So the
-// processes are grouped into classes by those kinds, and the trie is walked
-// once per class, on its first member: one replay, each edge stepped once,
-// branching through Save()/Restore(). The walk compiles into a flat program
-// of the additions it makes, whose terms read a member's detection delay
-// and logged costs. Then each process, in the given order, runs its class's
-// program. Element i equals EvaluateSequence(sequences[i], ...) field for
-// field: every price is the same double additions in the same order as the
-// process's own replay, and each total is accumulated in process order.
+  // All `processes` must be of `type`; they, `estimator` and `capabilities`
+  // must outlive the pricer.
+  SequencePricer(
+      std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
+      const CostEstimator& estimator, int max_actions,
+      const CapabilityModel& capabilities = CapabilityModel::TotalOrder());
+
+  // The node of `id`'s sequence followed by `action`, added if new.
+  std::int32_t Extend(std::int32_t id, RepairAction action);
+  // The node of `sequence`, added with its prefixes if new.
+  std::int32_t Insert(std::span<const RepairAction> sequence);
+  // Prices the nodes added since the last call (the root on the first).
+  void Price();
+
+  // The evaluation of a node added before the last Price().
+  const SequenceEvaluation& evaluation(std::int32_t id) const {
+    AER_DCHECK_LT(id, priced_);
+    return node(id).eval;
+  }
+  // `id`'s child by `action`, or -1 if the trie has none.
+  std::int32_t child(std::int32_t id, RepairAction action) const {
+    return node(id).child[static_cast<std::size_t>(ActionIndex(action))];
+  }
+  ActionSequence sequence(std::int32_t id) const;  // root to `id`
+  std::size_t size() const { return nodes_.size(); }  // the root included
+
+ private:
+  struct Node {
+    Node() { child.fill(-1); }
+    std::array<std::int32_t, kNumActions> child;  // -1: no child
+    std::int32_t parent = -1;
+    RepairAction action = RepairAction::kTryNop;
+    std::int32_t newest = 0;  // the largest id in its subtree
+    SequenceEvaluation eval;
+  };
+  class TrieWalk;
+
+  const Node& node(std::int32_t id) const {
+    return nodes_[static_cast<std::size_t>(id)];
+  }
+  Node& node(std::int32_t id) { return nodes_[static_cast<std::size_t>(id)]; }
+
+  std::span<const RecoveryProcess* const> processes_;
+  ErrorTypeId type_;
+  const CostEstimator& estimator_;
+  int max_actions_;
+  const CapabilityModel& capabilities_;
+  // Per process, its class; per class, its first member and member count.
+  std::vector<std::int32_t> class_of_;
+  std::vector<std::size_t> first_member_;
+  std::vector<std::int64_t> members_;
+  std::vector<Node> nodes_;
+  std::int32_t priced_ = 0;  // nodes below this id are priced
+};
+
+// Prices each of `sequences` against every process (all must be of `type`)
+// with a one-shot SequencePricer: equal sequences share a node. Element i
+// equals EvaluateSequence(sequences[i], ...) field for field.
 std::vector<SequenceEvaluation> EvaluateSequences(
     std::span<const ActionSequence> sequences,
     std::span<const RecoveryProcess* const> processes, ErrorTypeId type,

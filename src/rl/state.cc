@@ -1,7 +1,5 @@
 #include "rl/state.h"
 
-#include <sstream>
-
 #include "common/check.h"
 
 namespace aer {
@@ -17,30 +15,6 @@ StateKey EncodeState(ErrorTypeId type, std::span<const RepairAction> tried) {
     key |= static_cast<StateKey>(ActionIndex(tried[i])) << (15 + 2 * i);
   }
   return key;
-}
-
-DecodedState DecodeState(StateKey key) {
-  DecodedState state;
-  state.type = static_cast<ErrorTypeId>(key & 0x3ff);
-  const std::size_t len = (key >> 10) & 0x1f;
-  state.tried.reserve(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    state.tried.push_back(
-        ActionFromIndex(static_cast<int>((key >> (15 + 2 * i)) & 0x3)));
-  }
-  return state;
-}
-
-std::string FormatState(StateKey key) {
-  const DecodedState state = DecodeState(key);
-  std::ostringstream os;
-  os << "T" << state.type << ":[";
-  for (std::size_t i = 0; i < state.tried.size(); ++i) {
-    if (i > 0) os << ' ';
-    os << ActionName(state.tried[i]);
-  }
-  os << "]";
-  return os.str();
 }
 
 }  // namespace aer

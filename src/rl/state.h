@@ -10,8 +10,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "mining/error_type.h"
 #include "log/action.h"
@@ -25,16 +23,6 @@ inline constexpr ErrorTypeId kMaxErrorTypes = 1024;
 inline constexpr std::size_t kMaxTriedActions = 24;
 
 StateKey EncodeState(ErrorTypeId type, std::span<const RepairAction> tried);
-
-struct DecodedState {
-  ErrorTypeId type = kInvalidErrorType;
-  std::vector<RepairAction> tried;
-};
-
-DecodedState DecodeState(StateKey key);
-
-// "T12:[TRYNOP REBOOT]" — for reports and debugging.
-std::string FormatState(StateKey key);
 
 }  // namespace aer
 

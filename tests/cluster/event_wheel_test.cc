@@ -1,6 +1,6 @@
 // Property/unit tests for the hierarchical timing wheel: ordering, tie-break
-// determinism, multi-level cascade, cancel/reschedule semantics, and a
-// randomized heap-vs-wheel differential.
+// determinism, multi-level cascade, size accounting, and a randomized
+// heap-vs-wheel differential.
 #include "cluster/event_wheel.h"
 
 #include <algorithm>
@@ -150,66 +150,27 @@ TEST(EventWheelTest, ScheduleAtCurrentTimePopsNext) {
   EXPECT_FALSE(wheel.PopNext(&e));
 }
 
-TEST(EventWheelTest, CancelSkipsEvent) {
-  EventWheel wheel;
-  const EventId a = wheel.Schedule(5, 0, Ev(0));
-  const EventId b = wheel.Schedule(6, 0, Ev(1));
-  const EventId c = wheel.Schedule(70000, 0, Ev(2));
-  (void)a;
-  EXPECT_EQ(wheel.size(), 3u);
-  EXPECT_TRUE(wheel.Cancel(b));
-  EXPECT_EQ(wheel.size(), 2u);
-  // Cancelling an event that already cascaded levels works the same.
-  EXPECT_TRUE(wheel.Cancel(c));
-  EXPECT_EQ(wheel.size(), 1u);
-  const std::vector<Popped> popped = DrainAll(wheel);
-  ASSERT_EQ(popped.size(), 1u);
-  EXPECT_EQ(popped[0].machine, 0);
-}
-
-TEST(EventWheelTest, RescheduleMovesEvent) {
-  EventWheel wheel;
-  const EventId id = wheel.Schedule(100, 0, Ev(7));
-  wheel.Schedule(50, 0, Ev(1));
-  // Move the first event ahead of the other one.
-  const EventId moved = wheel.Reschedule(id, 20, 0, Ev(7));
-  EXPECT_NE(moved, id);
-  EXPECT_EQ(wheel.size(), 2u);
-  const std::vector<Popped> popped = DrainAll(wheel);
-  ASSERT_EQ(popped.size(), 2u);
-  EXPECT_EQ(popped[0].machine, 7);
-  EXPECT_EQ(popped[0].time, 20);
-  EXPECT_EQ(popped[1].machine, 1);
-}
-
 TEST(EventWheelTest, SizeAndPeakAccounting) {
   EventWheel wheel;
   EXPECT_TRUE(wheel.empty());
-  std::vector<EventId> ids;
-  for (int i = 0; i < 10; ++i) {
-    ids.push_back(wheel.Schedule(10 + i, 0, Ev(i)));
-  }
+  for (int i = 0; i < 10; ++i) wheel.Schedule(10 + i, 0, Ev(i));
   EXPECT_EQ(wheel.size(), 10u);
   EXPECT_EQ(wheel.peak_size(), 10u);
-  wheel.Cancel(ids[4]);
   ScheduledEvent e;
   ASSERT_TRUE(wheel.PopNext(&e));
-  EXPECT_EQ(wheel.size(), 8u);
+  EXPECT_EQ(wheel.size(), 9u);
   EXPECT_EQ(wheel.peak_size(), 10u);  // high-water mark sticks
 }
 
 // Randomized 10^5-event differential against a reference binary heap
-// ordered by (time, tie, id), with interleaved schedule/pop/cancel.
+// ordered by (time, tie, id), with interleaved schedule/pop.
 TEST(EventWheelTest, RandomizedHeapDifferential) {
   using Ref = std::tuple<SimTime, std::uint64_t, EventId>;
   std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> heap;
-  std::vector<std::uint8_t> cancelled_ref;  // by id, 1-based
-  cancelled_ref.resize(1);
 
   EventWheel wheel;
   Rng rng(20260808);
   SimTime now = 0;
-  std::vector<EventId> live;  // ids schedulable for cancellation
   std::size_t scheduled = 0;
   std::size_t popped = 0;
   std::size_t compared = 0;
@@ -233,40 +194,18 @@ TEST(EventWheelTest, RandomizedHeapDifferential) {
       const std::uint64_t tie = rng.NextBounded(3);
       const EventId id = wheel.Schedule(t, tie, Ev(0));
       heap.push({t, tie, id});
-      cancelled_ref.push_back(0);
-      live.push_back(id);
       ++scheduled;
-    } else if (op < 7 && !live.empty()) {
-      // Cancel a random live event (ids may already have popped — find one
-      // that is still pending in the reference before cancelling).
-      const std::size_t pick = rng.NextBounded(live.size());
-      const EventId id = live[pick];
-      live[pick] = live.back();
-      live.pop_back();
-      if (cancelled_ref[id] == 0) {
-        cancelled_ref[id] = 1;
-        wheel.Cancel(id);
-      }
     } else {
-      // Pop and compare against the reference (skipping cancelled ids).
+      // Pop and compare against the reference.
       ScheduledEvent e;
       const bool got = wheel.PopNext(&e);
-      Ref expect{};
-      bool ref_got = false;
-      while (!heap.empty()) {
-        expect = heap.top();
-        heap.pop();
-        if (cancelled_ref[std::get<2>(expect)] == 2) continue;  // consumed
-        if (cancelled_ref[std::get<2>(expect)] == 1) continue;  // cancelled
-        ref_got = true;
-        break;
-      }
-      ASSERT_EQ(got, ref_got) << "after " << popped << " pops";
+      ASSERT_EQ(got, !heap.empty()) << "after " << popped << " pops";
       if (!got) continue;
+      const Ref expect = heap.top();
+      heap.pop();
       ASSERT_EQ(e.time, std::get<0>(expect)) << "pop " << popped;
       ASSERT_EQ(e.tie, std::get<1>(expect)) << "pop " << popped;
       ASSERT_EQ(e.id, std::get<2>(expect)) << "pop " << popped;
-      cancelled_ref[e.id] = 2;
       now = e.time;
       ++popped;
       ++compared;

@@ -55,7 +55,7 @@ TEST(RunningStatTest, MergeEqualsSequential) {
   RunningStat left;
   RunningStat right;
   for (int i = 0; i < 1000; ++i) {
-    const double x = rng.NextGaussian() * 10 + 3;
+    const double x = rng.NextDouble() * 20 - 7;
     all.Add(x);
     (i < 400 ? left : right).Add(x);
   }

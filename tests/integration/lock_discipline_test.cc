@@ -218,30 +218,5 @@ TEST(LockDisciplineTest, TimeSeriesRecorderRacesWritersAndReaders) {
   EXPECT_EQ(accounted, kThreads * kIterations);
 }
 
-TEST(LockDisciplineTest, MetricsRegistryConcurrentMergeAdds) {
-  obs::MetricsRegistry target;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&target] {
-      obs::MetricsRegistry shard;
-      obs::Counter& local = shard.GetCounter("aer_test_merged_total");
-      shard.GetStat("aer_test_latency").Observe(1.5);
-      for (int i = 0; i < kIterations; ++i) local.Inc();
-      target.MergeFrom(shard);
-    });
-  }
-  std::thread snapshotter([&target] {
-    for (int i = 0; i < 50; ++i) (void)target.Snapshot();
-  });
-  for (std::thread& worker : workers) worker.join();
-  snapshotter.join();
-
-  std::int64_t merged = -1;
-  for (const auto& [name, value] : target.CounterValues()) {
-    if (name == "aer_test_merged_total") merged = value;
-  }
-  EXPECT_EQ(merged, kThreads * kIterations);
-}
-
 }  // namespace
 }  // namespace aer

@@ -80,18 +80,6 @@ TEST(SymptomClusteringTest, CohesiveFraction) {
               18.0 / 19.0, 1e-12);
 }
 
-TEST(SymptomClusteringTest, ClusterOfPrefersLargest) {
-  std::vector<RecoveryProcess> processes;
-  for (int i = 0; i < 10; ++i) processes.push_back(MakeProcess({0, 1, 2}));
-  MPatternConfig config;
-  config.minp = 0.1;
-  const SymptomClustering clustering(processes, config);
-  const int c0 = clustering.ClusterOf(0);
-  ASSERT_GE(c0, 0);
-  EXPECT_EQ(clustering.clusters()[static_cast<std::size_t>(c0)].size(), 3u);
-  EXPECT_EQ(clustering.ClusterOf(99), -1);
-}
-
 TEST(CohesiveFractionSweepTest, NonIncreasingInMinp) {
   // Build processes with probabilistic co-occurrence so cohesion degrades
   // with minp (the Figure 3 shape).

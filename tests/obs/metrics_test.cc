@@ -75,46 +75,6 @@ TEST(MetricsRegistryTest, HistogramGeometryMismatchDies) {
                "geometry");
 }
 
-TEST(MetricsRegistryTest, MergeFromFoldsAllKinds) {
-  MetricsRegistry shard;
-  shard.GetCounter("aer_test_total").Inc(3);
-  shard.GetGauge("aer_test_gauge").Set(7.0);
-  shard.GetHistogram("aer_test_seconds", 10.0, 10.0, 3).Observe(5.0);
-  shard.GetStat("aer_test_stat").Observe(4.0);
-
-  MetricsRegistry main;
-  main.GetCounter("aer_test_total").Inc(2);
-  main.GetHistogram("aer_test_seconds", 10.0, 10.0, 3).Observe(50.0);
-  main.MergeFrom(shard);
-
-  EXPECT_EQ(main.GetCounter("aer_test_total").value(), 5);
-  EXPECT_DOUBLE_EQ(main.GetGauge("aer_test_gauge").value(), 7.0);
-  EXPECT_EQ(main.GetHistogram("aer_test_seconds", 10.0, 10.0, 3)
-                .Snapshot()
-                .total_count(),
-            2);
-  EXPECT_EQ(main.GetStat("aer_test_stat").Snapshot().count(), 1);
-}
-
-TEST(MetricsRegistryTest, MergeOrderIndependentForCommutativeKinds) {
-  // Counters and histograms merge commutatively — the property parallel
-  // evaluation relies on for deterministic snapshots.
-  MetricsRegistry a;
-  MetricsRegistry b;
-  a.GetCounter("aer_test_total").Inc(3);
-  b.GetCounter("aer_test_total").Inc(4);
-  a.GetHistogram("aer_test_seconds").Observe(10.0);
-  b.GetHistogram("aer_test_seconds").Observe(1000.0);
-
-  MetricsRegistry ab;
-  ab.MergeFrom(a);
-  ab.MergeFrom(b);
-  MetricsRegistry ba;
-  ba.MergeFrom(b);
-  ba.MergeFrom(a);
-  EXPECT_EQ(ab.ExportText(), ba.ExportText());
-}
-
 TEST(MetricsRegistryTest, ExportTextFormat) {
   MetricsRegistry registry;
   registry.GetCounter("aer_b_total").Inc(2);

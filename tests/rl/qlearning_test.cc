@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/state_format.h"
+
 namespace aer {
 namespace {
 

@@ -8,6 +8,7 @@
 #include "cluster/fault_catalog.h"
 #include "common/rng.h"
 #include "fleet/trace.h"
+#include "support/sequence_oracle.h"
 
 namespace aer {
 namespace {

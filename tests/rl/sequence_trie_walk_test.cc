@@ -6,9 +6,11 @@
 // after manual repair, sequences longer than the action cap — and between
 // processes — interleaved classes of equal attempt kinds with their own
 // costs and delays, processes longer than a packed class key — under both
-// capability models.
+// capability models. A SequencePricer kept across calls must price each
+// call's batch as a one-shot EvaluateSequences does.
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "log/recovery_process.h"
 #include "mining/error_type.h"
 #include "rl/sequence.h"
+#include "support/sequence_oracle.h"
 
 namespace aer {
 namespace {
@@ -288,6 +291,72 @@ TEST_F(TrieWalkTest, EmptyAndDuplicateSequencesShareOneNode) {
   EXPECT_EQ(evals[1].total_cost, evals[3].total_cost);
   // Manual repair always cures, so nothing after it runs.
   EXPECT_EQ(evals[1].total_cost, evals[4].total_cost);
+}
+
+// One pricer kept across calls, as a selection-tree scan keeps it, fed
+// batches that repeat and extend what earlier calls priced: every call
+// equals a one-shot EvaluateSequences, and re-asking adds no node.
+TEST_F(TrieWalkTest, LongLivedPricerMatchesOneShotCalls) {
+  Rng rng(24);
+  int compared = 0;
+  for (ErrorTypeId type = 0; type < 3; ++type) {
+    const auto processes = ProcessesOf(type);
+    for (const int max_actions : {2, 3, 20}) {
+      for (const CapabilityModel* model :
+           {&CapabilityModel::TotalOrder(),
+            &CapabilityModel::IdentityOnly()}) {
+        SequencePricer pricer(processes, type, *estimator_, max_actions,
+                              *model);
+        std::vector<ActionSequence> asked;
+        const auto ask = [&](const std::vector<ActionSequence>& batch) {
+          std::vector<std::int32_t> nodes;
+          for (const ActionSequence& s : batch) {
+            nodes.push_back(pricer.Insert(s));
+          }
+          pricer.Price();
+          const auto want = EvaluateSequences(batch, processes, type,
+                                              *estimator_, max_actions, *model);
+          for (std::size_t i = 0; i < batch.size(); ++i) {
+            SCOPED_TRACE(::testing::Message()
+                         << "type " << type << ", max_actions " << max_actions
+                         << ", sequence " << i << " of length "
+                         << batch[i].size());
+            const SequenceEvaluation& got = pricer.evaluation(nodes[i]);
+            EXPECT_EQ(pricer.sequence(nodes[i]), batch[i]);
+            EXPECT_EQ(got.total_cost, want[i].total_cost);
+            EXPECT_EQ(got.mean_cost, want[i].mean_cost);
+            EXPECT_EQ(got.processes, want[i].processes);
+            EXPECT_EQ(got.cured_by_sequence, want[i].cured_by_sequence);
+            EXPECT_EQ(got.terminalized, want[i].terminalized);
+            ++compared;
+          }
+          asked.insert(asked.end(), batch.begin(), batch.end());
+        };
+        for (int call = 0; call < 4; ++call) {
+          std::vector<ActionSequence> batch =
+              call % 2 == 0 ? PrefixClosedBatch(rng, call < 2 ? 6 : 24)
+                            : ArbitraryBatch(rng, 24);
+          // Repeats and extensions of sequences earlier calls priced.
+          for (int n = 0; n < 8 && !asked.empty(); ++n) {
+            ActionSequence seq = asked[rng.NextBounded(asked.size())];
+            batch.push_back(seq);
+            const ActionSequence tail = RandomSequence(rng, 4);
+            seq.insert(seq.end(), tail.begin(), tail.end());
+            batch.push_back(seq);
+          }
+          std::shuffle(batch.begin(), batch.end(), rng);
+          ask(batch);
+        }
+        // A call that only re-asks priced sequences adds no node.
+        const std::size_t nodes = pricer.size();
+        std::vector<ActionSequence> again(asked.begin(), asked.begin() + 20);
+        again.emplace_back();
+        ask(again);
+        EXPECT_EQ(pricer.size(), nodes);
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000);
 }
 
 TEST_F(TrieWalkTest, NoProcessesPricesZero) {

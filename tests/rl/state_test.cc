@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "support/state_format.h"
 
 namespace aer {
 namespace {
