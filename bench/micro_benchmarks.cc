@@ -1,8 +1,8 @@
 // google-benchmark micro-benchmarks for the hot paths: Q-table operations,
 // Boltzmann sampling, process replay construction and steps, trainer
-// sweeps, selection-tree training and pricing, log segmentation, m-pattern
-// mining, log (de)serialization throughput, profiler scope entry and the
-// online manager's open/decide/close cycle.
+// sweeps, selection-tree training and pricing, log segmentation, the log
+// report, m-pattern mining, log (de)serialization throughput, profiler scope
+// entry and the online manager's open/decide/close cycle.
 #include <cstdint>
 #include <iterator>
 #include <set>
@@ -18,6 +18,7 @@
 #include "common/profiler.h"
 #include "common/string_util.h"
 #include "core/recovery_manager.h"
+#include "log/log_report.h"
 #include "mining/error_type.h"
 #include "obs/metrics.h"
 #include "obs/trace_collector.h"
@@ -279,6 +280,18 @@ void BM_LogSegmentation(benchmark::State& state) {
                               dataset.trace.result.log.size()));
 }
 BENCHMARK(BM_LogSegmentation);
+
+// The aerctl summarize report: segmentation's phase 1 and a per-type tally.
+void BM_LogReport(benchmark::State& state) {
+  const BenchDataset& dataset = GetDataset();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BuildLogReport(dataset.trace.result.log));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(
+                              dataset.trace.result.log.size()));
+}
+BENCHMARK(BM_LogReport);
 
 // Collapsing the processes into counted symptom sets, then mining them.
 void BM_MPatternMining(benchmark::State& state) {

@@ -9,17 +9,26 @@ namespace aer {
 LogReport BuildLogReport(const RecoveryLog& log, std::size_t top_k) {
   LogReport report;
   report.entries = log.size();
-  const SegmentationResult segmented = SegmentIntoProcesses(log);
-  report.processes = segmented.processes.size();
-  report.incomplete = segmented.incomplete;
-  report.orphan_entries = segmented.orphan_entries;
-  report.total_downtime = TotalDowntime(segmented.processes);
+  // Phase 1 of segmentation is enough: every figure here comes from a
+  // process's opening and closing entries.
+  const ProcessIndex index = IndexProcesses(log);
+  report.incomplete = index.incomplete;
+  report.orphan_entries = index.orphan_entries;
+  ErrorTypeTally tally;
+  for (const ProcessSpan& span : index.spans) {
+    if (!span.closed()) continue;
+    const LogEntry& open = index.entries[span.open];
+    const SimTime downtime = index.entries[span.close].time - open.time;
+    ++report.processes;
+    report.total_downtime += downtime;
+    tally.Add(open.symptom, downtime);
+  }
   report.mean_downtime_s =
       report.processes > 0
           ? static_cast<double>(report.total_downtime) /
                 static_cast<double>(report.processes)
           : 0.0;
-  std::vector<ErrorTypeStat> ranked = RankErrorTypes(segmented.processes);
+  std::vector<ErrorTypeStat> ranked = tally.Ranked();
   report.error_types = ranked.size();
   if (ranked.size() > top_k) ranked.resize(top_k);
   report.top_types = std::move(ranked);

@@ -1,22 +1,22 @@
 #include "log/log_stats.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace aer {
 
-std::vector<ErrorTypeStat> RankErrorTypes(
-    std::span<const RecoveryProcess> processes) {
-  std::unordered_map<SymptomId, ErrorTypeStat> stats;
-  for (const RecoveryProcess& p : processes) {
-    ErrorTypeStat& s = stats[p.initial_symptom()];
-    s.type = p.initial_symptom();
-    ++s.process_count;
-    s.total_downtime += p.downtime();
+void ErrorTypeTally::Add(SymptomId type, SimTime downtime) {
+  std::uint32_t& slot = slot_of_[type];
+  if (slot == kNew) {
+    slot = static_cast<std::uint32_t>(stats_.size());
+    stats_.push_back({.type = type});
   }
-  std::vector<ErrorTypeStat> out;
-  out.reserve(stats.size());
-  for (const auto& [type, s] : stats) out.push_back(s);
+  ErrorTypeStat& s = stats_[slot];
+  ++s.process_count;
+  s.total_downtime += downtime;
+}
+
+std::vector<ErrorTypeStat> ErrorTypeTally::Ranked() const {
+  std::vector<ErrorTypeStat> out = stats_;
   std::sort(out.begin(), out.end(),
             [](const ErrorTypeStat& a, const ErrorTypeStat& b) {
               if (a.process_count != b.process_count) {
@@ -25,6 +25,15 @@ std::vector<ErrorTypeStat> RankErrorTypes(
               return a.type < b.type;
             });
   return out;
+}
+
+std::vector<ErrorTypeStat> RankErrorTypes(
+    std::span<const RecoveryProcess> processes) {
+  ErrorTypeTally tally;
+  for (const RecoveryProcess& p : processes) {
+    tally.Add(p.initial_symptom(), p.downtime());
+  }
+  return tally.Ranked();
 }
 
 SimTime TotalDowntime(const std::vector<RecoveryProcess>& processes) {

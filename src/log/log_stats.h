@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "log/id_table.h"
 #include "log/recovery_process.h"
 
 namespace aer {
@@ -16,6 +17,21 @@ struct ErrorTypeStat {
   SymptomId type = kInvalidSymptom;
   std::int64_t process_count = 0;
   SimTime total_downtime = 0;
+};
+
+// Per-type process counts and downtime, added one process at a time.
+class ErrorTypeTally {
+ public:
+  void Add(SymptomId type, SimTime downtime);
+
+  // One stat per type added, in RankErrorTypes' order.
+  std::vector<ErrorTypeStat> Ranked() const;
+
+ private:
+  static constexpr std::uint32_t kNew = UINT32_MAX;
+
+  IdTable slot_of_{kNew};  // type -> index into stats_
+  std::vector<ErrorTypeStat> stats_;
 };
 
 // One stat per error type, sorted by descending process count (ties broken

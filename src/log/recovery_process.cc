@@ -1,10 +1,9 @@
 #include "log/recovery_process.h"
 
 #include <algorithm>
-#include <optional>
-#include <unordered_map>
 
 #include "common/check.h"
+#include "log/id_table.h"
 
 namespace aer {
 
@@ -18,6 +17,13 @@ RecoveryProcess::RecoveryProcess(MachineId machine,
       success_time_(success_time) {
   AER_CHECK(!symptoms_.empty());
   AER_CHECK_GE(success_time_, symptoms_.front().time);
+}
+
+RecoveryProcess::RecoveryProcess(MachineId machine, SimTime success_time,
+                                 std::size_t symptoms, std::size_t attempts)
+    : machine_(machine), success_time_(success_time) {
+  symptoms_.reserve(symptoms);
+  attempts_.reserve(attempts);
 }
 
 SimTime RecoveryProcess::detection_delay() const {
@@ -39,15 +45,6 @@ void RecoveryProcess::DistinctSymptoms(std::vector<SymptomId>& out) const {
 
 namespace {
 
-// Per-machine accumulator for the currently open process.
-struct OpenProcess {
-  std::vector<SymptomEvent> symptoms;
-  std::vector<ActionAttempt> attempts;
-  // Index of this process's slot in open order (valid while open).
-  std::size_t slot = 0;
-  bool open = false;
-};
-
 bool EntryBefore(const LogEntry& a, const LogEntry& b) {
   if (a.time != b.time) return a.time < b.time;
   return a.machine < b.machine;
@@ -55,74 +52,97 @@ bool EntryBefore(const LogEntry& a, const LogEntry& b) {
 
 }  // namespace
 
-SegmentationResult SegmentIntoProcesses(const RecoveryLog& log) {
+ProcessIndex IndexProcesses(const RecoveryLog& log) {
+  ProcessIndex index;
   // Scan in (time, machine) order. Logs from Write() and the simulators are
   // already in that order; only an unsorted log pays for a sorted copy.
-  std::vector<LogEntry> sorted;
-  const std::vector<LogEntry>* entries = &log.entries();
-  if (!std::is_sorted(entries->begin(), entries->end(), EntryBefore)) {
-    sorted = *entries;
-    std::stable_sort(sorted.begin(), sorted.end(), EntryBefore);
-    entries = &sorted;
+  index.entries = log.entries();
+  if (!std::is_sorted(index.entries.begin(), index.entries.end(),
+                      EntryBefore)) {
+    index.sorted = log.entries();
+    std::stable_sort(index.sorted.begin(), index.sorted.end(), EntryBefore);
+    index.entries = index.sorted;
   }
+  const std::span<const LogEntry> entries = index.entries;
+  AER_CHECK_LT(entries.size(), std::size_t{ProcessSpan::kStillOpen});
 
-  // One slot per opened process, in open order. Opens happen in (time,
-  // machine) order, which is the (start time, machine) order the result
-  // promises; a machine reopening at the same second closed its previous
-  // process first, so ties also keep close order. Processes still open at
-  // the end leave their slot empty.
-  std::vector<std::optional<RecoveryProcess>> slots;
+  // Opens happen in (time, machine) order, which is the (start time,
+  // machine) order SegmentationResult promises; a machine reopening at the
+  // same second closed its previous process first, so ties keep close order.
+  index.owner.resize(entries.size());
+  IdTable open(ProcessSpan::kStillOpen);  // each machine's open span
+  for (std::uint32_t i = 0; i < entries.size(); ++i) {
+    const LogEntry& e = entries[i];
+    std::uint32_t& machine_span = open[e.machine];
+    std::uint32_t s = machine_span;
+    if (s == ProcessSpan::kStillOpen) {
+      if (e.kind != EntryKind::kSymptom) {
+        ++index.orphan_entries;
+        index.owner[i] = ProcessIndex::kOrphan;
+        continue;
+      }
+      s = static_cast<std::uint32_t>(index.spans.size());
+      index.spans.push_back({.open = i});
+    }
+    // Branch-free on the entry kind, which the walk cannot predict.
+    ProcessSpan& span = index.spans[s];
+    span.symptoms += e.kind == EntryKind::kSymptom;
+    span.attempts += e.kind == EntryKind::kAction;
+    const bool success = e.kind == EntryKind::kSuccess;
+    span.close = success ? i : span.close;
+    machine_span = success ? ProcessSpan::kStillOpen : s;
+    index.owner[i] = s;
+  }
+  for (const ProcessSpan& span : index.spans) {
+    if (!span.closed()) ++index.incomplete;
+  }
+  return index;
+}
+
+SegmentationResult SegmentIntoProcesses(const RecoveryLog& log) {
+  const ProcessIndex index = IndexProcesses(log);
+  const std::span<const LogEntry> entries = index.entries;
+
+  // Every closed process, in open order, with its vectors reserved at their
+  // exact sizes; process_of maps a span to its process.
+  constexpr std::uint32_t kNoProcess = UINT32_MAX;
   SegmentationResult result;
-  std::unordered_map<MachineId, OpenProcess> open;
-
-  const auto close_attempt = [](OpenProcess& p, SimTime now) {
-    if (!p.attempts.empty()) {
-      ActionAttempt& last = p.attempts.back();
-      last.cost = now - last.start;
-    }
-  };
-
-  std::size_t closed = 0;
-  for (const LogEntry& e : *entries) {
-    OpenProcess& p = open[e.machine];
-    switch (e.kind) {
-      case EntryKind::kSymptom:
-        if (!p.open) {
-          p.open = true;
-          p.symptoms.clear();
-          p.attempts.clear();
-          p.slot = slots.size();
-          slots.emplace_back();
-        }
-        p.symptoms.push_back({e.time, e.symptom});
-        break;
-      case EntryKind::kAction:
-        if (!p.open) {
-          ++result.orphan_entries;
-          break;
-        }
-        close_attempt(p, e.time);
-        p.attempts.push_back({e.action, e.time, /*cost=*/0, /*cured=*/false});
-        break;
-      case EntryKind::kSuccess:
-        if (!p.open) {
-          ++result.orphan_entries;
-          break;
-        }
-        close_attempt(p, e.time);
-        if (!p.attempts.empty()) p.attempts.back().cured = true;
-        slots[p.slot].emplace(e.machine, std::move(p.symptoms),
-                              std::move(p.attempts), e.time);
-        ++closed;
-        p = OpenProcess{};
-        break;
-    }
+  result.incomplete = index.incomplete;
+  result.orphan_entries = index.orphan_entries;
+  result.processes.reserve(index.spans.size() -
+                           static_cast<std::size_t>(index.incomplete));
+  std::vector<std::uint32_t> process_of(index.spans.size(), kNoProcess);
+  for (std::size_t s = 0; s < index.spans.size(); ++s) {
+    const ProcessSpan& span = index.spans[s];
+    if (!span.closed()) continue;
+    process_of[s] = static_cast<std::uint32_t>(result.processes.size());
+    result.processes.push_back(RecoveryProcess(
+        entries[span.open].machine, entries[span.close].time, span.symptoms,
+        span.attempts));
   }
 
-  result.incomplete = static_cast<int>(slots.size() - closed);
-  result.processes.reserve(closed);
-  for (std::optional<RecoveryProcess>& slot : slots) {
-    if (slot.has_value()) result.processes.push_back(std::move(*slot));
+  // Fill them in one more walk.
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const std::uint32_t s = index.owner[i];
+    if (s == ProcessIndex::kOrphan) continue;
+    const std::uint32_t r = process_of[s];
+    if (r == kNoProcess) continue;
+    const LogEntry& e = entries[i];
+    RecoveryProcess& p = result.processes[r];
+    if (e.kind == EntryKind::kSymptom) {
+      p.symptoms_.push_back({e.time, e.symptom});
+      continue;
+    }
+    // An action or the closing Success ends the attempt before it.
+    if (!p.attempts_.empty()) {
+      ActionAttempt& last = p.attempts_.back();
+      last.cost = e.time - last.start;
+    }
+    if (e.kind == EntryKind::kAction) {
+      p.attempts_.push_back({e.action, e.time, /*cost=*/0, /*cured=*/false});
+    } else if (!p.attempts_.empty()) {
+      p.attempts_.back().cured = true;
+    }
   }
   return result;
 }

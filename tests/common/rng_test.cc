@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "support/zipf.h"
-
 namespace aer {
 namespace {
 
@@ -184,50 +182,6 @@ TEST(RngTest, SatisfiesUniformRandomBitGenerator) {
   std::shuffle(v.begin(), v.end(), rng);  // compiles and runs
   EXPECT_EQ(v.size(), 5u);
 }
-
-TEST(ZipfDistributionTest, PmfSumsToOne) {
-  ZipfDistribution zipf(50, 1.2);
-  double total = 0.0;
-  for (std::size_t k = 0; k < zipf.size(); ++k) total += zipf.Pmf(k);
-  EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(ZipfDistributionTest, PmfIsDecreasing) {
-  ZipfDistribution zipf(20, 1.5);
-  for (std::size_t k = 1; k < zipf.size(); ++k) {
-    EXPECT_GT(zipf.Pmf(k - 1), zipf.Pmf(k));
-  }
-}
-
-TEST(ZipfDistributionTest, SampleFrequenciesMatchPmf) {
-  ZipfDistribution zipf(10, 1.0);
-  Rng rng(47);
-  std::vector<int> counts(10, 0);
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) ++counts[zipf.Sample(rng)];
-  for (std::size_t k = 0; k < 10; ++k) {
-    EXPECT_NEAR(static_cast<double>(counts[k]) / n, zipf.Pmf(k), 0.01);
-  }
-}
-
-TEST(ZipfDistributionTest, SingleRankAlwaysZero) {
-  ZipfDistribution zipf(1, 2.0);
-  Rng rng(53);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(zipf.Sample(rng), 0u);
-}
-
-// Exponent sweep: heavier exponents concentrate more mass on rank 0.
-class ZipfExponentTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(ZipfExponentTest, HeadMassGrowsWithExponent) {
-  const double s = GetParam();
-  ZipfDistribution lighter(100, s);
-  ZipfDistribution heavier(100, s + 0.5);
-  EXPECT_LT(lighter.Pmf(0), heavier.Pmf(0));
-}
-
-INSTANTIATE_TEST_SUITE_P(Exponents, ZipfExponentTest,
-                         ::testing::Values(0.5, 0.8, 1.0, 1.3, 1.8, 2.2));
 
 TEST(DeriveStreamTest, MappingIsFrozen) {
   // DeriveStream is the contract between master seeds and per-shard RNG

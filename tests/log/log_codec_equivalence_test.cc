@@ -1,10 +1,12 @@
-// Differential tests for the log codec and segmentation. The chunked
-// RecoveryLog::Read, the buffered Write and the single-pass
-// SegmentIntoProcesses are checked against straightforward reference
+// Differential tests for the log codec, segmentation and the log report. The
+// chunked RecoveryLog::Read, the buffered Write, the two-phase
+// SegmentIntoProcesses and BuildLogReport (which reads only segmentation's
+// process index) are checked against straightforward reference
 // implementations kept here: a std::getline / Split / strtoll parser, an
-// ostream-formatting writer, and a copy-sort-segment-sort segmenter. The
-// references define the behaviour; the library versions must match them on
-// clean, corrupted, adversarial and randomly generated inputs.
+// ostream-formatting writer, a copy-sort-segment-sort segmenter, and that
+// segmenter's processes ranked by RankErrorTypes. The references define the
+// behaviour; the library versions must match them on clean, corrupted,
+// adversarial and randomly generated inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include <istream>
 #include <limits>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -24,6 +27,8 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "inject/file_corruptor.h"
+#include "log/log_report.h"
+#include "log/log_stats.h"
 #include "log/recovery_log.h"
 #include "log/recovery_process.h"
 
@@ -382,6 +387,64 @@ void ExpectSameSegmentation(const SegmentationResult& want,
   }
 }
 
+// BuildLogReport against the reference segmentation ranked by
+// RankErrorTypes, at top-k cuts below, at and above the number of types.
+void ExpectReportLikeReference(const RecoveryLog& log,
+                               const std::string& label) {
+  const SegmentationResult want = ref::Segment(log);
+  const std::vector<ErrorTypeStat> ranked = RankErrorTypes(want.processes);
+  SimTime downtime = 0;
+  for (const RecoveryProcess& p : want.processes) downtime += p.downtime();
+  for (const std::size_t top_k : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{3}, std::size_t{1000}}) {
+    const std::string at = label + " top " + std::to_string(top_k);
+    const LogReport got = BuildLogReport(log, top_k);
+    EXPECT_EQ(got.entries, log.size()) << at;
+    EXPECT_EQ(got.processes, want.processes.size()) << at;
+    EXPECT_EQ(got.incomplete, want.incomplete) << at;
+    EXPECT_EQ(got.orphan_entries, want.orphan_entries) << at;
+    EXPECT_EQ(got.total_downtime, downtime) << at;
+    EXPECT_EQ(got.error_types, ranked.size()) << at;
+    ASSERT_EQ(got.top_types.size(), std::min(top_k, ranked.size())) << at;
+    for (std::size_t i = 0; i < got.top_types.size(); ++i) {
+      EXPECT_EQ(got.top_types[i].type, ranked[i].type) << at << " rank " << i;
+      EXPECT_EQ(got.top_types[i].process_count, ranked[i].process_count)
+          << at << " rank " << i;
+      EXPECT_EQ(got.top_types[i].total_downtime, ranked[i].total_downtime)
+          << at << " rank " << i;
+    }
+  }
+}
+
+// A random log over the given machines: times never decrease, but many
+// machines share each second in random order, so the log is not sorted by
+// (time, machine) and the segmenter sorts a copy.
+RecoveryLog RandomFleetLog(std::uint64_t seed,
+                           const std::vector<MachineId>& machines,
+                           int entries) {
+  Rng rng(seed);
+  RecoveryLog log;
+  std::vector<SymptomId> ids;
+  for (int i = 0; i < 12; ++i) {
+    ids.push_back(log.symptoms().Intern("s" + std::to_string(i)));
+  }
+  SimTime t = 0;
+  for (int i = 0; i < entries; ++i) {
+    t += rng.NextInt(0, 1);
+    const MachineId m = machines[rng.NextBounded(machines.size())];
+    const double u = rng.NextDouble();
+    if (u < 0.5) {
+      log.Append(LogEntry::Symptom(t, m, ids[rng.NextBounded(ids.size())]));
+    } else if (u < 0.8) {
+      log.Append(LogEntry::Action(
+          t, m, ActionFromIndex(static_cast<int>(rng.NextBounded(4)))));
+    } else {
+      log.Append(LogEntry::Success(t, m));
+    }
+  }
+  return log;
+}
+
 std::string WriteToString(const RecoveryLog& log) {
   std::ostringstream os;
   log.Write(os);
@@ -489,6 +552,7 @@ TEST(SegmentationEquivalenceTest, RandomLogsSegmentLikeReference) {
     // As generated (time-ordered, machines interleaved), shuffled, sorted.
     ExpectSameSegmentation(ref::Segment(log), SegmentIntoProcesses(log),
                            label + " generated");
+    ExpectReportLikeReference(log, label + " generated");
     std::vector<LogEntry> entries = log.entries();
     Rng rng(seed);
     std::shuffle(entries.begin(), entries.end(), rng);
@@ -500,9 +564,11 @@ TEST(SegmentationEquivalenceTest, RandomLogsSegmentLikeReference) {
     for (const LogEntry& e : entries) shuffled.Append(e);
     ExpectSameSegmentation(ref::Segment(shuffled),
                            SegmentIntoProcesses(shuffled), label + " shuffled");
+    ExpectReportLikeReference(shuffled, label + " shuffled");
     log.SortByTime();
     ExpectSameSegmentation(ref::Segment(log), SegmentIntoProcesses(log),
                            label + " sorted");
+    ExpectReportLikeReference(log, label + " sorted");
   }
 }
 
@@ -539,6 +605,67 @@ TEST(SegmentationEquivalenceTest, WriteMatchesReferenceAndRoundTrips) {
     EXPECT_EQ(WriteToString(parsed), text) << label;
     ExpectSameSegmentation(ref::Segment(parsed), SegmentIntoProcesses(parsed),
                            label + " reparsed");
+    ExpectReportLikeReference(parsed, label + " reparsed");
+  }
+}
+
+// The report over lenient parses of corrupted text: damaged times leave the
+// log out of order, damaged machine fields move entries to other machines.
+TEST(ReportEquivalenceTest, CorruptedLogsReportLikeReference) {
+  RecoveryLog clean = RandomLog(/*seed=*/11, /*entries=*/4000);
+  clean.SortByTime();
+  const std::string text = WriteToString(clean);
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    const std::string label = "seed " + std::to_string(seed);
+    Rng rng(seed);
+    std::string flipped = text;
+    BitFlip(flipped, 200, rng);
+    const std::vector<std::pair<std::string, std::string>> damaged = {
+        {label + " lines", CorruptLines(text, 0.3, rng)},
+        {label + " bitflip", flipped},
+        {label + " truncate", TruncateRandomly(text, rng)},
+    };
+    for (const auto& [what, damaged_text] : damaged) {
+      std::istringstream in(damaged_text);
+      RecoveryLog parsed;
+      ASSERT_TRUE(RecoveryLog::Read(in, parsed, LogParseMode::kLenient).ok)
+          << what;
+      ExpectSameSegmentation(ref::Segment(parsed), SegmentIntoProcesses(parsed),
+                             what);
+      ExpectReportLikeReference(parsed, what);
+    }
+  }
+}
+
+// More than 5,000 distinct machines with ids spread over the whole MachineId
+// range, so segmentation's machine table grows several times.
+TEST(ReportEquivalenceTest, ManyMachinesGrowTheMachineTable) {
+  Rng rng(7);
+  std::set<MachineId> distinct = {std::numeric_limits<MachineId>::min(),
+                                  std::numeric_limits<MachineId>::max(), -1,
+                                  0};
+  while (distinct.size() < 6000) {
+    distinct.insert(static_cast<MachineId>(rng.Next()));
+  }
+  const std::vector<MachineId> machines(distinct.begin(), distinct.end());
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const RecoveryLog log = RandomFleetLog(seed, machines, 60000);
+    const std::string label = "seed " + std::to_string(seed);
+    ExpectSameSegmentation(ref::Segment(log), SegmentIntoProcesses(log), label);
+    ExpectReportLikeReference(log, label);
+  }
+}
+
+// Ids that are all equal modulo every power-of-two table size up to 2^16,
+// negative ones included.
+TEST(ReportEquivalenceTest, IdsEqualModuloTheTableSize) {
+  std::vector<MachineId> machines;
+  for (MachineId k = -2000; k < 2000; ++k) machines.push_back(k * 65536);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const RecoveryLog log = RandomFleetLog(seed, machines, 40000);
+    const std::string label = "seed " + std::to_string(seed);
+    ExpectSameSegmentation(ref::Segment(log), SegmentIntoProcesses(log), label);
+    ExpectReportLikeReference(log, label);
   }
 }
 

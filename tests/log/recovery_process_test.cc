@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "fleet/trace.h"
 
 namespace aer {
@@ -144,6 +147,62 @@ TEST(SegmentationTest, UnsortedInputIsHandled) {
   const SegmentationResult result = SegmentIntoProcesses(log);
   ASSERT_EQ(result.processes.size(), 1u);
   EXPECT_EQ(result.processes[0].downtime(), 20);
+}
+
+TEST(IndexProcessesTest, SpansAndOwnersFollowTheRule) {
+  RecoveryLog log;
+  const SymptomId a = log.symptoms().Intern("a");
+  const SymptomId b = log.symptoms().Intern("b");
+  // Out of (time, machine) order, so the index sorts a copy.
+  log.Append(LogEntry::Symptom(10, -3, a));
+  log.Append(LogEntry::Action(5, 7, RepairAction::kReboot));  // orphan
+  log.Append(LogEntry::Action(20, -3, RepairAction::kReboot));
+  log.Append(LogEntry::Symptom(25, 7, b));
+  log.Append(LogEntry::Symptom(26, -3, b));
+  log.Append(LogEntry::Success(30, -3));
+  log.Append(LogEntry::Success(31, -3));  // orphan
+  log.Append(LogEntry::Symptom(40, 7, a));
+
+  const ProcessIndex index = IndexProcesses(log);
+  // Sorted: 5/m7 A, 10/m-3 S, 20/m-3 A, 25/m7 S, 26/m-3 S, 30/m-3 Succ,
+  //         31/m-3 Succ, 40/m7 S.
+  ASSERT_EQ(index.entries.size(), log.size());
+  EXPECT_FALSE(index.sorted.empty());
+  EXPECT_EQ(index.entries.data(), index.sorted.data());
+  EXPECT_EQ(index.entries[0].time, 5);
+  ASSERT_EQ(index.spans.size(), 2u);
+  EXPECT_EQ(index.spans[0].open, 1u);
+  EXPECT_EQ(index.spans[0].close, 5u);
+  EXPECT_EQ(index.spans[0].symptoms, 2u);
+  EXPECT_EQ(index.spans[0].attempts, 1u);
+  EXPECT_EQ(index.spans[1].open, 3u);
+  EXPECT_FALSE(index.spans[1].closed());
+  EXPECT_EQ(index.spans[1].symptoms, 2u);
+  EXPECT_EQ(index.spans[1].attempts, 0u);
+  constexpr std::uint32_t kOrphan = ProcessIndex::kOrphan;
+  EXPECT_EQ(index.owner,
+            (std::vector<std::uint32_t>{kOrphan, 0, 0, 1, 0, 0, kOrphan, 1}));
+  EXPECT_EQ(index.incomplete, 1);
+  EXPECT_EQ(index.orphan_entries, 2);
+}
+
+TEST(IndexProcessesTest, SortedLogIsIndexedInPlace) {
+  const RecoveryLog log = Table1Log();
+  const ProcessIndex index = IndexProcesses(log);
+  EXPECT_TRUE(index.sorted.empty());
+  EXPECT_EQ(index.entries.data(), log.entries().data());
+  ASSERT_EQ(index.spans.size(), 1u);
+  EXPECT_EQ(index.spans[0].open, 0u);
+  EXPECT_EQ(index.spans[0].close, 6u);
+  EXPECT_EQ(index.spans[0].symptoms, 4u);
+  EXPECT_EQ(index.spans[0].attempts, 2u);
+}
+
+TEST(SegmentationTest, ProcessVectorsAreSizedExactly) {
+  const SegmentationResult result = SegmentIntoProcesses(Table1Log());
+  ASSERT_EQ(result.processes.size(), 1u);
+  EXPECT_EQ(result.processes[0].symptoms().capacity(), 4u);
+  EXPECT_EQ(result.processes[0].attempts().capacity(), 2u);
 }
 
 // Property test against the full generator: segmentation must reproduce the
